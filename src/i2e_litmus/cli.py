@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,12 +21,35 @@ from .explorer import CheckReport, ExploreLimits, check, outcome_subset
 from .litmus import LitmusError, parse_file
 from .models import MODEL_IDS
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SEED_ENV = "I2E_LITMUS_SEED"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits 2 on bad usage; here 2 means inconclusive, so usage
+    errors exit 3 like every other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):  # nan would never time out
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="i2e-litmus",
         description="Run litmus tests against operational memory models.",
     )
@@ -39,9 +63,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--witness", action="store_true",
                     help="include a witness trace for each satisfiable condition")
-    ap.add_argument("--max-states", type=int, default=ExploreLimits.max_states,
+    ap.add_argument("--max-states", type=_positive_int, default=ExploreLimits.max_states,
                     metavar="N", help="state budget per (test, model)")
-    ap.add_argument("--timeout", type=float, default=ExploreLimits.timeout,
+    ap.add_argument("--timeout", type=_positive_seconds, default=ExploreLimits.timeout,
                     metavar="SECS", help="time budget per (test, model)")
     ap.add_argument("--compare", action="store_true",
                     help="report outcome-set inclusion for each ordered model pair")
@@ -105,6 +129,7 @@ def _result_record(report: CheckReport, expected, want_witness: bool) -> dict:
         "stats": {
             "visited": report.result.stats.visited,
             "dedup_hits": report.result.stats.dedup_hits,
+            "edges": report.result.stats.edges,
             "max_frontier": report.result.stats.max_frontier,
             "wall_time_s": round(report.result.stats.wall_time, 4),
         },
@@ -158,7 +183,7 @@ def _print_text(records, comparisons, errors, out) -> None:
             mem = " ".join(f"m[{k}]={v}" for k, v in o["mem"].items())
             print(f"    {regs}  {mem}".rstrip(), file=out)
         s = rec["stats"]
-        print(f"  stats: visited={s['visited']} dedup={s['dedup_hits']}"
+        print(f"  stats: visited={s['visited']} edges={s['edges']} dedup={s['dedup_hits']}"
               f" max_frontier={s['max_frontier']} wall={s['wall_time_s']}s"
               f" deadlocks={rec['deadlocks']}", file=out)
     for cmp_rec in comparisons:
@@ -189,6 +214,14 @@ def main(argv=None) -> int:
         print("error: --compare needs --models with at least two models",
               file=sys.stderr)
         return 3
+    order, seed = "bfs", None
+    if os.environ.get(SEED_ENV):
+        try:
+            order, seed = "random", int(os.environ[SEED_ENV])
+        except ValueError:
+            print(f"error: {SEED_ENV} must be an integer, got {os.environ[SEED_ENV]!r}",
+                  file=sys.stderr)
+            return 3
 
     jobs, errors = _collect_inputs(args.inputs)
     expectations: dict[str, dict] = {}
@@ -202,9 +235,6 @@ def main(argv=None) -> int:
         return 3
 
     limits = ExploreLimits(max_states=args.max_states, timeout=args.timeout)
-    order, seed = "bfs", None
-    if os.environ.get(SEED_ENV):
-        order, seed = "random", int(os.environ[SEED_ENV])
 
     records = []
     comparisons = []

@@ -32,8 +32,12 @@ class ExploreLimits:
 
 @dataclass
 class ExploreStats:
+    """`edges` counts every rule firing from an expanded state: each one
+    either found a new state or was a dedup hit."""
+
     visited: int = 0
     dedup_hits: int = 0
+    edges: int = 0
     max_frontier: int = 0
     wall_time: float = 0.0
 
@@ -138,6 +142,7 @@ def explore(model: BaseModel,
         if len(frontier) > stats.max_frontier:
             stats.max_frontier = len(frontier)
 
+    stats.edges = len(parents) - 1 + stats.dedup_hits
     stats.wall_time = time.monotonic() - started
     return ExploreResult(
         outcomes=frozenset(outcomes),

@@ -14,7 +14,7 @@ the untagged, timestamped, and tagged entry shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .litmus import Assign, Branch, Exit, Fence, Load, LitmusError, Store
@@ -167,13 +167,14 @@ def execute(proc: ProcState, dins, ld_res: Optional[int] = None) -> ProcState:
     """Apply a decoded instruction to the register file and pc, nothing else."""
     if isinstance(dins, Nm):
         regs = proc.regs if dins.dst is None else reg_set(proc.regs, dins.dst, dins.v)
-        return replace(proc, regs=regs, pc=dins.next_pc)
+        return ProcState(regs, dins.next_pc, proc.sb, proc.ib, proc.rts)
     if isinstance(dins, Ld):
         if ld_res is None:
             raise MachineError("a load needs its result value")
-        return replace(proc, regs=reg_set(proc.regs, dins.dst, ld_res), pc=proc.pc + 1)
+        return ProcState(reg_set(proc.regs, dins.dst, ld_res), proc.pc + 1,
+                         proc.sb, proc.ib, proc.rts)
     if isinstance(dins, (St, Commit, Reconcile)):
-        return replace(proc, pc=proc.pc + 1)
+        return ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib, proc.rts)
     raise MachineError(f"cannot execute {dins!r}")
 
 
@@ -186,14 +187,14 @@ def execute_ts(proc: ProcState, dins, ld_res: Optional[int],
     """
     if isinstance(dins, Nm):
         regs = proc.regs if dins.dst is None else reg_set(proc.regs, dins.dst, (dins.v, ts))
-        return replace(proc, regs=regs, pc=dins.next_pc)
+        return ProcState(regs, dins.next_pc, proc.sb, proc.ib, proc.rts)
     if isinstance(dins, Ld):
         if ld_res is None:
             raise MachineError("a load needs its result value")
-        return replace(proc, regs=reg_set(proc.regs, dins.dst, (ld_res, ts)),
-                       pc=proc.pc + 1)
+        return ProcState(reg_set(proc.regs, dins.dst, (ld_res, ts)), proc.pc + 1,
+                         proc.sb, proc.ib, proc.rts)
     if isinstance(dins, (St, Commit, Reconcile)):
-        return replace(proc, pc=proc.pc + 1)
+        return ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib, proc.rts)
     raise MachineError(f"cannot execute {dins!r}")
 
 

@@ -15,8 +15,6 @@ unchanged under every model.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .. import isa
 from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
 
@@ -83,11 +81,11 @@ class TsoModel(BaseModel):
         m = state.m
         if rule.rule == "TSO-DeqSb":
             (a, v), sb = isa.sb_deq(proc.sb)
-            proc = replace(proc, sb=sb)
+            proc = isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts)
             m = mem_set(m, a, v)
         elif rule.rule == "PSO-DeqSb":
             (a, v), sb = isa.sb_rm_oldest(proc.sb, rule.payload[0])
-            proc = replace(proc, sb=sb)
+            proc = isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts)
             m = mem_set(m, a, v)
         else:
             dins = self.decode_at(state, i)
@@ -97,7 +95,8 @@ class TsoModel(BaseModel):
                 proc = isa.execute(proc, dins, v)
             elif rule.rule == "TSO-St":
                 proc = isa.execute(proc, dins)
-                proc = replace(proc, sb=isa.sb_enq(proc.sb, (dins.a, dins.v)))
+                proc = isa.ProcState(proc.regs, proc.pc, isa.sb_enq(proc.sb, (dins.a, dins.v)),
+                                     proc.ib, proc.rts)
             else:  # TSO-Nm / TSO-Com / TSO-Rec
                 proc = isa.execute(proc, dins)
         procs = state.procs[:i] + (proc,) + state.procs[i + 1:]

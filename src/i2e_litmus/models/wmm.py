@@ -21,8 +21,6 @@ their address for the same reason; Reconcile clears it outright.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .. import isa
 from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
 
@@ -84,31 +82,32 @@ class WmmModel(BaseModel):
             proc = isa.execute(proc, dins, isa.sb_youngest(proc.sb, dins.a)[1])
         elif name == self.LDMEM_RULE:
             proc = isa.execute(proc, dins, mem_get(state.m, dins.a, 0))
-            proc = replace(proc, ib=isa.ib_rm_addr(proc.ib, dins.a))
+            proc = isa.ProcState(proc.regs, proc.pc, proc.sb,
+                                 isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
         elif name == self.LDIB_RULE:
             entry, ib = isa.ib_take(proc.ib, dins.a, rule.payload[0])
             proc = isa.execute(proc, dins, entry[1])
-            proc = replace(proc, ib=ib)
+            proc = isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
         elif name == self.ST_RULE:
             proc = isa.execute(proc, dins)
-            proc = replace(proc,
-                           sb=isa.sb_enq(proc.sb, self._store_entry(state, dins)),
-                           ib=isa.ib_rm_addr(proc.ib, dins.a))
+            proc = isa.ProcState(proc.regs, proc.pc,
+                                 isa.sb_enq(proc.sb, self._store_entry(state, dins)),
+                                 isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
             return self._finish_store(state, i, proc)
         elif name == self.REC_RULE:
             proc = isa.execute(proc, dins)
-            proc = replace(proc, ib=())
+            proc = isa.ProcState(proc.regs, proc.pc, proc.sb, (), proc.rts)
         else:  # Nm / Com
             proc = isa.execute(proc, dins)
         procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return replace(state, procs=procs)
+        return MachineState(state.m, procs, state.gts, state.next_tag)
 
     def _store_entry(self, state: MachineState, dins: isa.St) -> tuple:
         return (dins.a, dins.v)
 
     def _finish_store(self, state: MachineState, i: int, proc) -> MachineState:
         procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return replace(state, procs=procs)
+        return MachineState(state.m, procs, state.gts, state.next_tag)
 
     def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
         i = rule.proc
@@ -119,12 +118,13 @@ class WmmModel(BaseModel):
         procs = []
         for j, proc in enumerate(state.procs):
             if j == i:
-                procs.append(replace(proc, sb=sb))
+                procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
             elif not isa.sb_exist(proc.sb, a):
-                procs.append(replace(proc, ib=isa.ib_insert(proc.ib, (a, old))))
+                procs.append(isa.ProcState(proc.regs, proc.pc, proc.sb,
+                                           isa.ib_insert(proc.ib, (a, old)), proc.rts))
             else:
                 procs.append(proc)
-        return replace(state, m=m, procs=tuple(procs))
+        return MachineState(m, tuple(procs), state.gts, state.next_tag)
 
     def check_invariants(self, state: MachineState) -> None:
         for proc in state.procs:

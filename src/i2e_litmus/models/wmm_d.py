@@ -19,8 +19,6 @@ rts = gts, so checking ats <= tsU suffices.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .. import isa
 from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
 
@@ -95,7 +93,8 @@ class WmmDModel(BaseModel):
             vts = sts if writer == i else mts
             proc = isa.execute_ts(proc, dins, v,
                                   load_value_timestamp(ts, proc.rts, vts))
-            proc = replace(proc, ib=isa.ib_rm_addr(proc.ib, dins.a))
+            proc = isa.ProcState(proc.regs, proc.pc, proc.sb,
+                                 isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
         elif name == "WMM-D-LdIb":
             entries = isa.ib_entries(proc.ib, dins.a)
             _, v, ts_lower, ts_upper = entries[rule.payload[0]]
@@ -103,20 +102,21 @@ class WmmDModel(BaseModel):
                                   load_value_timestamp(ts, proc.rts, ts_lower))
             # rmOlder is strict, so the entry read here survives: it may
             # be read again by a later load from the same store.
-            proc = replace(proc, ib=isa.ib_rm_older(proc.ib, dins.a, ts_upper))
+            proc = isa.ProcState(proc.regs, proc.pc, proc.sb,
+                                 isa.ib_rm_older(proc.ib, dins.a, ts_upper), proc.rts)
         elif name == "WMM-D-St":
             proc = isa.execute_ts(proc, dins, None, None)
-            proc = replace(proc,
-                           sb=isa.sb_enq(proc.sb, (dins.a, dins.v, ts)),
-                           ib=isa.ib_rm_addr(proc.ib, dins.a))
+            proc = isa.ProcState(proc.regs, proc.pc,
+                                 isa.sb_enq(proc.sb, (dins.a, dins.v, ts)),
+                                 isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
         elif name == "WMM-D-Rec":
             proc = isa.execute_ts(proc, dins, None, None)
-            proc = replace(proc, ib=(), rts=state.gts)
+            proc = isa.ProcState(proc.regs, proc.pc, proc.sb, (), state.gts)
         else:  # WMM-D-Nm / WMM-D-Com
             proc = isa.execute_ts(proc, dins, None,
                                   ts if isinstance(dins, isa.Nm) else None)
         procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return replace(state, procs=procs)
+        return MachineState(state.m, procs, state.gts, state.next_tag)
 
     def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
         i = rule.proc
@@ -128,16 +128,16 @@ class WmmDModel(BaseModel):
         procs = []
         for j, proc in enumerate(state.procs):
             if j == i:
-                procs.append(replace(proc, sb=sb))
+                procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
             elif not isa.sb_exist(proc.sb, a):
                 # Visible to j since it hit memory, unless j wrote it,
                 # in which case since its creation.
                 ts_lower = old_sts if j == old_writer else old_mts
-                procs.append(replace(
-                    proc, ib=isa.ib_insert(proc.ib, (a, old_v, ts_lower, ts_upper))))
+                ib = isa.ib_insert(proc.ib, (a, old_v, ts_lower, ts_upper))
+                procs.append(isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts))
             else:
                 procs.append(proc)
-        return replace(state, m=m, procs=tuple(procs), gts=state.gts + 1)
+        return MachineState(m, tuple(procs), state.gts + 1, state.next_tag)
 
     def check_invariants(self, state: MachineState) -> None:
         bound = state.gts + 1

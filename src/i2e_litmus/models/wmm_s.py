@@ -14,11 +14,14 @@ once.  Processors that held a copy skip the stale-value insert - they
 were already reading the store.  Commit keeps its local definition but
 now implicitly waits on every buffer holding a copy, which is what
 makes it cumulative.
+
+Because every copy of a tag is the same store, DeqSb is offered once
+per tag and Copy once per (tag, target), with the lowest-index holder
+as the instance's `proc`; firing either rule from another holder would
+produce exactly the same successor.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .. import isa
 from .base import MachineState, RuleInstance, mem_get, mem_set
@@ -65,8 +68,12 @@ class WmmSModel(WmmModel):
 
     def enabled(self, state: MachineState) -> list[RuleInstance]:
         out = super().enabled(state)
-        for i in range(self.nprocs):
-            for a, v, tag in state.procs[i].sb:
+        seen = set()
+        for i, proc in enumerate(state.procs):
+            for a, v, tag in proc.sb:
+                if tag in seen:
+                    continue
+                seen.add(tag)
                 for j in range(self.nprocs):
                     if no_cycle(state, a, tag, j):
                         out.append(RuleInstance(self.COPY_RULE, i, (a, tag, j)))
@@ -74,9 +81,13 @@ class WmmSModel(WmmModel):
 
     def _background_instances(self, state: MachineState) -> list[RuleInstance]:
         out = []
-        for i in range(self.nprocs):
-            for a in isa.sb_addrs(state.procs[i].sb):
-                entry = isa.sb_oldest(state.procs[i].sb, a)
+        seen = set()
+        for i, proc in enumerate(state.procs):
+            for a in isa.sb_addrs(proc.sb):
+                entry = isa.sb_oldest(proc.sb, a)
+                if entry[2] in seen:
+                    continue
+                seen.add(entry[2])
                 if self._committable(state, a, entry):
                     out.append(RuleInstance(self.DEQ_RULE, i, (a,)))
         return out
@@ -94,18 +105,17 @@ class WmmSModel(WmmModel):
 
     def _finish_store(self, state: MachineState, i: int, proc) -> MachineState:
         procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return replace(state, procs=procs, next_tag=state.next_tag + 1)
+        return MachineState(state.m, procs, state.gts, state.next_tag + 1)
 
     def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
         if rule.rule == self.COPY_RULE:
             a, tag, j = rule.payload
             entry = next(e for e in state.procs[rule.proc].sb if e[2] == tag)
             target = state.procs[j]
-            target = replace(target,
-                             sb=isa.sb_enq(target.sb, entry),
-                             ib=isa.ib_rm_addr(target.ib, a))
+            target = isa.ProcState(target.regs, target.pc, isa.sb_enq(target.sb, entry),
+                                   isa.ib_rm_addr(target.ib, a), target.rts)
             procs = state.procs[:j] + (target,) + state.procs[j + 1:]
-            return replace(state, procs=procs)
+            return MachineState(state.m, procs, state.gts, state.next_tag)
         return super().apply(state, rule)
 
     def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
@@ -119,12 +129,13 @@ class WmmSModel(WmmModel):
             if isa.sb_has_tag(proc.sb, tag):
                 removed, sb = isa.sb_rm_oldest(proc.sb, a)
                 assert removed == entry
-                procs.append(replace(proc, sb=sb))
+                procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
             elif not isa.sb_exist(proc.sb, a):
-                procs.append(replace(proc, ib=isa.ib_insert(proc.ib, (a, old))))
+                procs.append(isa.ProcState(proc.regs, proc.pc, proc.sb,
+                                           isa.ib_insert(proc.ib, (a, old)), proc.rts))
             else:
                 procs.append(proc)
-        return replace(state, m=m, procs=tuple(procs))
+        return MachineState(m, tuple(procs), state.gts, state.next_tag)
 
     def canonical_key(self, state: MachineState):
         """Tags are opaque identities: rename them by first appearance so

@@ -1,15 +1,40 @@
-"""Buffer-free reference semantics: direct recursive interleaving.
+"""Reference paths that the library's reduced or optimised paths are
+checked against.
 
-Used as an independent oracle for the SC engine.  It interprets the
-surface instructions straight off the parsed test - no decoded
-instructions, no rule catalog, no explorer - enumerating every
+`interleaving_outcomes` is buffer-free reference semantics: direct
+recursive interleaving, used as an independent oracle for the SC engine.
+It interprets the surface instructions straight off the parsed test - no
+decoded instructions, no rule catalog, no explorer - enumerating every
 interleaving of atomic instruction executions with memoization.
+
+`wmm_s_per_holder_instances` is the unreduced WMM-S enumeration, which
+offers DeqSb and Copy once per processor holding a copy of the tag.
 """
 
 from __future__ import annotations
 
+from i2e_litmus import isa
 from i2e_litmus.litmus import (Assign, Branch, BoundTest, Exit, Fence, Load,
                                Outcome, Store)
+from i2e_litmus.models import RuleInstance
+from i2e_litmus.models.wmm_s import WmmSModel, no_cycle
+
+
+def wmm_s_per_holder_instances(model: WmmSModel, state) -> list:
+    """Every WMM-S rule instance, with DeqSb and Copy once per holder."""
+    out = []
+    for i in range(model.nprocs):
+        out.extend(model._instruction_instances(state, i))
+    for i, proc in enumerate(state.procs):
+        for a in isa.sb_addrs(proc.sb):
+            if model._committable(state, a, isa.sb_oldest(proc.sb, a)):
+                out.append(RuleInstance(model.DEQ_RULE, i, (a,)))
+    for i, proc in enumerate(state.procs):
+        for a, v, tag in proc.sb:
+            for j in range(model.nprocs):
+                if no_cycle(state, a, tag, j):
+                    out.append(RuleInstance(model.COPY_RULE, i, (a, tag, j)))
+    return out
 
 
 def interleaving_outcomes(bound: BoundTest) -> frozenset[Outcome]:

@@ -64,6 +64,29 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "corr [sc]" in out and "thin-air [sc]" in out
 
+    @pytest.mark.parametrize("argv, seed", [
+        (["--max-states", "0"], None),
+        (["--max-states", "-5"], None),
+        (["--max-states", "many"], None),
+        (["--timeout", "0"], None),
+        (["--timeout", "-1"], None),
+        (["--timeout", "nan"], None),
+        (["--timeout", "inf"], None),
+        ([], "abc"),
+    ])
+    def test_bad_budget_or_seed_is_a_usage_error(self, dekker_nofence_file, capsys,
+                                                 monkeypatch, argv, seed):
+        if seed is not None:
+            monkeypatch.setenv("I2E_LITMUS_SEED", seed)
+        try:
+            code = main([str(dekker_nofence_file), "--models", "sc", *argv])
+        except SystemExit as exc:  # argparse rejects the flag value itself
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "error:" in captured.err
+        assert "[sc]" not in captured.out  # rejected before anything ran
+
     def test_negative_address_reported_not_crashed(self, tmp_path, capsys):
         path = tmp_path / "bad-addr.litmus"
         path.write_text("i2e-litmus v1\nthread P1:\n  r1 = Ld a - 1\n"
@@ -78,7 +101,7 @@ class TestJson:
                      "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 1
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["errors"] == []
         by_model = {r["model"]: r for r in data["results"]}
         assert set(by_model) == {"sc", "tso"}
@@ -89,7 +112,8 @@ class TestJson:
         assert sc["verdicts"][0]["polarity"] == "forbidden"
         assert sc["verdicts"][0]["satisfiable"] is False
         assert by_model["tso"]["pass"] is False
-        assert {"visited", "dedup_hits", "max_frontier", "wall_time_s"} <= set(sc["stats"])
+        assert {"visited", "edges", "dedup_hits", "max_frontier",
+                "wall_time_s"} <= set(sc["stats"])
         assert len(sc["outcomes"]) == 3
 
     def test_corpus_expectations_included(self, capsys):

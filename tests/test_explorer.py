@@ -157,6 +157,13 @@ check allowed: r2 = 2
         assert stats.max_frontier > 0
         assert stats.wall_time >= 0
 
+    @pytest.mark.parametrize("name, model_id", [("dekker", "wmm"), ("wwc", "wmm-s")])
+    def test_edges_count_every_firing(self, corpus_by_name, name, model_id):
+        firings = []
+        result = explore(build_model(model_id, corpus_by_name[name].test),
+                         audit=lambda state, rule, nxt: firings.append(rule))
+        assert result.stats.edges == len(firings)
+
 
 class TestCanonicalKey:
     def test_stable_for_identical_states(self, corpus_by_name):
