@@ -17,12 +17,81 @@ processor's ib, except processors whose own store buffer still holds
 that address: once a processor has a pending store to a, it may never
 see older values for a.  Stores and memory reads purge the local ib for
 their address for the same reason; Reconcile clears it outright.
+
+Stale values that their processor can never load are not kept.
+`stale_liveness` computes, once per thread and pc, the addresses whose
+stale value a later load of that thread may still read: a backward
+dataflow over the thread's control flow in which a load adds its
+address, Reconcile clears the set, and a store to a constant address
+removes that address (the store purges it from the ib).  A load whose
+address comes from a register makes every address live.  DeqSb skips a
+processor at whose pc the address is dead, and a processor whose pc
+moves on drops the values that just became dead.  On every path the
+Reconcile or store that would remove such a value comes before any
+load that could read it, so states that differ only in dead values
+reach the same outcomes, and the search merges them.  The test suite
+keeps the unreduced machine as a reference.  For the same reason
+WMM-LdIb is offered once per distinct successor: a choice that loads
+memory's value and leaves no value for the address behind would repeat
+WMM-LdMem.
 """
 
 from __future__ import annotations
 
 from .. import isa
+from ..litmus import Branch, Exit, Fence, Load, Store
 from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
+
+
+class _AnyAddress:
+    """The top of the liveness lattice: every address may be loaded."""
+
+    def __contains__(self, a) -> bool:
+        return True
+
+    def __or__(self, other):
+        return self
+
+    __ror__ = __sub__ = __or__
+
+    def __repr__(self) -> str:
+        return "ANY_ADDRESS"
+
+
+ANY_ADDRESS = _AnyAddress()
+
+
+def _constant_address(expr, amap):
+    """The address expr always names, or None if it reads a register."""
+    return None if expr.registers() else expr.evaluate(None, amap)
+
+
+def stale_liveness(instrs: tuple, amap) -> tuple:
+    """Per pc (including past the end), the addresses whose stale ib
+    value a later load of this thread may still read."""
+    live: list = [frozenset()] * (len(instrs) + 1)
+    changed = True
+    while changed:  # backward branches need a fixpoint
+        changed = False
+        for pc in range(len(instrs) - 1, -1, -1):
+            ins = instrs[pc]
+            after = live[pc + 1]
+            if isinstance(ins, Load):
+                a = _constant_address(ins.addr, amap)
+                new = ANY_ADDRESS if a is None else after | {a}
+            elif isinstance(ins, Store):
+                a = _constant_address(ins.addr, amap)
+                new = after if a is None else after - {a}
+            elif isinstance(ins, Exit) or (isinstance(ins, Fence) and ins.kind == "Reconcile"):
+                new = frozenset()
+            elif isinstance(ins, Branch):
+                new = after | live[ins.target_index]
+            else:  # Assign, Commit
+                new = after
+            if new != live[pc]:
+                live[pc] = new
+                changed = True
+    return tuple(live)
 
 
 class WmmModel(BaseModel):
@@ -36,6 +105,12 @@ class WmmModel(BaseModel):
     COM_RULE = "WMM-Com"
     REC_RULE = "WMM-Rec"
     DEQ_RULE = "WMM-DeqSb"
+
+    def __init__(self, bound):
+        super().__init__(bound)
+        # stale_live[i][pc]: addresses thread i may still load a stale value for
+        self.stale_live = tuple(stale_liveness(instrs, self.addr_map)
+                                for instrs in self.programs)
 
     def enabled(self, state: MachineState) -> list[RuleInstance]:
         out = []
@@ -56,7 +131,7 @@ class WmmModel(BaseModel):
                 return [RuleInstance(self.LDSB_RULE, i)]
             out = [RuleInstance(self.LDMEM_RULE, i)]
             out.extend(RuleInstance(self.LDIB_RULE, i, (k,))
-                       for k in range(len(isa.ib_entries(proc.ib, dins.a))))
+                       for k in self._stale_choices(state, i, dins.a))
             return out
         if isinstance(dins, isa.St):
             return [RuleInstance(self.ST_RULE, i)]
@@ -65,6 +140,24 @@ class WmmModel(BaseModel):
                 return [RuleInstance(self.COM_RULE, i)]
             return []
         return [RuleInstance(self.REC_RULE, i)]
+
+    def _stale_choices(self, state: MachineState, i: int, a: int) -> list[int]:
+        """The ib choices for a load of a whose successor neither LdMem nor
+        an earlier choice gives.  A choice loads its value and leaves the
+        younger values for a, or none once a is dead at the next pc."""
+        proc = state.procs[i]
+        stale = isa.ib_entries(proc.ib, a)
+        if not stale:
+            return []
+        keep = a in self.stale_live[i][proc.pc + 1]
+        seen = {(mem_get(state.m, a, 0), ())}  # what LdMem gives
+        choices = []
+        for k, entry in enumerate(stale):
+            result = (entry[1], stale[k + 1:] if keep else ())
+            if result not in seen:
+                seen.add(result)
+                choices.append(k)
+        return choices
 
     def _background_instances(self, state: MachineState) -> list[RuleInstance]:
         return [RuleInstance(self.DEQ_RULE, i, (a,))
@@ -93,14 +186,24 @@ class WmmModel(BaseModel):
             proc = isa.ProcState(proc.regs, proc.pc,
                                  isa.sb_enq(proc.sb, self._store_entry(state, dins)),
                                  isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-            return self._finish_store(state, i, proc)
+            return self._finish_store(state, i, self._drop_dead(i, proc))
         elif name == self.REC_RULE:
             proc = isa.execute(proc, dins)
             proc = isa.ProcState(proc.regs, proc.pc, proc.sb, (), proc.rts)
         else:  # Nm / Com
             proc = isa.execute(proc, dins)
-        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
+        procs = state.procs[:i] + (self._drop_dead(i, proc),) + state.procs[i + 1:]
         return MachineState(state.m, procs, state.gts, state.next_tag)
+
+    def _drop_dead(self, i: int, proc: isa.ProcState) -> isa.ProcState:
+        """Drop the stale values thread i can no longer load from its new pc."""
+        live = self.stale_live[i][proc.pc]
+        if not proc.ib or live is ANY_ADDRESS:
+            return proc
+        ib = tuple(e for e in proc.ib if e[0] in live)
+        if len(ib) == len(proc.ib):
+            return proc
+        return isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
 
     def _store_entry(self, state: MachineState, dins: isa.St) -> tuple:
         return (dins.a, dins.v)
@@ -119,20 +222,28 @@ class WmmModel(BaseModel):
         for j, proc in enumerate(state.procs):
             if j == i:
                 procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
-            elif not isa.sb_exist(proc.sb, a):
-                procs.append(isa.ProcState(proc.regs, proc.pc, proc.sb,
-                                           isa.ib_insert(proc.ib, (a, old)), proc.rts))
             else:
-                procs.append(proc)
+                procs.append(self._offer_stale(j, proc, a, old))
         return MachineState(m, tuple(procs), state.gts, state.next_tag)
 
+    def _offer_stale(self, j: int, proc: isa.ProcState, a: int, old) -> isa.ProcState:
+        """Processor j after memory overwrote old at a: the stale value goes
+        to its ib unless j has a pending store to a or can never load it."""
+        if a not in self.stale_live[j][proc.pc] or isa.sb_exist(proc.sb, a):
+            return proc
+        return isa.ProcState(proc.regs, proc.pc, proc.sb,
+                             isa.ib_insert(proc.ib, (a, old)), proc.rts)
+
     def check_invariants(self, state: MachineState) -> None:
-        for proc in state.procs:
+        for i, proc in enumerate(state.procs):
             pending = {e[0] for e in proc.sb}
             stale = {e[0] for e in proc.ib}
             overlap = pending & stale
             assert not overlap, (
                 f"store buffer and invalidation buffer share addresses {overlap}")
+            live = self.stale_live[i][proc.pc]
+            dead = {a for a in stale if a not in live}
+            assert not dead, f"{self.thread_names[i]} keeps dead stale values for {dead}"
 
     def _describe_payload(self, rule: RuleInstance) -> str:
         if rule.rule == self.DEQ_RULE:

@@ -11,7 +11,8 @@ also covers copying into a buffer that already holds the tag.
 Writing a store to memory requires every copy to be the oldest store
 for its address in its buffer; the write then removes all copies at
 once.  Processors that held a copy skip the stale-value insert - they
-were already reading the store.  Commit keeps its local definition but
+were already reading the store - as do processors that can no longer
+load the address (see `wmm.stale_liveness`).  Commit keeps its local definition but
 now implicitly waits on every buffer holding a copy, which is what
 makes it cumulative.
 
@@ -31,11 +32,18 @@ from .wmm import WmmModel
 def no_cycle(state: MachineState, a: int, tag: int, target: int) -> bool:
     """Would copying the tagged store for a into target keep the
     per-address coherence order acyclic?"""
-    lists = [[e[2] for e in proc.sb if e[0] == a] for proc in state.procs]
+    return _copy_keeps_order(_tag_lists(state, a), tag, target)
+
+
+def _tag_lists(state: MachineState, a: int) -> list[list[int]]:
+    """Each buffer's tags for address a, oldest first."""
+    return [[e[2] for e in proc.sb if e[0] == a] for proc in state.procs]
+
+
+def _copy_keeps_order(lists: list[list[int]], tag: int, target: int) -> bool:
     if tag in lists[target]:
         return False  # the copy would order the store before itself
-    lists[target].append(tag)
-    return _acyclic(lists)
+    return _acyclic(lists[:target] + [lists[target] + [tag]] + lists[target + 1:])
 
 
 def _acyclic(lists: list[list[int]]) -> bool:
@@ -74,8 +82,9 @@ class WmmSModel(WmmModel):
                 if tag in seen:
                     continue
                 seen.add(tag)
+                lists = _tag_lists(state, a)
                 for j in range(self.nprocs):
-                    if no_cycle(state, a, tag, j):
+                    if _copy_keeps_order(lists, tag, j):
                         out.append(RuleInstance(self.COPY_RULE, i, (a, tag, j)))
         return out
 
@@ -125,16 +134,13 @@ class WmmSModel(WmmModel):
         tag = entry[2]
         m = mem_set(state.m, a, entry[1])
         procs = []
-        for proc in state.procs:
+        for j, proc in enumerate(state.procs):
             if isa.sb_has_tag(proc.sb, tag):
                 removed, sb = isa.sb_rm_oldest(proc.sb, a)
                 assert removed == entry
                 procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
-            elif not isa.sb_exist(proc.sb, a):
-                procs.append(isa.ProcState(proc.regs, proc.pc, proc.sb,
-                                           isa.ib_insert(proc.ib, (a, old)), proc.rts))
             else:
-                procs.append(proc)
+                procs.append(self._offer_stale(j, proc, a, old))
         return MachineState(m, tuple(procs), state.gts, state.next_tag)
 
     def canonical_key(self, state: MachineState):
@@ -157,7 +163,7 @@ class WmmSModel(WmmModel):
         super().check_invariants(state)
         addresses = {e[0] for proc in state.procs for e in proc.sb}
         for a in addresses:
-            lists = [[e[2] for e in proc.sb if e[0] == a] for proc in state.procs]
+            lists = _tag_lists(state, a)
             for order in lists:
                 assert len(order) == len(set(order)), "tag repeated in one buffer"
             assert _acyclic(lists), f"coherence cycle among stores to {a}"

@@ -9,6 +9,11 @@ interleaving of atomic instruction executions with memoization.
 
 `wmm_s_per_holder_instances` is the unreduced WMM-S enumeration, which
 offers DeqSb and Copy once per processor holding a copy of the tag.
+
+`unreduced` turns a `wmm` or `wmm-s` model back into the paper's
+machine: every address counts as live at every pc, so DeqSb inserts
+each overwritten value into every processor without a pending store to
+the address, and no stale value is dropped when a pc advances.
 """
 
 from __future__ import annotations
@@ -17,7 +22,15 @@ from i2e_litmus import isa
 from i2e_litmus.litmus import (Assign, Branch, BoundTest, Exit, Fence, Load,
                                Outcome, Store)
 from i2e_litmus.models import RuleInstance
+from i2e_litmus.models.wmm import ANY_ADDRESS, WmmModel
 from i2e_litmus.models.wmm_s import WmmSModel, no_cycle
+
+
+def unreduced(model: WmmModel) -> WmmModel:
+    """The same model with every stale value kept (the paper's DeqSb)."""
+    model.stale_live = tuple((ANY_ADDRESS,) * (len(instrs) + 1)
+                             for instrs in model.programs)
+    return model
 
 
 def wmm_s_per_holder_instances(model: WmmSModel, state) -> list:

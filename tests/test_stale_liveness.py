@@ -1,0 +1,216 @@
+"""Invalidation-buffer liveness: which stale values a thread may still load.
+
+The reduced `wmm`/`wmm-s` machines never insert a stale value that its
+processor cannot load, and drop one once its processor's pc passes the
+last load that could read it.  Every check here compares them with the
+unreduced reference in `oracle.unreduced`.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from i2e_litmus.explorer import explore, replay
+from i2e_litmus.litmus import parse
+from i2e_litmus.models import RuleInstance, build_model
+from i2e_litmus.models.wmm import ANY_ADDRESS
+from oracle import unreduced
+
+
+def liveness(body: str):
+    """The liveness table of a one-thread test, and its address map."""
+    model = build_model("wmm", parse(
+        f"i2e-litmus v1\nthread P1:\n{body}\ncheck allowed: m[a] = 0\n"))
+    return model.stale_live[0], model.addr_map
+
+
+class TestStaleLiveness:
+    def test_reconcile_kills_everything(self):
+        live, m = liveness("  r1 = Ld a\n  Reconcile\n  r2 = Ld b")
+        assert live == ({m["a"]}, set(), {m["b"]}, set())
+
+    def test_constant_store_kills_its_address(self):
+        live, m = liveness("  St a 1\n  r1 = Ld a\n  r2 = Ld b")
+        assert live[0] == {m["b"]}
+        assert live[1] == {m["a"], m["b"]}
+
+    def test_computed_store_kills_nothing(self):
+        live, m = liveness("  r1 = Ld b\n  St r1 1\n  r2 = Ld a")
+        assert live[1] == {m["a"]}
+
+    def test_computed_load_address_is_any(self):
+        live, m = liveness("  r1 = Ld b\n  r2 = Ld r1\n  Reconcile\n  r3 = Ld a")
+        assert live[0] is ANY_ADDRESS and live[1] is ANY_ADDRESS
+        assert live[2] == set()  # Reconcile clears even "any"
+        assert 12345 in live[0]
+
+    def test_forward_branch_takes_the_union(self):
+        live, m = liveness(
+            "  r1 = Ld c\n  beqz r1 skip\n  r2 = Ld a\n  exit\n  skip:\n  r3 = Ld b")
+        assert live[1] == {m["a"], m["b"]}
+        assert live[2] == {m["a"]}
+        assert live[4] == {m["b"]}
+
+    def test_backward_branch_reaches_a_fixpoint(self):
+        # pc 1 and 2 see the load of a only through the back edge
+        live, m = liveness(
+            "  top:\n  r1 = Ld a\n  St b 1\n  bnez r1 top\n  Reconcile\n  r2 = Ld c")
+        assert live == ({m["a"]}, {m["a"]}, {m["a"]}, set(), {m["c"]}, set())
+
+    def test_exit_and_end_of_program_are_empty(self):
+        live, m = liveness("  exit\n  r1 = Ld a")
+        assert live == (set(), {m["a"]}, set())
+
+
+DEAD_AFTER_RECONCILE = """
+i2e-litmus v1
+thread P1:
+  St a 1
+thread P2:
+  Reconcile
+  r1 = Ld a
+thread P3:
+  r2 = Ld a
+check allowed: r1 = 0 & r2 = 0
+"""
+
+LOAD_THEN_OTHER = """
+i2e-litmus v1
+thread P1:
+  r1 = Ld a
+  r2 = Ld b
+thread P2:
+  St a 1
+check allowed: r1 = 0 & r2 = 0
+"""
+
+
+@pytest.mark.parametrize("model_id", ["wmm", "wmm-s"])
+class TestDeadValues:
+    def test_dequeue_skips_a_reader_behind_reconcile(self, model_id):
+        model = build_model(model_id, parse(DEAD_AFTER_RECONCILE))
+        state = model.apply(model.initial_state(), RuleInstance(model.ST_RULE, 0))
+        after = model.apply(state, RuleInstance(model.DEQ_RULE, 0, (0,)))
+        assert after.procs[1].ib == ()
+        assert after.procs[2].ib == ((0, 0),)
+        reference = unreduced(build_model(model_id, parse(DEAD_AFTER_RECONCILE)))
+        assert reference.apply(state, RuleInstance(model.DEQ_RULE, 0, (0,))).procs[1].ib \
+            == ((0, 0),)
+
+    def test_invariant_rejects_a_dead_value(self, model_id):
+        model = build_model(model_id, parse(DEAD_AFTER_RECONCILE))
+        state = model.initial_state()
+        p2 = replace(state.procs[1], ib=((0, 0),))  # P2 reconciles before its load
+        state = replace(state, procs=(state.procs[0], p2, state.procs[2]))
+        with pytest.raises(AssertionError, match="dead stale values"):
+            model.check_invariants(state)
+        unreduced(build_model(model_id, parse(DEAD_AFTER_RECONCILE))).check_invariants(state)
+
+    def test_value_dropped_once_its_last_load_is_passed(self, model_id):
+        model = build_model(model_id, parse(LOAD_THEN_OTHER))
+        state = model.initial_state()
+        state = replace(state, procs=(replace(state.procs[0], ib=((0, 0), (0, 5))),)
+                        + state.procs[1:])
+        rule = RuleInstance(model.LDIB_RULE, 0, (0,))
+        assert model.apply(state, rule).procs[0].ib == ()
+        reference = unreduced(build_model(model_id, parse(LOAD_THEN_OTHER)))
+        assert reference.apply(state, rule).procs[0].ib == ((0, 5),)
+
+
+def assert_same_as_unreduced(test, model_id, reduced_results):
+    """Reduced and unreduced agree on outcomes and completeness; every
+    reduced witness replays on both machines.  The unreduced search runs
+    once: its outcome set does not depend on the search order."""
+    reference_model = unreduced(build_model(model_id, test))
+    reference = explore(reference_model)
+    for order, reduced in reduced_results.items():
+        assert reduced.outcomes == reference.outcomes, order
+        assert reduced.complete == reference.complete, order
+        assert reduced.stats.visited <= reference.stats.visited, order
+        for outcome in reduced.outcomes:
+            witness = reduced.witness(outcome)
+            assert replay(reduced.model, witness)[1] == outcome
+            assert replay(reference_model, witness)[1] == outcome
+    return reference
+
+
+@pytest.mark.parametrize("model_id", ["wmm", "wmm-s"])
+def test_corpus_matches_unreduced_reference(corpus, explored, model_id):
+    for entry in corpus:
+        reduced = {order: explored(entry, model_id, order=order) for order in ("bfs", "dfs")}
+        reference = assert_same_as_unreduced(entry.test, model_id, reduced)
+        if entry.name == "iriw":
+            assert reduced["bfs"].stats.visited < reference.stats.visited
+
+
+# Message passing whose reader sees the stale a only through a branch:
+# r1 = 1 and r2 = 0 needs the value inserted while P2 is at its first load.
+BRANCHY = {
+    "taken-branch-skips-reconcile": "bnez r1 skip\n  Reconcile\n  skip:\n  r2 = Ld a",
+    "fall-through-loads": "beqz r1 skip\n  r2 = Ld a\n  skip:\n  Reconcile",
+}
+
+
+@pytest.mark.parametrize("model_id", ["wmm", "wmm-s"])
+@pytest.mark.parametrize("name", sorted(BRANCHY))
+def test_branches_match_unreduced_reference(name, model_id):
+    test = parse("i2e-litmus v1\nthread P1:\n  St a 1\n  Commit\n  St b 1\n"
+                 f"thread P2:\n  r1 = Ld b\n  {BRANCHY[name]}\n"
+                 "check allowed: r1 = 1 & r2 = 0\n")
+    reduced = explore(build_model(model_id, test))
+    assert any(o.reg("P2", "r1") == 1 and o.reg("P2", "r2") == 0 for o in reduced.outcomes)
+    assert_same_as_unreduced(test, model_id, {"bfs": reduced})
+
+
+READER = ("ld", "ld", "ld", "st", "Commit", "Reconcile", "branch", "exit")
+
+
+@st.composite
+def small_programs(draw):
+    """P1 stores to a and b, optionally with a Commit between (message
+    passing), and one or two readers run constant and register-computed
+    loads, a store, fences, forward branches and exits.  Two stores with
+    two readers, three with one, keep every search small."""
+    first, second = draw(st.permutations("ab"))
+    writer = [f"St {first} 1"] + ["Commit"] * draw(st.booleans()) + [f"St {second} 2"]
+    lines = ["i2e-litmus v1", "thread P1:"] + [f"  {ins}" for ins in writer]
+    nreaders = draw(st.integers(1, 2))
+    stores = 1 + nreaders
+    regs = []
+    for t in range(nreaders):
+        lines.append(f"thread P{t + 2}:")
+        body, mine = [], []
+        for _ in range(draw(st.integers(1, 3))):
+            addr = draw(st.sampled_from("ab"))
+            if mine and draw(st.booleans()):
+                addr = f"({draw(st.sampled_from(mine))} + {addr})"
+            kind = draw(st.sampled_from(READER))
+            if kind == "ld":
+                mine.append(f"r{len(regs) + len(mine) + 1}")
+                body.append(f"{mine[-1]} = Ld {addr}")
+            elif kind == "st" and stores < 3:
+                stores += 1
+                body.append(f"St {addr} {draw(st.integers(1, 2))}")
+            elif kind == "branch" and mine:
+                # jump over one or two instructions, or to the end
+                body.append((draw(st.sampled_from(mine)), len(body) + draw(st.integers(2, 3))))
+            elif kind in ("Commit", "Reconcile", "exit"):
+                body.append(kind)
+        for pc, ins in enumerate(body + [""]):
+            lines.append(f"  L{pc}:")
+            if isinstance(ins, tuple):
+                lines.append(f"  bnez {ins[0]} L{min(ins[1], len(body))}")
+            elif ins:
+                lines.append(f"  {ins}")
+        regs.extend(mine)
+    lines.append("check allowed: " + " & ".join([f"{r} = 0" for r in regs] + ["m[a] = 0"]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_programs(), st.sampled_from(["wmm", "wmm-s"]))
+def test_generated_programs_match_unreduced_reference(text, model_id):
+    test = parse(text)
+    model = build_model(model_id, test)
+    assert_same_as_unreduced(test, model_id, {"bfs": explore(model)})

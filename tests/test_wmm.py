@@ -22,6 +22,18 @@ thread P2:
 check allowed: r1 = 0
 """
 
+# Both threads load b last, so a stale value for b stays live.
+PURGE_TEST = """
+i2e-litmus v1
+thread P1:
+  r1 = Ld a
+  r2 = Ld b
+thread P2:
+  St a 1
+  r3 = Ld b
+check allowed: r1 = 0
+"""
+
 
 def load_rules(model, state):
     return [r for r in model.enabled(state)
@@ -39,10 +51,29 @@ class TestEnabled:
     def test_memory_and_stale_choices_enumerated(self):
         model = build_model("wmm", parse(LD_TEST))
         state = model.initial_state()
-        p1 = replace(state.procs[0], ib=((0, 0),))
+        p1 = replace(state.procs[0], ib=((0, 5),))
         state = replace(state, procs=(p1,) + state.procs[1:])
         assert load_rules(model, state) == [
             RuleInstance("WMM-LdMem", 0), RuleInstance("WMM-LdIb", 0, (0,))]
+
+    def test_youngest_stale_value_equal_to_memory_is_not_offered(self):
+        model = build_model("wmm", parse(LD_TEST.replace("r1 = Ld a", "r1 = Ld a\n  r2 = Ld a")))
+        state = model.initial_state()
+        p1 = replace(state.procs[0], ib=((0, 0), (0, 5), (0, 0)))
+        state = replace(state, procs=(p1,) + state.procs[1:])
+        # taking the youngest would leave what LdMem leaves: no entry for a
+        assert load_rules(model, state) == [
+            RuleInstance("WMM-LdMem", 0),
+            RuleInstance("WMM-LdIb", 0, (0,)), RuleInstance("WMM-LdIb", 0, (1,))]
+
+    def test_one_choice_per_value_once_the_address_is_dead(self):
+        model = build_model("wmm", parse(LD_TEST))
+        state = model.initial_state()
+        p1 = replace(state.procs[0], ib=((0, 0), (0, 5), (0, 5)))
+        state = replace(state, procs=(p1,) + state.procs[1:])
+        # no value for a survives the load, so only the loaded value differs
+        assert load_rules(model, state) == [
+            RuleInstance("WMM-LdMem", 0), RuleInstance("WMM-LdIb", 0, (1,))]
 
     def test_commit_gated_on_empty_buffer(self):
         text = """
@@ -97,7 +128,8 @@ class TestRuleActions:
         after = model.apply(state, RuleInstance("WMM-DeqSb", 1, (0,)))
         assert after.procs[0].ib == ()  # p1 buffers a store to this address
 
-    def test_store_purges_own_stale_values(self, model):
+    def test_store_purges_own_stale_values(self):
+        model = build_model("wmm", parse(PURGE_TEST))
         state = model.initial_state()
         p2 = replace(state.procs[1], ib=((0, 0), (1024, 3)))
         state = replace(state, procs=(state.procs[0], p2))
@@ -105,7 +137,8 @@ class TestRuleActions:
         assert after.procs[1].sb == ((0, 1),)
         assert after.procs[1].ib == ((1024, 3),)
 
-    def test_memory_read_purges_the_address(self, model):
+    def test_memory_read_purges_the_address(self):
+        model = build_model("wmm", parse(PURGE_TEST))
         state = model.initial_state()
         p1 = replace(state.procs[0], ib=((0, 0), (1024, 3)))
         state = replace(state, procs=(p1, state.procs[1]))
