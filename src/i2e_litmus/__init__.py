@@ -12,7 +12,7 @@ terminal outcome::
 
 from .corpus import corpus_names, corpus_test, load_corpus, write_corpus_dir
 from .explorer import (CheckReport, ExploreLimits, ExploreResult, Verdict,
-                       check, explore, outcome_subset, replay, successors)
+                       check, explore, outcome_subset, replay)
 from .litmus import (LitmusError, LitmusParseError, LitmusTest, Outcome,
                      bind, bind_addresses, eval_condition, format_test,
                      parse, parse_file)
@@ -26,5 +26,5 @@ __all__ = [
     "MODEL_IDS", "__version__", "bind", "bind_addresses", "build_model",
     "check", "corpus_names", "corpus_test", "eval_condition", "explore",
     "format_test", "load_corpus", "outcome_subset", "parse", "parse_file",
-    "replay", "successors", "write_corpus_dir",
+    "replay", "write_corpus_dir",
 ]

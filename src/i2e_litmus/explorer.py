@@ -26,7 +26,6 @@ ORDERS = ("bfs", "dfs", "random")
 @dataclass
 class ExploreLimits:
     max_states: int = 5_000_000
-    max_depth: Optional[int] = None
     timeout: float = 60.0
 
 
@@ -69,11 +68,6 @@ class ExploreResult:
         return tuple(rules)
 
 
-def successors(model: BaseModel, state: MachineState) -> list[tuple[RuleInstance, MachineState]]:
-    """Every enabled rule instance paired with the state it produces."""
-    return [(rule, model.apply(state, rule)) for rule in model.enabled(state)]
-
-
 def explore(model: BaseModel,
             limits: Optional[ExploreLimits] = None,
             order: str = "bfs",
@@ -95,7 +89,7 @@ def explore(model: BaseModel,
     init = model.initial_state()
     init_key = model.canonical_key(init)
     parents = {init_key: (None, None)}
-    frontier = deque([(init, init_key, 0)])
+    frontier = deque([(init, init_key)])
     outcomes: dict[Outcome, object] = {}
     deadlocked = 0
     complete = True
@@ -105,13 +99,13 @@ def explore(model: BaseModel,
             complete = False
             break
         if order == "bfs":
-            state, key, depth = frontier.popleft()
+            state, key = frontier.popleft()
         elif order == "dfs":
-            state, key, depth = frontier.pop()
+            state, key = frontier.pop()
         else:
             pick = rng.randrange(len(frontier))
             frontier[pick], frontier[-1] = frontier[-1], frontier[pick]
-            state, key, depth = frontier.pop()
+            state, key = frontier.pop()
         stats.visited += 1
 
         if model.is_terminal(state):
@@ -124,9 +118,6 @@ def explore(model: BaseModel,
             # Should be unreachable for these models; reported, not raised.
             deadlocked += 1
             continue
-        if limits.max_depth is not None and depth >= limits.max_depth:
-            complete = False
-            continue
         for rule in rules:
             nxt = model.apply(state, rule)
             if audit is not None:
@@ -138,7 +129,7 @@ def explore(model: BaseModel,
                     continue
             else:
                 parents[nxt_key] = (key, rule)
-            frontier.append((nxt, nxt_key, depth + 1))
+            frontier.append((nxt, nxt_key))
         if len(frontier) > stats.max_frontier:
             stats.max_frontier = len(frontier)
 

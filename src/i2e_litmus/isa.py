@@ -1,9 +1,10 @@
 """Decoded instructions, the per-thread register machine, and buffers.
 
 The register machine is deliberately pure: `decode` reads the current
-register file and produces a fully evaluated instruction, `execute`
-writes a destination register and moves the program counter.  Neither
-touches memory or the buffers; those belong to the model rules.
+register file and produces a fully evaluated instruction (and the
+registers it read), `execute` writes a destination register and moves
+the program counter.  Neither touches memory or the buffers; those
+belong to the model rules.
 
 Store buffers keep one global age order (a tuple, oldest first), which
 also induces the per-address order every rule needs.  Invalidation
@@ -15,7 +16,7 @@ the untagged, timestamped, and tagged entry shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .litmus import Assign, Branch, Exit, Fence, Load, LitmusError, Store
 
@@ -70,7 +71,7 @@ HALT = Halt()
 
 
 # ---------------------------------------------------------------------------
-# Register file (a sorted tuple of (name, value) pairs)
+# Register file (a sorted tuple of (name, value) pairs; memory shares it)
 # ---------------------------------------------------------------------------
 
 def reg_get(regs: tuple, name: str, default):
@@ -121,11 +122,23 @@ def _check_address(a: int) -> int:
     return a
 
 
-def _decode(instrs: tuple, pc: int, getreg: Callable[[str], int],
-            amap) -> tuple[object, tuple[str, ...]]:
-    """Decode at pc; also report which registers were read (the sources)."""
+def decode(instrs: tuple, proc: ProcState, amap,
+           timed: bool = False) -> tuple[object, tuple[str, ...]]:
+    """Decode the instruction at proc's pc against its registers.
+
+    Returns the decoded instruction and the registers it read (its
+    sources; the pc never counts).  Register values are ints, or
+    (value, timestamp) pairs when `timed`, whose values alone feed the
+    instruction; the timed machine stamps results from the sources.
+    """
+    pc = proc.pc
     if pc >= len(instrs):
         return HALT, ()
+    regs = proc.regs
+    if timed:
+        getreg = lambda r: reg_get(regs, r, (0, 0))[0]
+    else:
+        getreg = lambda r: reg_get(regs, r, 0)
     ins = instrs[pc]
     if isinstance(ins, Assign):
         return Nm(ins.dst, ins.expr.evaluate(getreg, amap), pc + 1), ins.expr.registers()
@@ -146,52 +159,24 @@ def _decode(instrs: tuple, pc: int, getreg: Callable[[str], int],
     raise MachineError(f"cannot decode {ins!r}")
 
 
-def decode(instrs: tuple, proc: ProcState, amap) -> object:
-    """Decode the next instruction against plain integer registers."""
-    return _decode(instrs, proc.pc, lambda r: reg_get(proc.regs, r, 0), amap)[0]
+def execute(proc: ProcState, dins, value=None) -> ProcState:
+    """Write value to dins's destination register, if it has one, and
+    move the pc; nothing else.
 
-
-def decode_ts(instrs: tuple, proc: ProcState, amap) -> tuple[object, int]:
-    """Decode against (value, timestamp) registers.
-
-    Returns the decoded instruction and the maximum timestamp over the
-    source registers it read (0 when it read none; the pc never counts).
-    """
-    dins, sources = _decode(instrs, proc.pc,
-                            lambda r: reg_get(proc.regs, r, (0, 0))[0], amap)
-    ts = max((reg_get(proc.regs, r, (0, 0))[1] for r in sources), default=0)
-    return dins, ts
-
-
-def execute(proc: ProcState, dins, ld_res: Optional[int] = None) -> ProcState:
-    """Apply a decoded instruction to the register file and pc, nothing else."""
-    if isinstance(dins, Nm):
-        regs = proc.regs if dins.dst is None else reg_set(proc.regs, dins.dst, dins.v)
-        return ProcState(regs, dins.next_pc, proc.sb, proc.ib, proc.rts)
-    if isinstance(dins, Ld):
-        if ld_res is None:
-            raise MachineError("a load needs its result value")
-        return ProcState(reg_set(proc.regs, dins.dst, ld_res), proc.pc + 1,
-                         proc.sb, proc.ib, proc.rts)
-    if isinstance(dins, (St, Commit, Reconcile)):
-        return ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib, proc.rts)
-    raise MachineError(f"cannot execute {dins!r}")
-
-
-def execute_ts(proc: ProcState, dins, ld_res: Optional[int],
-               ts: Optional[int]) -> ProcState:
-    """`execute`, then stamp the destination register with ts.
-
-    Instructions without a destination take ts = None and leave every
-    register timestamp untouched.
+    A load needs its result value; Nm writes the value it computed unless
+    the caller passes another (the timed machine passes (value, timestamp)
+    pairs).  Stores and fences leave every register alone.
     """
     if isinstance(dins, Nm):
-        regs = proc.regs if dins.dst is None else reg_set(proc.regs, dins.dst, (dins.v, ts))
+        if dins.dst is None:
+            regs = proc.regs
+        else:
+            regs = reg_set(proc.regs, dins.dst, dins.v if value is None else value)
         return ProcState(regs, dins.next_pc, proc.sb, proc.ib, proc.rts)
     if isinstance(dins, Ld):
-        if ld_res is None:
+        if value is None:
             raise MachineError("a load needs its result value")
-        return ProcState(reg_set(proc.regs, dins.dst, (ld_res, ts)), proc.pc + 1,
+        return ProcState(reg_set(proc.regs, dins.dst, value), proc.pc + 1,
                          proc.sb, proc.ib, proc.rts)
     if isinstance(dins, (St, Commit, Reconcile)):
         return ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib, proc.rts)
@@ -206,10 +191,6 @@ def execute_ts(proc: ProcState, dins, ld_res: Optional[int],
 
 def sb_enq(sb: tuple, entry: tuple) -> tuple:
     return sb + (entry,)
-
-
-def sb_empty(sb: tuple) -> bool:
-    return not sb
 
 
 def sb_exist(sb: tuple, a: int) -> bool:
@@ -254,10 +235,6 @@ def sb_addrs(sb: tuple) -> tuple[int, ...]:
     return tuple(seen)
 
 
-def sb_entries(sb: tuple, a: int) -> tuple[tuple, ...]:
-    return tuple(e for e in sb if e[0] == a)
-
-
 def sb_has_tag(sb: tuple, tag: int) -> bool:
     return any(e[2] == tag for e in sb)
 
@@ -270,10 +247,6 @@ def sb_has_tag(sb: tuple, tag: int) -> bool:
 
 def ib_insert(ib: tuple, entry: tuple) -> tuple:
     return ib + (entry,)
-
-
-def ib_exist(ib: tuple, a: int) -> bool:
-    return any(e[0] == a for e in ib)
 
 
 def ib_entries(ib: tuple, a: int) -> tuple[tuple, ...]:

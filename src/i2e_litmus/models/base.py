@@ -40,30 +40,14 @@ class MachineState:
     next_tag: int = 0
 
 
-def mem_get(m: tuple, a: int, default):
-    for addr, value in m:
-        if addr == a:
-            return value
-    return default
-
-
-def mem_set(m: tuple, a: int, value) -> tuple:
-    out = []
-    placed = False
-    for addr, old in m:
-        if addr == a:
-            out.append((addr, value))
-            placed = True
-        else:
-            out.append((addr, old))
-    if not placed:
-        out.append((a, value))
-        out.sort(key=lambda kv: kv[0])
-    return tuple(out)
+# Memory has the register file's shape: a sorted tuple of (address, value) pairs.
+mem_get = isa.reg_get
+mem_set = isa.reg_set
 
 
 class BaseModel:
     model_id = ""
+    timed = False  # registers hold (value, timestamp) pairs
 
     def __init__(self, bound: BoundTest):
         self.bound = bound
@@ -95,7 +79,7 @@ class BaseModel:
     # -- decode ------------------------------------------------------------
 
     def decode_at(self, state: MachineState, i: int):
-        return isa.decode(self.programs[i], state.procs[i], self.addr_map)
+        return isa.decode(self.programs[i], state.procs[i], self.addr_map, self.timed)[0]
 
     # -- termination and outcomes -------------------------------------------
 

@@ -52,6 +52,7 @@ class ScModel(BaseModel):
 class TsoModel(BaseModel):
     model_id = "tso"
 
+    DEQ_RULE = "TSO-DeqSb"
     _RULES = {isa.Nm: "TSO-Nm", isa.Ld: "TSO-Ld", isa.St: "TSO-St",
               isa.Commit: "TSO-Com", isa.Reconcile: "TSO-Rec"}
 
@@ -62,7 +63,7 @@ class TsoModel(BaseModel):
             if isinstance(dins, isa.Halt):
                 pass
             elif isinstance(dins, isa.Commit):
-                if isa.sb_empty(state.procs[i].sb):
+                if not state.procs[i].sb:
                     out.append(RuleInstance("TSO-Com", i))
             else:
                 out.append(RuleInstance(self._RULES[type(dins)], i))
@@ -72,19 +73,19 @@ class TsoModel(BaseModel):
 
     def _dequeue_instances(self, state: MachineState, i: int) -> list[RuleInstance]:
         if state.procs[i].sb:
-            return [RuleInstance("TSO-DeqSb", i)]
+            return [RuleInstance(self.DEQ_RULE, i)]
         return []
+
+    def _dequeue(self, sb: tuple, rule: RuleInstance) -> tuple[tuple, tuple]:
+        """The store a DeqSb writes to memory, and the buffer without it."""
+        return isa.sb_deq(sb)
 
     def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
         i = rule.proc
         proc = state.procs[i]
         m = state.m
-        if rule.rule == "TSO-DeqSb":
-            (a, v), sb = isa.sb_deq(proc.sb)
-            proc = isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts)
-            m = mem_set(m, a, v)
-        elif rule.rule == "PSO-DeqSb":
-            (a, v), sb = isa.sb_rm_oldest(proc.sb, rule.payload[0])
+        if rule.rule == self.DEQ_RULE:
+            (a, v), sb = self._dequeue(proc.sb, rule)
             proc = isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts)
             m = mem_set(m, a, v)
         else:
@@ -102,15 +103,20 @@ class TsoModel(BaseModel):
         procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
         return MachineState(m, procs)
 
-    def _describe_payload(self, rule: RuleInstance) -> str:
-        if rule.rule == "PSO-DeqSb":
-            return self.addr_name(rule.payload[0])
-        return super()._describe_payload(rule)
-
 
 class PsoModel(TsoModel):
     model_id = "pso"
 
+    DEQ_RULE = "PSO-DeqSb"
+
     def _dequeue_instances(self, state: MachineState, i: int) -> list[RuleInstance]:
-        return [RuleInstance("PSO-DeqSb", i, (a,))
+        return [RuleInstance(self.DEQ_RULE, i, (a,))
                 for a in isa.sb_addrs(state.procs[i].sb)]
+
+    def _dequeue(self, sb: tuple, rule: RuleInstance) -> tuple[tuple, tuple]:
+        return isa.sb_rm_oldest(sb, rule.payload[0])
+
+    def _describe_payload(self, rule: RuleInstance) -> str:
+        if rule.rule == self.DEQ_RULE:
+            return self.addr_name(rule.payload[0])
+        return super()._describe_payload(rule)

@@ -34,6 +34,12 @@ keeps the unreduced machine as a reference.  For the same reason
 WMM-LdIb is offered once per distinct successor: a choice that loads
 memory's value and leaves no value for the address behind would repeat
 WMM-LdMem.
+
+WMM-D and WMM-S subclass this catalog and rename its rules through the
+class attributes `NM_RULE` ... `DEQ_RULE`.  WMM-D's timestamps live in
+hooks that WMM implements without them, at most one per fired rule:
+`_nm_value`, `_load_sb`, `_load_mem`, `_load_ib`, `_stale_choices`,
+`_store_entry` and `_write_memory`.
 """
 
 from __future__ import annotations
@@ -121,7 +127,7 @@ class WmmModel(BaseModel):
 
     def _instruction_instances(self, state: MachineState, i: int) -> list[RuleInstance]:
         proc = state.procs[i]
-        dins = self.decode_at(state, i)
+        dins, sources = isa.decode(self.programs[i], proc, self.addr_map, self.timed)
         if isinstance(dins, isa.Halt):
             return []
         if isinstance(dins, isa.Nm):
@@ -131,17 +137,18 @@ class WmmModel(BaseModel):
                 return [RuleInstance(self.LDSB_RULE, i)]
             out = [RuleInstance(self.LDMEM_RULE, i)]
             out.extend(RuleInstance(self.LDIB_RULE, i, (k,))
-                       for k in self._stale_choices(state, i, dins.a))
+                       for k in self._stale_choices(state, i, sources, dins.a))
             return out
         if isinstance(dins, isa.St):
             return [RuleInstance(self.ST_RULE, i)]
         if isinstance(dins, isa.Commit):
-            if isa.sb_empty(proc.sb):
+            if not proc.sb:
                 return [RuleInstance(self.COM_RULE, i)]
             return []
         return [RuleInstance(self.REC_RULE, i)]
 
-    def _stale_choices(self, state: MachineState, i: int, a: int) -> list[int]:
+    def _stale_choices(self, state: MachineState, i: int, sources: tuple,
+                       a: int) -> list[int]:
         """The ib choices for a load of a whose successor neither LdMem nor
         an earlier choice gives.  A choice loads its value and leaves the
         younger values for a, or none once a is dead at the next pc."""
@@ -169,28 +176,30 @@ class WmmModel(BaseModel):
             return self._apply_dequeue(state, rule)
         i = rule.proc
         proc = state.procs[i]
-        dins = self.decode_at(state, i)
+        dins, sources = isa.decode(self.programs[i], proc, self.addr_map, self.timed)
         name = rule.rule
         if name == self.LDSB_RULE:
-            proc = isa.execute(proc, dins, isa.sb_youngest(proc.sb, dins.a)[1])
+            proc = isa.execute(proc, dins, self._load_sb(state, i, sources, dins.a))
         elif name == self.LDMEM_RULE:
-            proc = isa.execute(proc, dins, mem_get(state.m, dins.a, 0))
+            proc = isa.execute(proc, dins, self._load_mem(state, i, sources, dins.a))
             proc = isa.ProcState(proc.regs, proc.pc, proc.sb,
                                  isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
         elif name == self.LDIB_RULE:
-            entry, ib = isa.ib_take(proc.ib, dins.a, rule.payload[0])
-            proc = isa.execute(proc, dins, entry[1])
+            value, ib = self._load_ib(state, i, sources, dins.a, rule.payload[0])
+            proc = isa.execute(proc, dins, value)
             proc = isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
         elif name == self.ST_RULE:
             proc = isa.execute(proc, dins)
             proc = isa.ProcState(proc.regs, proc.pc,
-                                 isa.sb_enq(proc.sb, self._store_entry(state, dins)),
+                                 isa.sb_enq(proc.sb, self._store_entry(state, i, sources, dins)),
                                  isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-            return self._finish_store(state, i, self._drop_dead(i, proc))
         elif name == self.REC_RULE:
+            # rts = gts; only the timestamped machine's clock ever moves
             proc = isa.execute(proc, dins)
-            proc = isa.ProcState(proc.regs, proc.pc, proc.sb, (), proc.rts)
-        else:  # Nm / Com
+            proc = isa.ProcState(proc.regs, proc.pc, proc.sb, (), state.gts)
+        elif name == self.NM_RULE:
+            proc = isa.execute(proc, dins, self._nm_value(state, i, sources, dins))
+        else:  # Com
             proc = isa.execute(proc, dins)
         procs = state.procs[:i] + (self._drop_dead(i, proc),) + state.procs[i + 1:]
         return MachineState(state.m, procs, state.gts, state.next_tag)
@@ -205,34 +214,55 @@ class WmmModel(BaseModel):
             return proc
         return isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
 
-    def _store_entry(self, state: MachineState, dins: isa.St) -> tuple:
+    # -- timestamp hooks: WMM-D overrides these, WMM needs no timestamps --
+
+    def _nm_value(self, state: MachineState, i: int, sources: tuple, dins: isa.Nm):
+        return dins.v
+
+    def _load_sb(self, state: MachineState, i: int, sources: tuple, a: int):
+        return isa.sb_youngest(state.procs[i].sb, a)[1]
+
+    def _load_mem(self, state: MachineState, i: int, sources: tuple, a: int):
+        return mem_get(state.m, a, 0)
+
+    def _load_ib(self, state: MachineState, i: int, sources: tuple, a: int,
+                 k: int) -> tuple:
+        """The value stale choice k loads, and the ib it leaves behind."""
+        entry, ib = isa.ib_take(state.procs[i].ib, a, k)
+        return entry[1], ib
+
+    def _store_entry(self, state: MachineState, i: int, sources: tuple,
+                     dins: isa.St) -> tuple:
         return (dins.a, dins.v)
 
-    def _finish_store(self, state: MachineState, i: int, proc) -> MachineState:
-        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return MachineState(state.m, procs, state.gts, state.next_tag)
+    def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:
+        """Memory once processor i's store entry reaches it, the clock, and
+        for each processor the ib entry of the value it overwrote."""
+        a = entry[0]
+        stale = (a, mem_get(state.m, a, 0))
+        return mem_set(state.m, a, entry[1]), state.gts, (stale,) * self.nprocs
 
     def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
         i = rule.proc
-        a = rule.payload[0]
-        old = mem_get(state.m, a, 0)
-        entry, sb = isa.sb_rm_oldest(state.procs[i].sb, a)
-        m = mem_set(state.m, a, entry[1])
+        entry, sb = isa.sb_rm_oldest(state.procs[i].sb, rule.payload[0])
+        m, gts, stale = self._write_memory(state, i, entry)
         procs = []
         for j, proc in enumerate(state.procs):
             if j == i:
                 procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
             else:
-                procs.append(self._offer_stale(j, proc, a, old))
-        return MachineState(m, tuple(procs), state.gts, state.next_tag)
+                procs.append(self._offer_stale(j, proc, stale[j]))
+        return MachineState(m, tuple(procs), gts, state.next_tag)
 
-    def _offer_stale(self, j: int, proc: isa.ProcState, a: int, old) -> isa.ProcState:
-        """Processor j after memory overwrote old at a: the stale value goes
-        to its ib unless j has a pending store to a or can never load it."""
+    def _offer_stale(self, j: int, proc: isa.ProcState, stale: tuple) -> isa.ProcState:
+        """Processor j after memory overwrote a value: its stale ib entry
+        goes in unless j has a pending store to the address or can never
+        load it."""
+        a = stale[0]
         if a not in self.stale_live[j][proc.pc] or isa.sb_exist(proc.sb, a):
             return proc
         return isa.ProcState(proc.regs, proc.pc, proc.sb,
-                             isa.ib_insert(proc.ib, (a, old)), proc.rts)
+                             isa.ib_insert(proc.ib, stale), proc.rts)
 
     def check_invariants(self, state: MachineState) -> None:
         for i, proc in enumerate(state.procs):

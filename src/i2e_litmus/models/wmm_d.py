@@ -15,12 +15,25 @@ one's own store, memory time otherwise).  Reading a stale value is
 allowed only if that result timestamp cannot exceed the time tsU at
 which the value was overwritten; Reconcile clears the ib and records
 rts = gts, so checking ats <= tsU suffices.
+
+Everything else is WMM's rule catalog, with rules named WMM-D-* and
+registers decoded as (value, ts) pairs.  The timestamp hooks it
+overrides stamp results (`_nm_value` with ats, `_load_sb` with the
+entry's sts, `_load_mem` with sts or mts by writer, `_load_ib` with
+tsL), offer a stale value only when ats <= tsU (`_stale_choices`),
+consume it with `ib_rm_older`, which keeps the entry read (`_load_ib`),
+stamp a buffered store (`_store_entry`), and write the memory cell,
+tick `gts` and hand out [tsL, tsU] stale entries (`_write_memory`).
+WMM's Reconcile already sets rts = gts.  The stale-value liveness
+reduction (`wmm.stale_liveness`) applies unchanged: timestamps matter
+only when a stale value is read, and a dead one never is.
 """
 
 from __future__ import annotations
 
 from .. import isa
-from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
+from .base import MachineState, mem_get, mem_set
+from .wmm import WmmModel
 
 _INIT_CELL = (0, None, 0, 0)  # value, writer, creation time, memory time
 
@@ -30,17 +43,26 @@ def load_value_timestamp(ats: int, rts: int, vts: int) -> int:
     return max(ats, rts, vts)
 
 
-class WmmDModel(BaseModel):
+def _ats(proc: isa.ProcState, sources: tuple) -> int:
+    """The latest timestamp among the registers an instruction read."""
+    return max((isa.reg_get(proc.regs, r, (0, 0))[1] for r in sources), default=0)
+
+
+class WmmDModel(WmmModel):
     model_id = "wmm-d"
+    timed = True
+
+    NM_RULE = "WMM-D-Nm"
+    LDSB_RULE = "WMM-D-LdSb"
+    LDMEM_RULE = "WMM-D-LdMem"
+    LDIB_RULE = "WMM-D-LdIb"
+    ST_RULE = "WMM-D-St"
+    COM_RULE = "WMM-D-Com"
+    REC_RULE = "WMM-D-Rec"
+    DEQ_RULE = "WMM-D-DeqSb"
 
     def _initial_cell(self, value: int):
         return (value, None, 0, 0)
-
-    def decode_at(self, state: MachineState, i: int):
-        return isa.decode_ts(self.programs[i], state.procs[i], self.addr_map)[0]
-
-    def _decode_ts(self, state: MachineState, i: int):
-        return isa.decode_ts(self.programs[i], state.procs[i], self.addr_map)
 
     def reg_value(self, state: MachineState, i: int, name: str) -> int:
         return isa.reg_get(state.procs[i].regs, name, (0, 0))[0]
@@ -48,105 +70,55 @@ class WmmDModel(BaseModel):
     def mem_value(self, state: MachineState, name: str) -> int:
         return mem_get(state.m, self.addr_map[name], _INIT_CELL)[0]
 
-    def enabled(self, state: MachineState) -> list[RuleInstance]:
-        out = []
-        for i in range(self.nprocs):
-            proc = state.procs[i]
-            dins, ats = self._decode_ts(state, i)
-            if isinstance(dins, isa.Halt):
-                pass
-            elif isinstance(dins, isa.Nm):
-                out.append(RuleInstance("WMM-D-Nm", i))
-            elif isinstance(dins, isa.Ld):
-                if isa.sb_exist(proc.sb, dins.a):
-                    out.append(RuleInstance("WMM-D-LdSb", i))
-                else:
-                    out.append(RuleInstance("WMM-D-LdMem", i))
-                    for k, entry in enumerate(isa.ib_entries(proc.ib, dins.a)):
-                        if ats <= entry[3]:  # stale-timing: ats must not pass tsU
-                            out.append(RuleInstance("WMM-D-LdIb", i, (k,)))
-            elif isinstance(dins, isa.St):
-                out.append(RuleInstance("WMM-D-St", i))
-            elif isinstance(dins, isa.Commit):
-                if isa.sb_empty(proc.sb):
-                    out.append(RuleInstance("WMM-D-Com", i))
-            else:
-                out.append(RuleInstance("WMM-D-Rec", i))
-        for i in range(self.nprocs):
-            out.extend(RuleInstance("WMM-D-DeqSb", i, (a,))
-                       for a in isa.sb_addrs(state.procs[i].sb))
-        return out
+    def _nm_value(self, state: MachineState, i: int, sources: tuple, dins: isa.Nm):
+        return dins.v, _ats(state.procs[i], sources)
 
-    def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
-        if rule.rule == "WMM-D-DeqSb":
-            return self._apply_dequeue(state, rule)
-        i = rule.proc
+    def _load_sb(self, state: MachineState, i: int, sources: tuple, a: int):
         proc = state.procs[i]
-        dins, ts = self._decode_ts(state, i)
-        name = rule.rule
-        if name == "WMM-D-LdSb":
-            _, v, sts = isa.sb_youngest(proc.sb, dins.a)
-            proc = isa.execute_ts(proc, dins, v,
-                                  load_value_timestamp(ts, proc.rts, sts))
-        elif name == "WMM-D-LdMem":
-            v, writer, sts, mts = mem_get(state.m, dins.a, _INIT_CELL)
-            vts = sts if writer == i else mts
-            proc = isa.execute_ts(proc, dins, v,
-                                  load_value_timestamp(ts, proc.rts, vts))
-            proc = isa.ProcState(proc.regs, proc.pc, proc.sb,
-                                 isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-        elif name == "WMM-D-LdIb":
-            entries = isa.ib_entries(proc.ib, dins.a)
-            _, v, ts_lower, ts_upper = entries[rule.payload[0]]
-            proc = isa.execute_ts(proc, dins, v,
-                                  load_value_timestamp(ts, proc.rts, ts_lower))
-            # rmOlder is strict, so the entry read here survives: it may
-            # be read again by a later load from the same store.
-            proc = isa.ProcState(proc.regs, proc.pc, proc.sb,
-                                 isa.ib_rm_older(proc.ib, dins.a, ts_upper), proc.rts)
-        elif name == "WMM-D-St":
-            proc = isa.execute_ts(proc, dins, None, None)
-            proc = isa.ProcState(proc.regs, proc.pc,
-                                 isa.sb_enq(proc.sb, (dins.a, dins.v, ts)),
-                                 isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-        elif name == "WMM-D-Rec":
-            proc = isa.execute_ts(proc, dins, None, None)
-            proc = isa.ProcState(proc.regs, proc.pc, proc.sb, (), state.gts)
-        else:  # WMM-D-Nm / WMM-D-Com
-            proc = isa.execute_ts(proc, dins, None,
-                                  ts if isinstance(dins, isa.Nm) else None)
-        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return MachineState(state.m, procs, state.gts, state.next_tag)
+        _, v, sts = isa.sb_youngest(proc.sb, a)
+        return v, load_value_timestamp(_ats(proc, sources), proc.rts, sts)
 
-    def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
-        i = rule.proc
-        a = rule.payload[0]
+    def _load_mem(self, state: MachineState, i: int, sources: tuple, a: int):
+        proc = state.procs[i]
+        v, writer, sts, mts = mem_get(state.m, a, _INIT_CELL)
+        vts = sts if writer == i else mts
+        return v, load_value_timestamp(_ats(proc, sources), proc.rts, vts)
+
+    def _stale_choices(self, state: MachineState, i: int, sources: tuple,
+                       a: int) -> list[int]:
+        ats = _ats(state.procs[i], sources)
+        return [k for k, entry in enumerate(isa.ib_entries(state.procs[i].ib, a))
+                if ats <= entry[3]]  # stale-timing: ats must not pass tsU
+
+    def _load_ib(self, state: MachineState, i: int, sources: tuple, a: int,
+                 k: int) -> tuple:
+        proc = state.procs[i]
+        _, v, ts_lower, ts_upper = isa.ib_entries(proc.ib, a)[k]
+        value = (v, load_value_timestamp(_ats(proc, sources), proc.rts, ts_lower))
+        # rmOlder is strict, so the entry read here survives: it may
+        # be read again by a later load from the same store.
+        return value, isa.ib_rm_older(proc.ib, a, ts_upper)
+
+    def _store_entry(self, state: MachineState, i: int, sources: tuple,
+                     dins: isa.St) -> tuple:
+        return (dins.a, dins.v, _ats(state.procs[i], sources))
+
+    def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:
+        a, v, sts = entry
         old_v, old_writer, old_sts, old_mts = mem_get(state.m, a, _INIT_CELL)
-        ts_upper = state.gts
-        (_, v, sts), sb = isa.sb_rm_oldest(state.procs[i].sb, a)
         m = mem_set(state.m, a, (v, i, sts, state.gts + 1))
-        procs = []
-        for j, proc in enumerate(state.procs):
-            if j == i:
-                procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
-            elif not isa.sb_exist(proc.sb, a):
-                # Visible to j since it hit memory, unless j wrote it,
-                # in which case since its creation.
-                ts_lower = old_sts if j == old_writer else old_mts
-                ib = isa.ib_insert(proc.ib, (a, old_v, ts_lower, ts_upper))
-                procs.append(isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts))
-            else:
-                procs.append(proc)
-        return MachineState(m, tuple(procs), state.gts + 1, state.next_tag)
+        # The old value was visible to j since it hit memory, unless j
+        # wrote it, in which case since its creation; it dies at gts.
+        stale = tuple((a, old_v, old_sts if j == old_writer else old_mts, state.gts)
+                      for j in range(self.nprocs))
+        return m, state.gts + 1, stale
 
     def check_invariants(self, state: MachineState) -> None:
+        super().check_invariants(state)
         bound = state.gts + 1
         for _, (_, _, sts, mts) in state.m:
             assert sts <= bound and mts <= bound
         for proc in state.procs:
-            pending = {e[0] for e in proc.sb}
-            stale = {e[0] for e in proc.ib}
-            assert not (pending & stale), "sb/ib address exclusion broken"
             assert proc.rts <= state.gts
             for _, (_, ts) in proc.regs:
                 assert ts <= bound
@@ -155,10 +127,3 @@ class WmmDModel(BaseModel):
             for _, _, ts_lower, ts_upper in proc.ib:
                 assert ts_lower <= ts_upper, "ib interval inverted"
                 assert ts_upper <= state.gts
-
-    def _describe_payload(self, rule: RuleInstance) -> str:
-        if rule.rule == "WMM-D-DeqSb":
-            return self.addr_name(rule.payload[0])
-        if rule.rule == "WMM-D-LdIb":
-            return f"stale entry {rule.payload[0]}"
-        return super()._describe_payload(rule)

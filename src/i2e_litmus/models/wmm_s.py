@@ -25,7 +25,7 @@ produce exactly the same successor.
 from __future__ import annotations
 
 from .. import isa
-from .base import MachineState, RuleInstance, mem_get, mem_set
+from .base import MachineState, RuleInstance
 from .wmm import WmmModel
 
 
@@ -109,12 +109,9 @@ class WmmSModel(WmmModel):
                    or isa.sb_oldest(proc.sb, a) == entry
                    for proc in state.procs)
 
-    def _store_entry(self, state: MachineState, dins: isa.St) -> tuple:
+    def _store_entry(self, state: MachineState, i: int, sources: tuple,
+                     dins: isa.St) -> tuple:
         return (dins.a, dins.v, state.next_tag)
-
-    def _finish_store(self, state: MachineState, i: int, proc) -> MachineState:
-        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return MachineState(state.m, procs, state.gts, state.next_tag + 1)
 
     def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
         if rule.rule == self.COPY_RULE:
@@ -125,14 +122,16 @@ class WmmSModel(WmmModel):
                                    isa.ib_rm_addr(target.ib, a), target.rts)
             procs = state.procs[:j] + (target,) + state.procs[j + 1:]
             return MachineState(state.m, procs, state.gts, state.next_tag)
-        return super().apply(state, rule)
+        nxt = super().apply(state, rule)
+        if rule.rule == self.ST_RULE:  # the store took tag next_tag
+            return MachineState(nxt.m, nxt.procs, nxt.gts, nxt.next_tag + 1)
+        return nxt
 
     def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
         a = rule.payload[0]
-        old = mem_get(state.m, a, 0)
         entry = isa.sb_oldest(state.procs[rule.proc].sb, a)
         tag = entry[2]
-        m = mem_set(state.m, a, entry[1])
+        m, gts, stale = self._write_memory(state, rule.proc, entry)
         procs = []
         for j, proc in enumerate(state.procs):
             if isa.sb_has_tag(proc.sb, tag):
@@ -140,8 +139,8 @@ class WmmSModel(WmmModel):
                 assert removed == entry
                 procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
             else:
-                procs.append(self._offer_stale(j, proc, a, old))
-        return MachineState(m, tuple(procs), state.gts, state.next_tag)
+                procs.append(self._offer_stale(j, proc, stale[j]))
+        return MachineState(m, tuple(procs), gts, state.next_tag)
 
     def canonical_key(self, state: MachineState):
         """Tags are opaque identities: rename them by first appearance so

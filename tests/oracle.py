@@ -10,10 +10,11 @@ interleaving of atomic instruction executions with memoization.
 `wmm_s_per_holder_instances` is the unreduced WMM-S enumeration, which
 offers DeqSb and Copy once per processor holding a copy of the tag.
 
-`unreduced` turns a `wmm` or `wmm-s` model back into the paper's
-machine: every address counts as live at every pc, so DeqSb inserts
-each overwritten value into every processor without a pending store to
-the address, and no stale value is dropped when a pc advances.
+`unreduced` turns a `wmm`, `wmm-d` or `wmm-s` model back into the
+paper's machine: every address counts as live at every pc, so DeqSb
+inserts each overwritten value (with its [tsL, tsU] interval under
+`wmm-d`) into every processor without a pending store to the address,
+and no stale value is dropped when a pc advances.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from i2e_litmus.explorer import (ExploreLimits, check, explore, outcome_subset,
-                                 replay, successors)
+from i2e_litmus.explorer import ExploreLimits, check, explore, outcome_subset, replay
 from i2e_litmus.litmus import Check, parse
 from i2e_litmus.models import RuleInstance, build_model, mem_get
 
@@ -96,9 +95,11 @@ class TestIsTerminal:
 class TestSuccessors:
     def test_two_runnable_threads_two_successors(self):
         model = build_model("sc", parse(TWO_THREADS))
-        succ = successors(model, model.initial_state())
-        assert len(succ) == 2
-        assert {rule.proc for rule, _ in succ} == {0, 1}
+        state = model.initial_state()
+        rules = model.enabled(state)
+        assert len(rules) == 2
+        assert {rule.proc for rule in rules} == {0, 1}
+        assert len({model.apply(state, rule) for rule in rules}) == 2
 
     def test_terminal_state_has_none(self):
         model = build_model("sc", parse(TWO_THREADS))
@@ -106,7 +107,7 @@ class TestSuccessors:
         for rule in (RuleInstance("SC-St", 0), RuleInstance("SC-St", 1)):
             state = model.apply(state, rule)
         assert model.is_terminal(state)
-        assert successors(model, state) == []
+        assert model.enabled(state) == []
 
     def test_buffered_load_hit_single_choice(self):
         text = """
@@ -118,7 +119,7 @@ check allowed: r1 = 1
 """
         model = build_model("wmm", parse(text))
         state = model.apply(model.initial_state(), RuleInstance("WMM-St", 0))
-        loads = [r for r, _ in successors(model, state) if r.rule.startswith("WMM-Ld")]
+        loads = [r for r in model.enabled(state) if r.rule.startswith("WMM-Ld")]
         assert loads == [RuleInstance("WMM-LdSb", 0)]
 
 
@@ -232,18 +233,29 @@ class TestLimits:
         assert verdict.passed is None
         assert report.passed is None
 
-    def test_partial_set_with_witness_is_definitive(self, corpus_by_name):
-        entry = corpus_by_name["wwc"]
-        limits = ExploreLimits(max_depth=9)
-        report = check(entry.test, "wmm-s", limits=limits)
+    def test_partial_set_with_witness_is_definitive(self):
+        # P1 counts without bound while a = 0, so no search ever completes;
+        # r1 = 1 is reached within a few steps of P2's store
+        test = parse("""
+i2e-litmus v1
+thread P1:
+  loop:
+  r1 = r1 + 1
+  r2 = Ld a
+  beqz r2 loop
+thread P2:
+  St a 1
+check allowed: r1 = 1
+""")
+        limits = ExploreLimits(max_states=200)
+        report = check(test, "wmm-s", limits=limits)
         assert not report.result.complete
         (verdict,) = report.verdicts
         assert verdict.satisfiable
         assert verdict.passed is True          # allowed + witnessed
         assert not verdict.inconclusive
         # the same partial witness definitively fails a forbidden check
-        flipped = replace(entry.test,
-                          checks=(Check("forbidden", entry.test.checks[0].cond),))
+        flipped = replace(test, checks=(Check("forbidden", test.checks[0].cond),))
         report = check(flipped, "wmm-s", limits=limits)
         assert report.verdicts[0].passed is False
         assert report.passed is False

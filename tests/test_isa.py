@@ -1,12 +1,11 @@
-"""Decode/execute, the timestamped variants, and the buffer algebra."""
+"""Decode/execute, against plain and timed registers, and the buffer algebra."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from i2e_litmus import isa
 from i2e_litmus.isa import (COMMIT, HALT, RECONCILE, Ld, MachineError, Nm,
-                            ProcState, St, decode, decode_ts, execute,
-                            execute_ts)
+                            ProcState, St, decode, execute)
 from i2e_litmus.litmus import parse
 
 AMAP = {"a": 0, "b": 1024, "c": 2048}
@@ -18,34 +17,38 @@ def thread_of(*lines):
     return parse(text).threads[0].instrs
 
 
+def decoded(instrs, proc):
+    return decode(instrs, proc, AMAP)[0]
+
+
 class TestDecode:
     def test_store_literal(self):
         proc = ProcState()
-        assert decode(thread_of("St a 1"), proc, AMAP) == St(0, 1)
+        assert decode(thread_of("St a 1"), proc, AMAP) == (St(0, 1), ())
 
     def test_address_arithmetic(self):
         instrs = thread_of("r3 = a + r2 - 1")
         proc = ProcState(regs=(("r2", 1),))
-        assert decode(instrs, proc, AMAP) == Nm("r3", 0, 1)
+        assert decoded(instrs, proc) == Nm("r3", 0, 1)
 
     def test_past_end_halts(self):
         instrs = thread_of("St a 1")
-        assert decode(instrs, ProcState(pc=1), AMAP) is HALT
+        assert decoded(instrs, ProcState(pc=1)) is HALT
 
     def test_exit_halts(self):
         instrs = thread_of("exit", "St a 1")
-        assert decode(instrs, ProcState(), AMAP) is HALT
+        assert decoded(instrs, ProcState()) is HALT
 
     def test_fences(self):
         instrs = thread_of("Commit", "Reconcile")
-        assert decode(instrs, ProcState(), AMAP) is COMMIT
-        assert decode(instrs, ProcState(pc=1), AMAP) is RECONCILE
+        assert decode(instrs, ProcState(), AMAP) == (COMMIT, ())
+        assert decode(instrs, ProcState(pc=1), AMAP) == (RECONCILE, ())
 
     def test_branch_resolves_against_registers(self):
         instrs = thread_of("beqz r1 out", "St a 1", "out:")
         taken = decode(instrs, ProcState(), AMAP)
-        assert taken == Nm(None, 0, 2)
-        not_taken = decode(instrs, ProcState(regs=(("r1", 5),)), AMAP)
+        assert taken == (Nm(None, 0, 2), ("r1",))
+        not_taken = decoded(instrs, ProcState(regs=(("r1", 5),)))
         assert not_taken == Nm(None, 0, 1)
 
     def test_negative_address_rejected(self):
@@ -77,9 +80,9 @@ class TestExecute:
 
     def test_branch_jumps_to_thread_end(self):
         instrs = thread_of("beqz r1 out", "St a 1", "out:")
-        proc = execute(ProcState(), decode(instrs, ProcState(), AMAP))
+        proc = execute(ProcState(), decoded(instrs, ProcState()))
         assert proc.pc == len(instrs)
-        assert decode(instrs, proc, AMAP) is HALT
+        assert decoded(instrs, proc) is HALT
 
     def test_store_and_fences_only_advance_pc(self):
         for dins in (St(0, 1), COMMIT, RECONCILE):
@@ -87,57 +90,77 @@ class TestExecute:
             assert proc == ProcState(regs=(("r1", 3),), pc=1)
 
 
+def source_ts(proc, sources):
+    """The timestamped machine's ats: the latest time among the sources."""
+    return max((isa.reg_get(proc.regs, r, (0, 0))[1] for r in sources), default=0)
+
+
 class TestDecodeTs:
+    """Registers hold (value, timestamp) pairs; decode reads the values and
+    reports the sources, whose latest timestamp is the instruction's."""
+
     def test_literals_have_time_zero(self):
-        dins, ts = decode_ts(thread_of("r1 = 7"), ProcState(), AMAP)
+        proc = ProcState()
+        dins, sources = decode(thread_of("r1 = 7"), proc, AMAP, timed=True)
         assert dins == Nm("r1", 7, 1)
-        assert ts == 0
+        assert source_ts(proc, sources) == 0
 
     def test_load_address_operand_time(self):
         instrs = thread_of("r2 = Ld r1")
         proc = ProcState(regs=(("r1", (1024, 2)),))
-        dins, ats = decode_ts(instrs, proc, AMAP)
+        dins, sources = decode(instrs, proc, AMAP, timed=True)
         assert dins == Ld(1024, "r2")
-        assert ats == 2
+        assert source_ts(proc, sources) == 2
 
     def test_store_creation_time(self):
         instrs = thread_of("St a r1")
         proc = ProcState(regs=(("r1", (9, 3)),))
-        dins, ts = decode_ts(instrs, proc, AMAP)
+        dins, sources = decode(instrs, proc, AMAP, timed=True)
         assert dins == St(0, 9)
-        assert ts == 3
+        assert source_ts(proc, sources) == 3
 
     def test_max_over_sources(self):
         instrs = thread_of("r3 = r1 + r2")
         proc = ProcState(regs=(("r1", (1, 4)), ("r2", (2, 7))))
-        dins, ts = decode_ts(instrs, proc, AMAP)
+        dins, sources = decode(instrs, proc, AMAP, timed=True)
         assert dins == Nm("r3", 3, 1)
-        assert ts == 7
+        assert source_ts(proc, sources) == 7
+
+    def test_pc_never_counts(self):
+        # a branch reads its register, and the jump itself adds no source
+        instrs = thread_of("beqz r1 out", "St a 1", "out:")
+        proc = ProcState(regs=(("r1", (0, 5)), ("r2", (0, 9))))
+        dins, sources = decode(instrs, proc, AMAP, timed=True)
+        assert dins == Nm(None, 0, 2)
+        assert sources == ("r1",)
+        assert source_ts(proc, sources) == 5
+        assert decode(thread_of("Commit"), proc, AMAP, timed=True) == (COMMIT, ())
 
     @given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9))
     def test_ts_is_max_over_exactly_the_registers_read(self, t1, t2, t3):
         # r3 is in the register file but not a source; it must not count.
         instrs = thread_of("St (r1 + c) r2")
         proc = ProcState(regs=(("r1", (0, t1)), ("r2", (5, t2)), ("r3", (0, t3))))
-        _, ts = decode_ts(instrs, proc, AMAP)
-        assert ts == max(t1, t2)
+        _, sources = decode(instrs, proc, AMAP, timed=True)
+        assert sorted(sources) == ["r1", "r2"]
+        assert source_ts(proc, sources) == max(t1, t2)
 
 
 class TestExecuteTs:
     def test_load_result_carries_timestamp(self):
-        proc = execute_ts(ProcState(), Ld(0, "r2"), 1, 4)
+        proc = execute(ProcState(), Ld(0, "r2"), (1, 4))
         assert proc.regs == (("r2", (1, 4)),)
 
     def test_fences_leave_timestamps_alone(self):
         proc = ProcState(regs=(("r1", (1, 6)),))
-        assert execute_ts(proc, COMMIT, None, None).regs == proc.regs
-        assert execute_ts(proc, RECONCILE, None, None).regs == proc.regs
+        assert execute(proc, COMMIT).regs == proc.regs
+        assert execute(proc, RECONCILE).regs == proc.regs
 
     def test_nm_carries_source_max(self):
         instrs = thread_of("r3 = r1 + r2")
         proc = ProcState(regs=(("r1", (1, 4)), ("r2", (2, 7))))
-        dins, ts = decode_ts(instrs, proc, AMAP)
-        after = execute_ts(proc, dins, None, ts)
+        dins, sources = decode(instrs, proc, AMAP, timed=True)
+        after = execute(proc, dins, (dins.v, source_ts(proc, sources)))
         assert isa.reg_get(after.regs, "r3", None) == (3, 7)
 
 
@@ -148,7 +171,7 @@ class TestStoreBuffer:
         assert isa.sb_youngest(sb, 0) == (0, 2)
         entry, sb = isa.sb_rm_oldest(sb, 0)
         assert entry == (0, 1)
-        assert isa.sb_entries(sb, 0) == ((0, 2),)
+        assert sb == ((0, 2),)
 
     def test_deq_removes_global_oldest(self):
         sb = ((0, 1), (1024, 2), (0, 3))
@@ -176,9 +199,8 @@ class TestStoreBuffer:
             isa.sb_rm_oldest(((0, 1),), 1024)
 
     def test_exist_and_empty(self):
-        assert isa.sb_empty(())
+        assert not isa.sb_exist((), 0)
         sb = ((0, 1),)
-        assert not isa.sb_empty(sb)
         assert isa.sb_exist(sb, 0)
         assert not isa.sb_exist(sb, 1024)
 
@@ -187,9 +209,9 @@ class TestInvalidationBuffer:
     def test_insert_then_remove_address(self):
         ib = isa.ib_insert((), (0, 0))
         ib = isa.ib_insert(ib, (0, 1))
-        assert isa.ib_exist(ib, 0)
+        assert isa.ib_entries(ib, 0) == ((0, 0), (0, 1))
         ib = isa.ib_rm_addr(ib, 0)
-        assert not isa.ib_exist(ib, 0)
+        assert isa.ib_entries(ib, 0) == ()
 
     def test_take_last_empties_the_address(self):
         ib = ((0, 0), (0, 1))

@@ -4,6 +4,7 @@ from i2e_litmus.explorer import explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model, mem_get
 from i2e_litmus.models.wmm_d import load_value_timestamp
+from oracle import unreduced
 
 
 def reg_projection(outcomes, *keys):
@@ -65,7 +66,9 @@ check allowed: r1 = 0
         assert mem_get(state.m, 0, None) == (1, 0, 0, 1)
 
     def test_stale_interval_is_writer_relative(self):
-        model = build_model("wmm-d", parse(self.THREE))
+        # P1 and P2 never load a, so only the unreduced machine keeps their
+        # stale values; the reduced one keeps P3's alone (checked below)
+        model = unreduced(build_model("wmm-d", parse(self.THREE)))
         state = model.initial_state()
         state = model.apply(state, RuleInstance("WMM-D-St", 0))
         state = model.apply(state, RuleInstance("WMM-D-DeqSb", 0, (0,)))
@@ -80,9 +83,17 @@ check allowed: r1 = 0
         # P3 only since it reached memory (1).  Overwrite time is 1 for both.
         assert state.procs[0].ib == ((0, 1, 0, 1),)
         assert state.procs[2].ib == ((0, 0, 0, 0), (0, 1, 1, 1))
+        reduced = build_model("wmm-d", parse(self.THREE))
+        state = reduced.initial_state()
+        for rule in (RuleInstance("WMM-D-St", 0), RuleInstance("WMM-D-DeqSb", 0, (0,)),
+                     RuleInstance("WMM-D-St", 1), RuleInstance("WMM-D-DeqSb", 1, (0,))):
+            state = reduced.apply(state, rule)
+        assert [p.ib for p in state.procs] == [(), (), ((0, 0, 0, 0), (0, 1, 1, 1))]
 
     def test_reconcile_records_the_clock(self):
-        model = build_model("wmm-d", parse("""
+        # P2's stale value is dead behind its Reconcile: only the unreduced
+        # machine keeps it for the Reconcile to clear
+        model = unreduced(build_model("wmm-d", parse("""
 i2e-litmus v1
 thread P1:
   St a 1
@@ -90,7 +101,7 @@ thread P2:
   Reconcile
   r1 = Ld a
 check allowed: r1 = 0
-"""))
+""")))
         state = model.initial_state()
         state = model.apply(state, RuleInstance("WMM-D-St", 0))
         state = model.apply(state, RuleInstance("WMM-D-DeqSb", 0, (0,)))
