@@ -235,10 +235,6 @@ def sb_addrs(sb: tuple) -> tuple[int, ...]:
     return tuple(seen)
 
 
-def sb_has_tag(sb: tuple, tag: int) -> bool:
-    return any(e[2] == tag for e in sb)
-
-
 # ---------------------------------------------------------------------------
 # Invalidation buffer
 # ---------------------------------------------------------------------------

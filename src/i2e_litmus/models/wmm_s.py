@@ -20,13 +20,27 @@ Because every copy of a tag is the same store, DeqSb is offered once
 per tag and Copy once per (tag, target), with the lowest-index holder
 as the instance's `proc`; firing either rule from another holder would
 produce exactly the same successor.
+
+The state key keeps each store buffer's order per address but not the
+order between addresses.  No rule reads the latter: DeqSb writes the
+oldest store for an address, LdSb bypasses from the youngest, Copy
+appends behind the target's stores to the address and `no_cycle`
+compares per-address tag lists, and Commit and termination only ask
+whether a buffer is empty.  Two states whose buffers differ only in how
+stores to different addresses interleave therefore have the same
+successors up to that order, and the search merges them; the test suite
+keeps the age-ordered key as a reference.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .. import isa
 from .base import MachineState, RuleInstance
 from .wmm import WmmModel
+
+_address = itemgetter(0)  # of a store-buffer entry
 
 
 def no_cycle(state: MachineState, a: int, tag: int, target: int) -> bool:
@@ -105,9 +119,15 @@ class WmmSModel(WmmModel):
     def _committable(state: MachineState, a: int, entry: tuple) -> bool:
         """Every copy of the tag must be the oldest store for a in its buffer."""
         tag = entry[2]
-        return all(not isa.sb_has_tag(proc.sb, tag)
-                   or isa.sb_oldest(proc.sb, a) == entry
-                   for proc in state.procs)
+        for proc in state.procs:
+            behind = False  # an older store for a came first
+            for e in proc.sb:
+                if e[2] == tag:
+                    if behind:
+                        return False
+                    break
+                behind = behind or e[0] == a
+        return True
 
     def _store_entry(self, state: MachineState, i: int, sources: tuple,
                      dins: isa.St) -> tuple:
@@ -130,33 +150,38 @@ class WmmSModel(WmmModel):
     def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
         a = rule.payload[0]
         entry = isa.sb_oldest(state.procs[rule.proc].sb, a)
-        tag = entry[2]
         m, gts, stale = self._write_memory(state, rule.proc, entry)
         procs = []
         for j, proc in enumerate(state.procs):
-            if isa.sb_has_tag(proc.sb, tag):
-                removed, sb = isa.sb_rm_oldest(proc.sb, a)
-                assert removed == entry
+            # DeqSb is enabled, so a buffer holds the tag exactly when its
+            # oldest store for a is the entry
+            for n, e in enumerate(proc.sb):
+                if e[0] == a:
+                    break
+            else:
+                e = None
+            if e == entry:
+                sb = proc.sb[:n] + proc.sb[n + 1:]
                 procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
             else:
                 procs.append(self._offer_stale(j, proc, stale[j]))
         return MachineState(m, tuple(procs), gts, state.next_tag)
 
     def canonical_key(self, state: MachineState):
-        """Tags are opaque identities: rename them by first appearance so
+        """Each buffer in address order (stable, so each address keeps its
+        own age order), with tags renamed by first appearance so that
         allocation history cannot split otherwise-identical states."""
         rename: dict[int, int] = {}
-
-        def canon(tag: int) -> int:
-            if tag not in rename:
-                rename[tag] = len(rename)
-            return rename[tag]
-
-        return (state.m, tuple(
-            (proc.regs, proc.pc,
-             tuple((a, v, canon(t)) for a, v, t in proc.sb),
-             proc.ib)
-            for proc in state.procs))
+        procs = []
+        for proc in state.procs:
+            sb = []
+            for a, v, tag in sorted(proc.sb, key=_address):
+                n = rename.get(tag)
+                if n is None:
+                    n = rename[tag] = len(rename)
+                sb.append((a, v, n))
+            procs.append((proc.regs, proc.pc, tuple(sb), proc.ib))
+        return (state.m, tuple(procs))
 
     def check_invariants(self, state: MachineState) -> None:
         super().check_invariants(state)

@@ -14,7 +14,11 @@ offers DeqSb and Copy once per processor holding a copy of the tag.
 paper's machine: every address counts as live at every pc, so DeqSb
 inserts each overwritten value (with its [tsL, tsU] interval under
 `wmm-d`) into every processor without a pending store to the address,
-and no stale value is dropped when a pc advances.
+and no stale value is dropped when a pc advances.  On `wmm-s` it also
+keys states by `age_ordered_key`: each store buffer in its global age
+order, tags renamed by first appearance.  That key tells apart two
+buffers that differ only in the order between addresses, which the
+library's key (each buffer grouped by address) merges.
 """
 
 from __future__ import annotations
@@ -28,10 +32,26 @@ from i2e_litmus.models.wmm_s import WmmSModel, no_cycle
 
 
 def unreduced(model: WmmModel) -> WmmModel:
-    """The same model with every stale value kept (the paper's DeqSb)."""
+    """The same model with every stale value kept (the paper's DeqSb) and,
+    on `wmm-s`, with store buffers keyed in their global age order."""
     model.stale_live = tuple((ANY_ADDRESS,) * (len(instrs) + 1)
                              for instrs in model.programs)
+    if isinstance(model, WmmSModel):
+        model.canonical_key = age_ordered_key
     return model
+
+
+def age_ordered_key(state) -> tuple:
+    """A WMM-S state key that keeps each store buffer's global age order."""
+    rename: dict[int, int] = {}
+    procs = []
+    for proc in state.procs:
+        sb = []
+        for a, v, tag in proc.sb:
+            n = rename.setdefault(tag, len(rename))
+            sb.append((a, v, n))
+        procs.append((proc.regs, proc.pc, tuple(sb), proc.ib))
+    return (state.m, tuple(procs))
 
 
 def wmm_s_per_holder_instances(model: WmmSModel, state) -> list:

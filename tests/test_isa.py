@@ -189,8 +189,7 @@ class TestStoreBuffer:
     def test_oldest_and_tags(self):
         sb = ((0, 1, 10), (0, 2, 11), (1024, 3, 12))
         assert isa.sb_oldest(sb, 0) == (0, 1, 10)
-        assert isa.sb_has_tag(sb, 11)
-        assert not isa.sb_has_tag(sb, 99)
+        assert isa.sb_oldest(sb, 1024) == (1024, 3, 12)
 
     def test_contract_violations(self):
         with pytest.raises(MachineError):

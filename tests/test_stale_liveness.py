@@ -3,7 +3,9 @@
 The reduced `wmm`/`wmm-d`/`wmm-s` machines never insert a stale value that its
 processor cannot load, and drop one once its processor's pc passes the
 last load that could read it.  Every check here compares them with the
-unreduced reference in `oracle.unreduced`.
+unreduced reference in `oracle.unreduced`, which on `wmm-s` also keys
+store buffers in their age order, so the `wmm-s` checks cover the
+per-address key as well.
 """
 
 from dataclasses import replace

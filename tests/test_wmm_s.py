@@ -1,6 +1,7 @@
 """Tagged stores, the copy rule, and the partial coherence order."""
 
 from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 
@@ -8,12 +9,31 @@ from i2e_litmus.explorer import explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.wmm_s import no_cycle
-from oracle import wmm_s_per_holder_instances
+from oracle import age_ordered_key, wmm_s_per_holder_instances
 
 
 def reg_projection(outcomes, *keys):
     return {tuple(o.reg(t, r) for t, r in keys) for o in outcomes}
 
+
+# P1's store to a and P2's store to b can both be copied into P3's
+# buffer, which also holds P3's own store to b, in any order between a
+# and b.
+CROSS_COPIES = """
+i2e-litmus v1
+init:
+  a = 0
+  b = 0
+thread P1:
+  St a 1
+thread P2:
+  St b 1
+thread P3:
+  St b 2
+  r1 = Ld a
+  r2 = Ld b
+check allowed: r1 = 0
+"""
 
 THREE_THREADS = """
 i2e-litmus v1
@@ -151,6 +171,12 @@ class TestRuleActions:
 
 
 class TestCanonicalKey:
+    @staticmethod
+    def with_buffers(model, *sbs):
+        state = model.initial_state()
+        procs = tuple(replace(proc, sb=sb) for proc, sb in zip(state.procs, sbs))
+        return replace(state, procs=procs, next_tag=10)
+
     def test_tag_numbering_is_ignored(self):
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
@@ -167,6 +193,34 @@ class TestCanonicalKey:
                 == model.canonical_key(with_tags(1, 0, 5)))
         assert (model.canonical_key(with_tags(0, 1, 2))
                 != model.canonical_key(with_tags(0, 0, 2)))
+
+    def test_order_between_addresses_is_ignored(self):
+        model = build_model("wmm-s", parse(CROSS_COPIES))
+        a, b = model.addr_map["a"], model.addr_map["b"]
+        keys = {model.canonical_key(self.with_buffers(
+                    model, ((a, 1, 0),), ((b, 1, 1),), sb))
+                for sb in (((b, 2, 2), (b, 1, 1), (a, 1, 0)),
+                           ((b, 2, 2), (a, 1, 0), (b, 1, 1)),
+                           ((a, 1, 0), (b, 2, 2), (b, 1, 1)))}
+        assert len(keys) == 1
+
+    def test_order_within_an_address_is_kept(self):
+        model = build_model("wmm-s", parse(THREE_THREADS))
+        one = self.with_buffers(model, ((0, 1, 0),), ((0, 2, 1),), ((0, 1, 0), (0, 2, 1)))
+        two = self.with_buffers(model, ((0, 1, 0),), ((0, 2, 1),), ((0, 2, 1), (0, 1, 0)))
+        assert model.canonical_key(one) != model.canonical_key(two)
+
+    def test_tags_are_renamed_after_grouping(self):
+        model = build_model("wmm-s", parse(CROSS_COPIES))
+        a, b = model.addr_map["a"], model.addr_map["b"]
+        # P1's buffer in two cross-address orders and tag numberings; P3
+        # holds a copy of P1's store to b in both
+        one = self.with_buffers(model, ((b, 1, 7), (a, 1, 5)), (), ((b, 1, 7),))
+        two = self.with_buffers(model, ((a, 1, 3), (b, 1, 2)), (), ((b, 1, 2),))
+        assert model.canonical_key(one) == model.canonical_key(two)
+        # the same buffers, but the third holds a different store to b
+        three = self.with_buffers(model, ((a, 1, 3), (b, 1, 2)), (), ((b, 1, 4),))
+        assert model.canonical_key(one) != model.canonical_key(three)
 
 
 class TestVerdicts:
@@ -216,7 +270,7 @@ class TestVerdicts:
         def audit(state, rule, nxt):
             if rule.rule == "WMM-S-DeqSb":
                 tag = isa.sb_oldest(state.procs[rule.proc].sb, rule.payload[0])[2]
-                assert all(not isa.sb_has_tag(proc.sb, tag) for proc in nxt.procs)
+                assert all(e[2] != tag for proc in nxt.procs for e in proc.sb)
 
         explore(model, audit=audit)
 
@@ -257,3 +311,44 @@ class TestOncePerTag:
             assert len(set(reduced.values())) == len(reduced), "two instances, one successor"
             dropped += len(reference) - len(reduced)
         assert dropped > 0  # some tag really had several holders
+
+
+def cross_address_reorderings(sb: tuple) -> set[tuple]:
+    """Every order of the buffer that keeps each address's own order."""
+    by_address = {a: [e for e in sb if e[0] == a] for a, _, _ in sb}
+    return {perm for perm in permutations(sb)
+            if all([e for e in perm if e[0] == a] == order
+                   for a, order in by_address.items())}
+
+
+class TestKeyIgnoresOrderBetweenAddresses:
+    """Buffers that differ only in the order between addresses get one key,
+    and the key merges only bisimilar states: states with one key agree on
+    being terminal and on their successors' keys.  Every rule reads a
+    buffer per address or through its emptiness, which is why the order
+    between addresses may be dropped."""
+
+    @pytest.mark.parametrize("name", ["wwc", "wwc-commit", "cross-copies"])
+    def test_reordered_buffers_are_bisimilar(self, corpus_by_name, name):
+        test = parse(CROSS_COPIES) if name == "cross-copies" else corpus_by_name[name].test
+        model = build_model("wmm-s", test)
+        init = model.initial_state()
+        states = {age_ordered_key(init): init}
+        explore(model, audit=lambda state, rule, nxt:
+                states.setdefault(age_ordered_key(nxt), nxt))
+
+        behaviours: dict = {}  # key -> {(terminal, successor keys)}
+        reordered = 0
+        for state in states.values():
+            key = model.canonical_key(state)
+            for sbs in product(*(cross_address_reorderings(p.sb) for p in state.procs)):
+                variant = replace(state, procs=tuple(
+                    replace(p, sb=sb) for p, sb in zip(state.procs, sbs)))
+                reordered += variant != state
+                assert model.canonical_key(variant) == key
+                behaviours.setdefault(key, set()).add((
+                    model.is_terminal(variant),
+                    frozenset(model.canonical_key(model.apply(variant, r))
+                              for r in model.enabled(variant))))
+        assert all(len(seen) == 1 for seen in behaviours.values())
+        assert reordered > 0  # copies of different addresses met in one buffer
