@@ -10,7 +10,7 @@ terminal outcome::
     assert report.passed
 """
 
-from .corpus import corpus_names, corpus_test, load_corpus, write_corpus_dir
+from .corpus import corpus_test, load_corpus
 from .explorer import (CheckReport, ExploreLimits, ExploreResult, Verdict,
                        check, explore, outcome_subset, replay)
 from .litmus import (LitmusError, LitmusParseError, LitmusTest, Outcome,
@@ -24,7 +24,6 @@ __all__ = [
     "CheckReport", "ExploreLimits", "ExploreResult", "Verdict",
     "LitmusError", "LitmusParseError", "LitmusTest", "Outcome",
     "MODEL_IDS", "__version__", "bind", "bind_addresses", "build_model",
-    "check", "corpus_names", "corpus_test", "eval_condition", "explore",
-    "format_test", "load_corpus", "outcome_subset", "parse", "parse_file",
-    "replay", "write_corpus_dir",
+    "check", "corpus_test", "eval_condition", "explore", "format_test",
+    "load_corpus", "outcome_subset", "parse", "parse_file", "replay",
 ]

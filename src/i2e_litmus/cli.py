@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Runs litmus files (or the embedded corpus) against one or more models,
+Runs litmus files (or the packaged corpus) against one or more models,
 printing verdicts, outcome sets, optional witness traces, and pairwise
 outcome-set comparisons.  Exit codes: 0 all good, 1 a check failed (or
 a corpus expectation did not hold), 2 a result was inconclusive, 3 a
@@ -56,7 +56,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("inputs", nargs="*", metavar="PATH",
                     help=".litmus files or directories containing them")
     ap.add_argument("--corpus", action="store_true",
-                    help="run the embedded corpus")
+                    help="run the packaged corpus")
     ap.add_argument("--models", metavar="LIST",
                     help=f"comma-separated subset of: {', '.join(MODEL_IDS)} "
                          "(default: the test's model hint, else all)")

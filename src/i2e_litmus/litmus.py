@@ -695,8 +695,13 @@ def parse(text: str) -> LitmusTest:
 
 
 def parse_file(path) -> LitmusTest:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise LitmusParseError(f"not UTF-8 text ({exc.reason})", line) from None
+    return parse(text)
 
 
 # ---------------------------------------------------------------------------

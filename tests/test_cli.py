@@ -1,13 +1,16 @@
 """The command-line front end: flags, exit codes, and report formats."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from i2e_litmus.cli import main
-from i2e_litmus.corpus import corpus_test
+from i2e_litmus.corpus import corpus_test, load_corpus
 
 
 @pytest.fixture()
@@ -56,6 +59,15 @@ class TestExitCodes:
         assert code == 3
         assert "[sc] ok" in out          # the good file still ran
         assert "unknown instruction" in out
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, dekker_nofence_file, capsys):
+        bad = tmp_path / "bad.litmus"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        code = main([str(bad), str(dekker_nofence_file), "--models", "sc"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "[sc] ok" in out          # the good file still ran
+        assert f"error: {bad}: line 1: not UTF-8 text" in out
 
     def test_directory_input(self, tmp_path, capsys):
         (tmp_path / "one.litmus").write_text(corpus_test("corr").text)
@@ -188,3 +200,38 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "corr [sc] ok" in proc.stdout
+
+
+_SEEDS = [entry.text.encode() for entry in load_corpus()]
+
+
+@st.composite
+def mutated_corpus_files(draw):
+    """A corpus file with a few byte spans deleted, inserted or duplicated;
+    inserted bytes are arbitrary, so some mutants are not UTF-8."""
+    data = draw(st.sampled_from(_SEEDS))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 40)))
+        edit = draw(st.sampled_from(["delete", "insert", "duplicate"]))
+        if edit == "delete":
+            data = data[:start] + data[end:]
+        elif edit == "insert":
+            data = data[:start] + draw(st.binary(min_size=1, max_size=8)) + data[start:]
+        else:
+            data = data[:end] + data[start:end] + data[end:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_corpus_files())
+def test_mutated_corpus_files_never_crash_the_cli(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutant.litmus"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(path), "--models", "sc", "--max-states", "300", "--timeout", "2"])
+    assert code in (0, 1, 2, 3)
+    if code == 3:  # input errors are part of the report on stdout
+        lines = (out.getvalue() + err.getvalue()).splitlines()
+        assert any(line.startswith("error: ") for line in lines)

@@ -308,17 +308,28 @@ class TestCorpus:
         for entry in corpus:
             assert set(entry.expected) == set(MODEL_IDS)
 
-    def test_export_dir(self, corpus, tmp_path):
-        from i2e_litmus.corpus import write_corpus_dir
-        written = write_corpus_dir(tmp_path / "corpus")
-        assert len(written) == len(corpus)
-        for path, entry in zip(written, corpus):
-            assert litmus.parse(path.read_text()) == entry.test
-
-    def test_checked_in_corpus_dir_matches_embedded(self, corpus):
+    def test_export_dir(self, corpus):
+        """The packaged corpus directory, given to the CLI as a directory
+        input (``i2e-litmus src/i2e_litmus/corpus/``), reads as the corpus."""
+        from importlib.resources import files
         from pathlib import Path
-        root = Path(__file__).resolve().parent.parent / "corpus"
-        for entry in corpus:
-            path = root / f"{entry.name}.litmus"
-            assert path.exists(), f"{path} missing; regenerate with write_corpus_dir"
-            assert path.read_text() == entry.text, entry.name
+        from i2e_litmus.cli import _collect_inputs
+        jobs, errors = _collect_inputs([str(Path(str(files("i2e_litmus.corpus"))))])
+        assert errors == []
+        assert dict(jobs) == {entry.name: entry.test for entry in corpus}
+
+    def test_checked_in_corpus_dir_matches_embedded(self):
+        """The checked-in .litmus files and the expectation table embedded
+        in the corpus module name the same tests."""
+        from importlib.resources import files
+        from i2e_litmus.corpus import _EXPECTED
+        from i2e_litmus.models import MODEL_IDS
+        found = {path.name.removesuffix(".litmus"): path
+                 for path in files("i2e_litmus.corpus").iterdir()
+                 if path.name.endswith(".litmus")}
+        assert sorted(found) == sorted(_EXPECTED)
+        assert len(found) == 22
+        for stem, path in found.items():
+            assert parse(path.read_text(encoding="utf-8")).name == stem
+        for name, row in _EXPECTED.items():
+            assert set(row) == set(MODEL_IDS), name
