@@ -274,6 +274,8 @@ def main(argv=None) -> int:
         out.write("\n")
     else:
         _print_text(records, comparisons, errors, out)
+    for err in errors:  # also on stderr, so a redirected report still shows why it exits 3
+        print(f"error: {err['message']}", file=sys.stderr)
 
     if errors:
         return 3

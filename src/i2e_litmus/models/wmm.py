@@ -19,10 +19,10 @@ see older values for a.  Stores and memory reads purge the local ib for
 their address for the same reason; Reconcile clears it outright.
 
 Stale values that their processor can never load are not kept.
-`stale_liveness` computes, once per thread and pc, the addresses whose
-stale value a later load of that thread may still read: a backward
-dataflow over the thread's control flow in which a load adds its
-address, Reconcile clears the set, and a store to a constant address
+`liveness` with `purges_kill` computes, once per thread and pc, the
+addresses whose stale value a later load of that thread may still read:
+a backward dataflow over the thread's control flow in which a load adds
+its address, Reconcile clears the set, and a store to a constant address
 removes that address (the store purges it from the ib).  A load whose
 address comes from a register makes every address live.  DeqSb skips a
 processor at whose pc the address is dead, and a processor whose pc
@@ -72,9 +72,14 @@ def _constant_address(expr, amap):
     return None if expr.registers() else expr.evaluate(None, amap)
 
 
-def stale_liveness(instrs: tuple, amap) -> tuple:
-    """Per pc (including past the end), the addresses whose stale ib
-    value a later load of this thread may still read."""
+def liveness(instrs: tuple, amap, purges_kill: bool) -> tuple:
+    """Per pc (including past the end), the addresses a later load of this
+    thread may still read.  A load adds its address, or every address if
+    the address comes from a register; Exit ends the thread.  With
+    `purges_kill`, Reconcile clears the set and a store to a constant
+    address removes that address, because each purges the ib first: that
+    is the stale-value table.  Without it, the set only shrinks as a pc
+    advances."""
     live: list = [frozenset()] * (len(instrs) + 1)
     changed = True
     while changed:  # backward branches need a fixpoint
@@ -85,14 +90,15 @@ def stale_liveness(instrs: tuple, amap) -> tuple:
             if isinstance(ins, Load):
                 a = _constant_address(ins.addr, amap)
                 new = ANY_ADDRESS if a is None else after | {a}
-            elif isinstance(ins, Store):
+            elif isinstance(ins, Store) and purges_kill:
                 a = _constant_address(ins.addr, amap)
                 new = after if a is None else after - {a}
-            elif isinstance(ins, Exit) or (isinstance(ins, Fence) and ins.kind == "Reconcile"):
+            elif isinstance(ins, Exit) or (purges_kill and isinstance(ins, Fence)
+                                           and ins.kind == "Reconcile"):
                 new = frozenset()
             elif isinstance(ins, Branch):
                 new = after | live[ins.target_index]
-            else:  # Assign, Commit
+            else:  # Assign, Commit, and without purges_kill Store and Reconcile
                 new = after
             if new != live[pc]:
                 live[pc] = new
@@ -115,7 +121,7 @@ class WmmModel(BaseModel):
     def __init__(self, bound):
         super().__init__(bound)
         # stale_live[i][pc]: addresses thread i may still load a stale value for
-        self.stale_live = tuple(stale_liveness(instrs, self.addr_map)
+        self.stale_live = tuple(liveness(instrs, self.addr_map, purges_kill=True)
                                 for instrs in self.programs)
 
     def enabled(self, state: MachineState) -> list[RuleInstance]:

@@ -25,7 +25,7 @@ consume it with `ib_rm_older`, which keeps the entry read (`_load_ib`),
 stamp a buffered store (`_store_entry`), and write the memory cell,
 tick `gts` and hand out [tsL, tsU] stale entries (`_write_memory`).
 WMM's Reconcile already sets rts = gts.  The stale-value liveness
-reduction (`wmm.stale_liveness`) applies unchanged: timestamps matter
+reduction (`wmm.liveness`) applies unchanged: timestamps matter
 only when a stale value is read, and a dead one never is.
 """
 

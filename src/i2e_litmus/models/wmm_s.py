@@ -12,14 +12,35 @@ Writing a store to memory requires every copy to be the oldest store
 for its address in its buffer; the write then removes all copies at
 once.  Processors that held a copy skip the stale-value insert - they
 were already reading the store - as do processors that can no longer
-load the address (see `wmm.stale_liveness`).  Commit keeps its local definition but
-now implicitly waits on every buffer holding a copy, which is what
-makes it cumulative.
+load the address (see `wmm.liveness`).  Commit keeps its local
+definition but now implicitly waits on every buffer holding a copy,
+which is what makes it cumulative.
 
 Because every copy of a tag is the same store, DeqSb is offered once
 per tag and Copy once per (tag, target), with the lowest-index holder
 as the instance's `proc`; firing either rule from another holder would
 produce exactly the same successor.
+
+A copy into processor j is observed only by j's later loads of its
+address, which bypass from it or find the ib purged; otherwise it only
+holds guards back.  So Copy is offered only into a processor whose
+`load_live` set at its pc holds the address.  `load_live` is
+`wmm.liveness` without kills: a load adds its address (every address
+when it is computed), Exit and the end of the program give the empty
+set, and Reconcile and stores remove nothing, so the set never grows as
+a pc advances.  No outcome is lost.  The reduced machine only declines
+some Copy firings, so each of its runs is a run of the full machine.
+Conversely, deleting from a run of the full machine every copy made
+into a processor that was load-dead at the time only weakens guards
+(`no_cycle`, the all-copies-oldest DeqSb guard, Commit) and changes no
+effect: load-dead implies stale-dead, so the target holds no ib value
+for the address to purge and gets no stale insert when the store
+reaches memory, and it never loads the address again.  The deletion is
+sound only for copies made into a processor that was already dead.  A
+copy made while its target was live must stay when the target later
+passes its last load: it can pin a coherence order the target has
+observed, and dropping it lets a later Copy order the stores the other
+way, which adds outcomes.
 
 The state key keeps each store buffer's order per address but not the
 order between addresses.  No rule reads the latter: DeqSb writes the
@@ -38,7 +59,7 @@ from operator import itemgetter
 
 from .. import isa
 from .base import MachineState, RuleInstance
-from .wmm import WmmModel
+from .wmm import WmmModel, liveness
 
 _address = itemgetter(0)  # of a store-buffer entry
 
@@ -88,6 +109,12 @@ class WmmSModel(WmmModel):
     DEQ_RULE = "WMM-S-DeqSb"
     COPY_RULE = "WMM-S-Copy"
 
+    def __init__(self, bound):
+        super().__init__(bound)
+        # load_live[j][pc]: addresses thread j may still load, so a copy may matter
+        self.load_live = tuple(liveness(instrs, self.addr_map, purges_kill=False)
+                               for instrs in self.programs)
+
     def enabled(self, state: MachineState) -> list[RuleInstance]:
         out = super().enabled(state)
         seen = set()
@@ -96,8 +123,12 @@ class WmmSModel(WmmModel):
                 if tag in seen:
                     continue
                 seen.add(tag)
+                targets = [j for j, target in enumerate(state.procs)
+                           if a in self.load_live[j][target.pc]]
+                if not targets:
+                    continue
                 lists = _tag_lists(state, a)
-                for j in range(self.nprocs):
+                for j in targets:
                     if _copy_keeps_order(lists, tag, j):
                         out.append(RuleInstance(self.COPY_RULE, i, (a, tag, j)))
         return out
@@ -175,7 +206,9 @@ class WmmSModel(WmmModel):
         procs = []
         for proc in state.procs:
             sb = []
-            for a, v, tag in sorted(proc.sb, key=_address):
+            # a buffer of one entry is already in address order
+            for a, v, tag in (sorted(proc.sb, key=_address) if len(proc.sb) > 1
+                              else proc.sb):
                 n = rename.get(tag)
                 if n is None:
                     n = rename[tag] = len(rename)

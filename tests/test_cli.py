@@ -69,6 +69,25 @@ class TestExitCodes:
         assert "[sc] ok" in out          # the good file still ran
         assert f"error: {bad}: line 1: not UTF-8 text" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_input_errors_also_go_to_stderr(self, tmp_path, dekker_nofence_file, capsys, fmt):
+        bad = tmp_path / "bad.litmus"
+        bad.write_text("i2e-litmus v1\nthread P1:\n  BOOM\n")
+        missing = tmp_path / "missing.litmus"
+        code = main([str(bad), str(missing), str(dekker_nofence_file), "--models", "sc",
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        assert err[0] == f"error: {bad}: line 3, col 1: unknown instruction 'BOOM'"
+        assert err[1].startswith("error: ") and str(missing) in err[1]
+        if fmt == "json":  # the report itself is unchanged
+            assert [f"error: {e['message']}" for e in json.loads(captured.out)["errors"]] == err
+        else:
+            assert [line for line in captured.out.splitlines()
+                    if line.startswith("error: ")] == err
+
     def test_directory_input(self, tmp_path, capsys):
         (tmp_path / "one.litmus").write_text(corpus_test("corr").text)
         (tmp_path / "two.litmus").write_text(corpus_test("thin-air").text)
@@ -232,6 +251,48 @@ def test_mutated_corpus_files_never_crash_the_cli(tmp_path_factory, data):
     with redirect_stdout(out), redirect_stderr(err):
         code = main([str(path), "--models", "sc", "--max-states", "300", "--timeout", "2"])
     assert code in (0, 1, 2, 3)
-    if code == 3:  # input errors are part of the report on stdout
-        lines = (out.getvalue() + err.getvalue()).splitlines()
-        assert any(line.startswith("error: ") for line in lines)
+    if code == 3:  # input errors go to stderr as well as into the report
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+
+_SOUP = sorted({token for entry in load_corpus() for token in entry.text.split()}
+               | {"thread", "init:", "check", "allowed:", "forbidden:", "Ld", "St",
+                  "Commit", "Reconcile", "beqz", "bnez", "exit", "=", "&", "|", "!",
+                  "(", ")", "+", "-", "[", "]", "m[a]", "top:", "top", "#", "-1",
+                  "99999999999999999999"})
+
+
+@st.composite
+def token_soup_files(draw):
+    """A corpus file in which one to three lines have their tokens
+    shuffled, some swapped for keywords and other corpus tokens, or are
+    replaced by a line of such tokens; keeping the rest of the file lets
+    parsing get past the header and the thread lines."""
+    lines = draw(st.sampled_from(_SEEDS)).decode().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, len(lines) - 1))
+        indent, tokens = lines[n][:len(lines[n]) - len(lines[n].lstrip())], lines[n].split()
+        edit = draw(st.sampled_from(["shuffle", "swap", "soup"]))
+        if edit == "shuffle":
+            tokens = draw(st.permutations(tokens))
+        elif edit == "swap":
+            for _ in range(draw(st.integers(1, 2))):
+                at = draw(st.integers(0, len(tokens)))
+                tokens[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(_SOUP))]
+        else:
+            tokens = draw(st.lists(st.sampled_from(_SOUP), max_size=5))
+        lines[n] = indent + " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_soup_files())
+def test_token_soup_never_crashes_the_cli(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "soup.litmus"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(path), "--models", "sc", "--max-states", "300", "--timeout", "2"])
+    assert code in (0, 1, 2, 3)
+    if code == 3:
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())

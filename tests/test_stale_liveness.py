@@ -1,11 +1,12 @@
-"""Invalidation-buffer liveness: which stale values a thread may still load.
+"""Liveness: which stale values, and which addresses, a thread may still load.
 
 The reduced `wmm`/`wmm-d`/`wmm-s` machines never insert a stale value that its
 processor cannot load, and drop one once its processor's pc passes the
-last load that could read it.  Every check here compares them with the
-unreduced reference in `oracle.unreduced`, which on `wmm-s` also keys
-store buffers in their age order, so the `wmm-s` checks cover the
-per-address key as well.
+last load that could read it; `wmm-s` also copies a store only into a
+processor that may still load its address.  Every check here compares
+them with the unreduced reference in `oracle.unreduced`, which on
+`wmm-s` also copies into every processor and keys store buffers in
+their age order, so the `wmm-s` checks cover all three reductions.
 """
 
 from dataclasses import replace
@@ -25,6 +26,13 @@ def liveness(body: str):
     model = build_model("wmm", parse(
         f"i2e-litmus v1\nthread P1:\n{body}\ncheck allowed: m[a] = 0\n"))
     return model.stale_live[0], model.addr_map
+
+
+def load_liveness(body: str):
+    """The `wmm-s` Copy table of a one-thread test, and its address map."""
+    model = build_model("wmm-s", parse(
+        f"i2e-litmus v1\nthread P1:\n{body}\ncheck allowed: m[a] = 0\n"))
+    return model.load_live[0], model.addr_map
 
 
 class TestStaleLiveness:
@@ -63,6 +71,43 @@ class TestStaleLiveness:
     def test_exit_and_end_of_program_are_empty(self):
         live, m = liveness("  exit\n  r1 = Ld a")
         assert live == (set(), {m["a"]}, set())
+
+
+class TestLoadLiveness:
+    def test_reconcile_and_constant_store_keep_the_address(self):
+        live, m = load_liveness("  r1 = Ld a\n  Reconcile\n  St b 1\n  r2 = Ld b")
+        assert live == ({m["a"], m["b"]}, {m["b"]}, {m["b"]}, {m["b"]}, set())
+
+    def test_exit_and_end_of_program_are_empty(self):
+        live, m = load_liveness("  exit\n  r1 = Ld a")
+        assert live == (set(), {m["a"]}, set())
+
+    def test_computed_load_address_is_any(self):
+        live, m = load_liveness("  r1 = Ld b\n  Reconcile\n  r2 = Ld r1\n  r3 = Ld a")
+        assert all(live[pc] is ANY_ADDRESS for pc in range(3))  # Reconcile keeps "any"
+        assert live[3] == {m["a"]} and live[4] == set()
+
+    def test_forward_branch_takes_the_union(self):
+        live, m = load_liveness(
+            "  r1 = Ld c\n  beqz r1 skip\n  r2 = Ld a\n  exit\n  skip:\n  r3 = Ld b")
+        assert live[0] == {m["a"], m["b"], m["c"]}
+        assert live[1] == {m["a"], m["b"]}
+        assert live[2] == {m["a"]}
+        assert live[3] == set()
+        assert live[4] == {m["b"]}
+
+    def test_backward_branch_reaches_a_fixpoint(self):
+        # pc 1 and 2 see the load of a only through the back edge
+        live, m = load_liveness(
+            "  top:\n  r1 = Ld a\n  St b 1\n  bnez r1 top\n  Reconcile\n  r2 = Ld c")
+        assert live[:3] == ({m["a"], m["c"]},) * 3
+        assert live[3:] == ({m["c"]}, {m["c"]}, set())
+
+    def test_stale_table_is_never_larger(self):
+        body = "  top:\n  r1 = Ld a\n  St b 1\n  bnez r1 top\n  Reconcile\n  r2 = Ld c"
+        stale, _ = liveness(body)
+        load, _ = load_liveness(body)
+        assert all(s <= l for s, l in zip(stale, load))
 
 
 DEAD_AFTER_RECONCILE = """
@@ -173,6 +218,51 @@ def test_branches_match_unreduced_reference(name, model_id):
     reduced = explore(build_model(model_id, test))
     assert any(o.reg("P2", "r1") == 1 and o.reg("P2", "r2") == 0 for o in reduced.outcomes)
     assert_same_as_unreduced(test, model_id, {"bfs": reduced})
+
+
+FINISHED_READER = """
+i2e-litmus v1
+thread P1:
+  St a 1
+thread P2:
+  r1 = Ld a
+check allowed: r1 = 0
+"""
+
+
+def copy_targets(model, state):
+    return {r.payload[2] for r in model.enabled(state) if r.rule == model.COPY_RULE}
+
+
+def test_no_copy_into_a_finished_processor():
+    test = parse(FINISHED_READER)
+    model = build_model("wmm-s", test)
+    stored = model.apply(model.initial_state(), RuleInstance(model.ST_RULE, 0))
+    assert copy_targets(model, stored) == {1}  # P2 has yet to load a
+    finished = model.apply(stored, RuleInstance(model.LDMEM_RULE, 1))
+    assert copy_targets(model, finished) == set()
+    assert copy_targets(unreduced(build_model("wmm-s", test)), finished) == {1}
+
+
+# wwc, whose allowed outcome needs P1's store copied into P2 before it
+# reaches memory; P2 reaches its load of a only through a taken branch,
+# or loads it through a register-computed address.
+COPY_TARGET_LOADS = {
+    "taken-branch": "beqz r0 load\n  exit\n  load:\n  r1 = Ld a",
+    "computed-address": "r1 = Ld (r0 + a)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPY_TARGET_LOADS))
+def test_copy_targets_match_unreduced_reference(name):
+    test = parse("i2e-litmus v1\ninit:\n  a = 0\n  b = 0\nthread P1:\n  St a 2\n"
+                 f"thread P2:\n  {COPY_TARGET_LOADS[name]}\n  St b (r1 - 1)\n"
+                 "thread P3:\n  r2 = Ld b\n  St a r2\n"
+                 "check allowed: r1 = 2 & r2 = 1 & m[a] = 2\n")
+    reduced = explore(build_model("wmm-s", test))
+    assert any(o.reg("P2", "r1") == 2 and o.reg("P3", "r2") == 1 and o.loc("a") == 2
+               for o in reduced.outcomes)
+    assert_same_as_unreduced(test, "wmm-s", {"bfs": reduced})
 
 
 READER = ("ld", "ld", "ld", "st", "Commit", "Reconcile", "branch", "exit")
