@@ -1,10 +1,11 @@
 """Decoded instructions, the per-thread register machine, and buffers.
 
-The register machine is deliberately pure: `decode` reads the current
-register file and produces a fully evaluated instruction (and the
-registers it read), `execute` writes a destination register and moves
-the program counter.  Neither touches memory or the buffers; those
-belong to the model rules.
+The register machine is deliberately pure: `compile_thread` decodes a
+thread once per pc, `decode` finishes the instruction at a processor's
+pc against its register file into a fully evaluated instruction (and
+the registers it read), and `execute` writes a destination register
+and moves the program counter.  None of them touches memory or the
+buffers; those belong to the model rules.
 
 Store buffers keep one global age order (a tuple, oldest first), which
 also induces the per-address order every rule needs.  Invalidation
@@ -16,9 +17,9 @@ the untagged, timestamped, and tagged entry shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .litmus import Assign, Branch, Exit, Fence, Load, LitmusError, Store
+from .litmus import Assign, Branch, Exit, Fence, Load, LitmusError, Store, wrap64
 
 
 class MachineError(LitmusError):
@@ -74,7 +75,7 @@ HALT = Halt()
 # Register file (a sorted tuple of (name, value) pairs; memory shares it)
 # ---------------------------------------------------------------------------
 
-def reg_get(regs: tuple, name: str, default):
+def reg_get(regs: tuple, name: str, default=0):
     for reg, value in regs:
         if reg == name:
             return value
@@ -96,8 +97,7 @@ def reg_set(regs: tuple, name: str, value) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class ProcState:
+class ProcState(NamedTuple):
     """One processor: registers, program counter, and its two buffers.
 
     Register values are plain ints, or (value, timestamp) pairs in the
@@ -113,7 +113,7 @@ class ProcState:
 
 
 # ---------------------------------------------------------------------------
-# Decode / execute
+# Compile / decode / execute
 # ---------------------------------------------------------------------------
 
 def _check_address(a: int) -> int:
@@ -122,41 +122,75 @@ def _check_address(a: int) -> int:
     return a
 
 
-def decode(instrs: tuple, proc: ProcState, amap,
-           timed: bool = False) -> tuple[object, tuple[str, ...]]:
-    """Decode the instruction at proc's pc against its registers.
+def _operand(expr, amap) -> tuple[int, tuple]:
+    """expr as its constant part and its (sign, register) terms."""
+    const, terms = 0, []
+    for sign, kind, payload in expr.terms:
+        if kind == "reg":
+            terms.append((sign, payload))
+        else:
+            const += sign * (payload if kind == "const" else amap[payload])
+    return const, tuple(terms)
 
-    Returns the decoded instruction and the registers it read (its
-    sources; the pc never counts).  Register values are ints, or
-    (value, timestamp) pairs when `timed`, whose values alone feed the
-    instruction; the timed machine stamps results from the sources.
-    """
-    pc = proc.pc
-    if pc >= len(instrs):
-        return HALT, ()
-    regs = proc.regs
-    if timed:
-        getreg = lambda r: reg_get(regs, r, (0, 0))[0]
-    else:
-        getreg = lambda r: reg_get(regs, r, 0)
-    ins = instrs[pc]
+
+def _entry(ins, pc: int, amap, read):
+    """The table entry of ins at pc: its (decoded instruction, sources)
+    pair, or a function of the register file that returns the pair."""
+    if isinstance(ins, Branch):  # tests the register's own value, not wrap64 of it
+        reg, eqz = ins.reg, ins.cond == "eqz"
+        taken, fall = (Nm(None, 0, ins.target_index), (reg,)), (Nm(None, 0, pc + 1), (reg,))
+        return lambda regs: taken if (read(regs, reg) == 0) == eqz else fall
     if isinstance(ins, Assign):
-        return Nm(ins.dst, ins.expr.evaluate(getreg, amap), pc + 1), ins.expr.registers()
-    if isinstance(ins, Load):
-        a = _check_address(ins.addr.evaluate(getreg, amap))
-        return Ld(a, ins.dst), ins.addr.registers()
-    if isinstance(ins, Store):
-        a = _check_address(ins.addr.evaluate(getreg, amap))
-        v = ins.value.evaluate(getreg, amap)
-        return St(a, v), ins.addr.registers() + ins.value.registers()
-    if isinstance(ins, Fence):
-        return (COMMIT if ins.kind == "Commit" else RECONCILE), ()
-    if isinstance(ins, Branch):
-        taken = (getreg(ins.reg) == 0) == (ins.cond == "eqz")
-        return Nm(None, 0, ins.target_index if taken else pc + 1), (ins.reg,)
-    if isinstance(ins, Exit):
-        return HALT, ()
-    raise MachineError(f"cannot decode {ins!r}")
+        exprs, build = (ins.expr,), lambda v: Nm(ins.dst, v, pc + 1)
+    elif isinstance(ins, Load):
+        exprs, build = (ins.addr,), lambda a: Ld(_check_address(a), ins.dst)
+    elif isinstance(ins, Store):
+        exprs, build = (ins.addr, ins.value), lambda a, v: St(_check_address(a), v)
+    elif isinstance(ins, Fence):
+        exprs, build = (), lambda: COMMIT if ins.kind == "Commit" else RECONCILE
+    elif isinstance(ins, Exit):
+        exprs, build = (), lambda: HALT
+    else:
+        raise MachineError(f"cannot decode {ins!r}")
+    operands = [_operand(expr, amap) for expr in exprs]
+    sources = tuple(r for _, terms in operands for _, r in terms)
+
+    def entry(regs):
+        values = []
+        for const, terms in operands:
+            for sign, r in terms:
+                const += sign * read(regs, r)
+            values.append(wrap64(const))
+        return build(*values), sources
+
+    if sources:
+        return entry
+    try:
+        return entry(())
+    except MachineError:
+        return entry  # a constant negative address fails only when reached
+
+
+def compile_thread(instrs: tuple, amap, timed: bool = False) -> tuple:
+    """Decode each pc of a thread once, plus one Halt entry past its end.
+
+    An instruction that reads registers becomes a function of the
+    register file instead, whose values are ints, or (value, timestamp)
+    pairs when `timed`.  A negative address fails only when its
+    instruction is reached; a branch without a target fails here.
+    """
+    read = (lambda regs, r: reg_get(regs, r, (0, 0))[0]) if timed else reg_get
+    for ins in instrs:
+        if isinstance(ins, Branch) and not 0 <= ins.target_index <= len(instrs):
+            raise MachineError(f"branch to {ins.target!r} has no target in its thread")
+    return tuple(_entry(ins, pc, amap, read) for pc, ins in enumerate(instrs)) + ((HALT, ()),)
+
+
+def decode(table: tuple, proc: ProcState) -> tuple[object, tuple[str, ...]]:
+    """The instruction at proc's pc, from its thread's `compile_thread`
+    table, and the registers it read (its sources; the pc never counts)."""
+    entry = table[proc.pc]
+    return entry if type(entry) is tuple else entry(proc.regs)
 
 
 def execute(proc: ProcState, dins, value=None) -> ProcState:

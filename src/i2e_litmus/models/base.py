@@ -10,6 +10,7 @@ these two methods and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .. import isa
 from ..litmus import BoundTest, Outcome
@@ -25,8 +26,7 @@ class RuleInstance:
     payload: tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
-class MachineState:
+class MachineState(NamedTuple):
     """Monolithic memory plus one ProcState per thread.
 
     `gts` is the global memory-write clock (timestamped machine only);
@@ -55,6 +55,12 @@ class BaseModel:
         self.thread_names = tuple(th.name for th in bound.test.threads)
         self.nprocs = len(self.programs)
         self.addr_map = bound.amap()
+        # decoded[i][pc]: thread i's instruction at pc, decoded once (isa.decode);
+        # halted[i][pc]: it decodes to Halt (exit, or past the end)
+        self.decoded = tuple(isa.compile_thread(instrs, self.addr_map, self.timed)
+                             for instrs in self.programs)
+        self.halted = tuple(tuple(entry == (isa.HALT, ()) for entry in table)
+                            for table in self.decoded)
         self.locations = tuple(sorted(self.addr_map))
         self._addr_names = {a: n for n, a in self.addr_map.items()}
         self._proc_of = {name: i for i, name in enumerate(self.thread_names)}
@@ -76,19 +82,14 @@ class BaseModel:
         procs = tuple(isa.ProcState() for _ in range(self.nprocs))
         return MachineState(self._initial_memory(), procs)
 
-    # -- decode ------------------------------------------------------------
-
-    def decode_at(self, state: MachineState, i: int):
-        return isa.decode(self.programs[i], state.procs[i], self.addr_map, self.timed)[0]
-
     # -- termination and outcomes -------------------------------------------
 
     def is_terminal(self, state: MachineState) -> bool:
-        """All threads decode Halt and every store buffer has drained."""
-        if any(proc.sb for proc in state.procs):
-            return False
-        return all(isinstance(self.decode_at(state, i), isa.Halt)
-                   for i in range(self.nprocs))
+        """All threads are halted and every store buffer has drained."""
+        for halted, proc in zip(self.halted, state.procs):
+            if proc.sb or not halted[proc.pc]:
+                return False
+        return True
 
     def reg_value(self, state: MachineState, i: int, name: str) -> int:
         return isa.reg_get(state.procs[i].regs, name, 0)

@@ -27,16 +27,16 @@ class ScModel(BaseModel):
 
     def enabled(self, state: MachineState) -> list[RuleInstance]:
         out = []
-        for i in range(self.nprocs):
-            dins = self.decode_at(state, i)
-            if not isinstance(dins, isa.Halt):
+        for i, proc in enumerate(state.procs):
+            if not self.halted[i][proc.pc]:
+                dins = isa.decode(self.decoded[i], proc)[0]
                 out.append(RuleInstance(self._RULES[type(dins)], i))
         return out
 
     def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
         i = rule.proc
         proc = state.procs[i]
-        dins = self.decode_at(state, i)
+        dins = isa.decode(self.decoded[i], proc)[0]
         m = state.m
         if rule.rule == "SC-Ld":
             proc = isa.execute(proc, dins, mem_get(m, dins.a, 0))
@@ -58,12 +58,12 @@ class TsoModel(BaseModel):
 
     def enabled(self, state: MachineState) -> list[RuleInstance]:
         out = []
-        for i in range(self.nprocs):
-            dins = self.decode_at(state, i)
-            if isinstance(dins, isa.Halt):
-                pass
-            elif isinstance(dins, isa.Commit):
-                if not state.procs[i].sb:
+        for i, proc in enumerate(state.procs):
+            if self.halted[i][proc.pc]:
+                continue
+            dins = isa.decode(self.decoded[i], proc)[0]
+            if isinstance(dins, isa.Commit):
+                if not proc.sb:
                     out.append(RuleInstance("TSO-Com", i))
             else:
                 out.append(RuleInstance(self._RULES[type(dins)], i))
@@ -89,7 +89,7 @@ class TsoModel(BaseModel):
             proc = isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts)
             m = mem_set(m, a, v)
         else:
-            dins = self.decode_at(state, i)
+            dins = isa.decode(self.decoded[i], proc)[0]
             if rule.rule == "TSO-Ld":
                 hit = isa.sb_youngest(proc.sb, dins.a)
                 v = hit[1] if hit is not None else mem_get(m, dins.a, 0)

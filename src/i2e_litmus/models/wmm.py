@@ -133,9 +133,9 @@ class WmmModel(BaseModel):
 
     def _instruction_instances(self, state: MachineState, i: int) -> list[RuleInstance]:
         proc = state.procs[i]
-        dins, sources = isa.decode(self.programs[i], proc, self.addr_map, self.timed)
-        if isinstance(dins, isa.Halt):
+        if self.halted[i][proc.pc]:
             return []
+        dins, sources = isa.decode(self.decoded[i], proc)
         if isinstance(dins, isa.Nm):
             return [RuleInstance(self.NM_RULE, i)]
         if isinstance(dins, isa.Ld):
@@ -182,7 +182,7 @@ class WmmModel(BaseModel):
             return self._apply_dequeue(state, rule)
         i = rule.proc
         proc = state.procs[i]
-        dins, sources = isa.decode(self.programs[i], proc, self.addr_map, self.timed)
+        dins, sources = isa.decode(self.decoded[i], proc)
         name = rule.rule
         if name == self.LDSB_RULE:
             proc = isa.execute(proc, dins, self._load_sb(state, i, sources, dins.a))

@@ -7,6 +7,11 @@ It interprets the surface instructions straight off the parsed test - no
 decoded instructions, no rule catalog, no explorer - enumerating every
 interleaving of atomic instruction executions with memoization.
 
+`interpreted_decode` is the decoder that walks the surface instruction
+and its expression trees on every call, against which the compiled
+per-pc tables of `isa.compile_thread` are checked.  It uses nothing from
+`models/`.
+
 `wmm_s_per_holder_instances` is the unreduced WMM-S enumeration, which
 offers DeqSb and Copy once per processor holding a copy of the tag.
 
@@ -72,6 +77,45 @@ def wmm_s_per_holder_instances(model: WmmSModel, state) -> list:
                 if no_cycle(state, a, tag, j):
                     out.append(RuleInstance(model.COPY_RULE, i, (a, tag, j)))
     return out
+
+
+def interpreted_decode(instrs: tuple, proc, amap,
+                       timed: bool = False) -> tuple[object, tuple[str, ...]]:
+    """The instruction at proc's pc and the registers it read, decoded
+    straight from the surface instruction (registers hold ints, or
+    (value, timestamp) pairs when `timed`)."""
+    pc = proc.pc
+    if pc >= len(instrs):
+        return isa.HALT, ()
+    regs = proc.regs
+    if timed:
+        getreg = lambda r: isa.reg_get(regs, r, (0, 0))[0]
+    else:
+        getreg = lambda r: isa.reg_get(regs, r, 0)
+
+    def address(expr):
+        a = expr.evaluate(getreg, amap)
+        if a < 0:
+            raise isa.MachineError(f"computed a negative address ({a})")
+        return a
+
+    ins = instrs[pc]
+    if isinstance(ins, Assign):
+        return isa.Nm(ins.dst, ins.expr.evaluate(getreg, amap), pc + 1), ins.expr.registers()
+    if isinstance(ins, Load):
+        return isa.Ld(address(ins.addr), ins.dst), ins.addr.registers()
+    if isinstance(ins, Store):
+        a = address(ins.addr)
+        return (isa.St(a, ins.value.evaluate(getreg, amap)),
+                ins.addr.registers() + ins.value.registers())
+    if isinstance(ins, Fence):
+        return (isa.COMMIT if ins.kind == "Commit" else isa.RECONCILE), ()
+    if isinstance(ins, Branch):
+        taken = (getreg(ins.reg) == 0) == (ins.cond == "eqz")
+        return isa.Nm(None, 0, ins.target_index if taken else pc + 1), (ins.reg,)
+    if isinstance(ins, Exit):
+        return isa.HALT, ()
+    raise isa.MachineError(f"cannot decode {ins!r}")
 
 
 def interleaving_outcomes(bound: BoundTest) -> frozenset[Outcome]:

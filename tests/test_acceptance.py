@@ -168,8 +168,7 @@ def _timestamp_audit(model):
         assert nxt.gts - state.gts == (1 if rule.rule == "WMM-D-DeqSb" else 0)
         if rule.rule in ("WMM-D-LdSb", "WMM-D-LdMem", "WMM-D-LdIb"):
             proc_before = state.procs[rule.proc]
-            dins, sources = isa.decode(model.programs[rule.proc], proc_before,
-                                       model.addr_map, timed=True)
+            dins, sources = isa.decode(model.decoded[rule.proc], proc_before)
             ats = max((isa.reg_get(proc_before.regs, r, (0, 0))[1] for r in sources),
                       default=0)
             _, ts = isa.reg_get(nxt.procs[rule.proc].regs, dins.dst, (0, 0))

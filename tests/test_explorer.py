@@ -60,28 +60,28 @@ class TestIsTerminal:
     def test_pending_store_blocks_termination(self):
         model = build_model("wmm", parse(TWO_THREADS))
         state = model.initial_state()
-        done = tuple(replace(p, pc=1) for p in state.procs)
-        state = replace(state, procs=done)
-        pending = replace(state, procs=(replace(done[0], sb=((0, 1),)), done[1]))
+        done = tuple(p._replace(pc=1) for p in state.procs)
+        state = state._replace(procs=done)
+        pending = state._replace(procs=(done[0]._replace(sb=((0, 1),)), done[1]))
         assert model.is_terminal(state)
         assert not model.is_terminal(pending)
 
     def test_stale_values_do_not_block_termination(self):
         model = build_model("wmm", parse(TWO_THREADS))
         state = model.initial_state()
-        done = tuple(replace(p, pc=1, ib=((0, 0),)) for p in state.procs)
-        assert model.is_terminal(replace(state, procs=done))
+        done = tuple(p._replace(pc=1, ib=((0, 0),)) for p in state.procs)
+        assert model.is_terminal(state._replace(procs=done))
 
     def test_pending_copy_blocks_termination(self, corpus_by_name):
         model = build_model("wmm-s", corpus_by_name["wwc"].test)
         state = model.initial_state()
         lengths = [len(p) for p in model.programs]
-        done = tuple(replace(p, pc=n) for p, n in zip(state.procs, lengths))
-        state = replace(state, procs=done)
+        done = tuple(p._replace(pc=n) for p, n in zip(state.procs, lengths))
+        state = state._replace(procs=done)
         assert model.is_terminal(state)
-        holding = replace(state, procs=(
-            replace(done[0], sb=((0, 2, 0),)),
-            replace(done[1], sb=((0, 2, 0), )),
+        holding = state._replace(procs=(
+            done[0]._replace(sb=((0, 2, 0),)),
+            done[1]._replace(sb=((0, 2, 0), )),
             done[2],
         ))
         assert not model.is_terminal(holding)
@@ -176,10 +176,10 @@ class TestCanonicalKey:
     def test_interval_differences_split_states(self, corpus_by_name):
         model = build_model("wmm-d", corpus_by_name["mp"].test)
         state = model.initial_state()
-        one = replace(state, procs=(
-            replace(state.procs[0], ib=((0, 0, 0, 1),)), state.procs[1]))
-        two = replace(state, procs=(
-            replace(state.procs[0], ib=((0, 0, 0, 2),)), state.procs[1]))
+        one = state._replace(procs=(
+            state.procs[0]._replace(ib=((0, 0, 0, 1),)), state.procs[1]))
+        two = state._replace(procs=(
+            state.procs[0]._replace(ib=((0, 0, 0, 2),)), state.procs[1]))
         assert model.canonical_key(one) != model.canonical_key(two)
 
 

@@ -1,12 +1,17 @@
 """Decode/execute, against plain and timed registers, and the buffer algebra."""
 
-import pytest
-from hypothesis import given, strategies as st
+from dataclasses import replace
 
-from i2e_litmus import isa
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from i2e_litmus import isa, load_corpus
 from i2e_litmus.isa import (COMMIT, HALT, RECONCILE, Ld, MachineError, Nm,
-                            ProcState, St, decode, execute)
-from i2e_litmus.litmus import parse
+                            ProcState, St, compile_thread, decode, execute)
+from i2e_litmus.litmus import bind, parse
+from i2e_litmus.models import build_model
+from oracle import interpreted_decode
+from test_stale_liveness import small_programs
 
 AMAP = {"a": 0, "b": 1024, "c": 2048}
 
@@ -18,13 +23,13 @@ def thread_of(*lines):
 
 
 def decoded(instrs, proc):
-    return decode(instrs, proc, AMAP)[0]
+    return decode(compile_thread(instrs, AMAP), proc)[0]
 
 
 class TestDecode:
     def test_store_literal(self):
         proc = ProcState()
-        assert decode(thread_of("St a 1"), proc, AMAP) == (St(0, 1), ())
+        assert decode(compile_thread(thread_of("St a 1"), AMAP), proc) == (St(0, 1), ())
 
     def test_address_arithmetic(self):
         instrs = thread_of("r3 = a + r2 - 1")
@@ -41,29 +46,100 @@ class TestDecode:
 
     def test_fences(self):
         instrs = thread_of("Commit", "Reconcile")
-        assert decode(instrs, ProcState(), AMAP) == (COMMIT, ())
-        assert decode(instrs, ProcState(pc=1), AMAP) == (RECONCILE, ())
+        assert decode(compile_thread(instrs, AMAP), ProcState()) == (COMMIT, ())
+        assert decode(compile_thread(instrs, AMAP), ProcState(pc=1)) == (RECONCILE, ())
 
     def test_branch_resolves_against_registers(self):
         instrs = thread_of("beqz r1 out", "St a 1", "out:")
-        taken = decode(instrs, ProcState(), AMAP)
+        taken = decode(compile_thread(instrs, AMAP), ProcState())
         assert taken == (Nm(None, 0, 2), ("r1",))
         not_taken = decoded(instrs, ProcState(regs=(("r1", 5),)))
         assert not_taken == Nm(None, 0, 1)
 
     def test_negative_address_rejected(self):
-        instrs = thread_of("r1 = Ld a - 1")
+        # compiling succeeds; the error comes when the instruction is reached
+        table = compile_thread(thread_of("r1 = Ld a - 1"), AMAP)
         with pytest.raises(MachineError, match="negative"):
-            decode(instrs, ProcState(), AMAP)
+            decode(table, ProcState())
+        table = compile_thread(thread_of("St (a - 1) 0"), AMAP)
         with pytest.raises(MachineError, match="negative"):
-            decode(thread_of("St (a - 1) 0"), ProcState(), AMAP)
+            decode(table, ProcState())
 
     def test_decode_has_no_side_effects(self):
         instrs = thread_of("r1 = Ld b")
         proc = ProcState(regs=(("r2", 7),))
-        first = decode(instrs, proc, AMAP)
-        assert decode(instrs, proc, AMAP) == first
+        first = decode(compile_thread(instrs, AMAP), proc)
+        assert decode(compile_thread(instrs, AMAP), proc) == first
         assert proc == ProcState(regs=(("r2", 7),))
+
+
+class TestCompiledDecode:
+    """`compile_thread` decodes a register-free pc once and rejects a
+    branch that has no target in its thread."""
+
+    def test_register_free_instructions_decode_once(self):
+        table = compile_thread(thread_of("St a 1", "r1 = Ld b", "r2 = Ld r1", "Commit"), AMAP)
+        assert table[:2] == ((St(0, 1), ()), (Ld(1024, "r1"), ()))
+        assert callable(table[2])  # reads r1
+        assert table[3:] == ((COMMIT, ()), (HALT, ()))
+
+    @pytest.mark.parametrize("target_index", [-1, 3])
+    def test_branch_without_target_is_rejected(self, target_index):
+        # parse resolves every label, so only a hand-built thread can miss one
+        test = parse("i2e-litmus v1\nthread P1:\n  beqz r1 out\n  St a 1\n"
+                     "  out:\ncheck allowed: m[a] = 0\n")
+        thread = test.threads[0]
+        branch = replace(thread.instrs[0], target_index=target_index)
+        test = replace(test, threads=(replace(thread, instrs=(branch,) + thread.instrs[1:]),))
+        with pytest.raises(MachineError, match="no target"):
+            build_model("sc", test)
+
+
+_VALUES = st.one_of(st.integers(-3000, 3000), st.sampled_from([2**63 - 1, -2**63, 2**64 + 5]))
+
+
+@st.composite
+def register_files(draw, names, timed):
+    """Some of the registers, plain or (value, timestamp); the rest missing."""
+    regs = {}
+    for name in sorted(names):
+        if draw(st.booleans()):
+            value = draw(_VALUES)
+            regs[name] = (value, draw(st.integers(0, 9))) if timed else value
+    return tuple(sorted(regs.items()))
+
+
+def assert_decodes_as_reference(data, thread, amap, timed):
+    """At every pc of thread, under a drawn register file."""
+    table = compile_thread(thread.instrs, amap, timed)
+    names = thread.registers() | {"r99"}
+    for pc in range(len(thread.instrs) + 1):
+        proc = ProcState(regs=data.draw(register_files(names, timed)), pc=pc)
+        try:
+            want = interpreted_decode(thread.instrs, proc, amap, timed)
+        except MachineError:
+            with pytest.raises(MachineError):
+                decode(table, proc)
+        else:
+            assert decode(table, proc) == want
+
+
+@pytest.mark.parametrize("entry", load_corpus(), ids=lambda entry: entry.name)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), timed=st.booleans())
+def test_compiled_decode_matches_reference_on_corpus(entry, data, timed):
+    amap = bind(entry.test).amap()
+    for thread in entry.test.threads:
+        assert_decodes_as_reference(data, thread, amap, timed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=small_programs(), data=st.data(), timed=st.booleans())
+def test_compiled_decode_matches_reference_on_generated_programs(text, data, timed):
+    test = parse(text)
+    amap = bind(test).amap()
+    for thread in test.threads:
+        assert_decodes_as_reference(data, thread, amap, timed)
 
 
 class TestExecute:
@@ -101,28 +177,28 @@ class TestDecodeTs:
 
     def test_literals_have_time_zero(self):
         proc = ProcState()
-        dins, sources = decode(thread_of("r1 = 7"), proc, AMAP, timed=True)
+        dins, sources = decode(compile_thread(thread_of("r1 = 7"), AMAP, timed=True), proc)
         assert dins == Nm("r1", 7, 1)
         assert source_ts(proc, sources) == 0
 
     def test_load_address_operand_time(self):
         instrs = thread_of("r2 = Ld r1")
         proc = ProcState(regs=(("r1", (1024, 2)),))
-        dins, sources = decode(instrs, proc, AMAP, timed=True)
+        dins, sources = decode(compile_thread(instrs, AMAP, timed=True), proc)
         assert dins == Ld(1024, "r2")
         assert source_ts(proc, sources) == 2
 
     def test_store_creation_time(self):
         instrs = thread_of("St a r1")
         proc = ProcState(regs=(("r1", (9, 3)),))
-        dins, sources = decode(instrs, proc, AMAP, timed=True)
+        dins, sources = decode(compile_thread(instrs, AMAP, timed=True), proc)
         assert dins == St(0, 9)
         assert source_ts(proc, sources) == 3
 
     def test_max_over_sources(self):
         instrs = thread_of("r3 = r1 + r2")
         proc = ProcState(regs=(("r1", (1, 4)), ("r2", (2, 7))))
-        dins, sources = decode(instrs, proc, AMAP, timed=True)
+        dins, sources = decode(compile_thread(instrs, AMAP, timed=True), proc)
         assert dins == Nm("r3", 3, 1)
         assert source_ts(proc, sources) == 7
 
@@ -130,18 +206,18 @@ class TestDecodeTs:
         # a branch reads its register, and the jump itself adds no source
         instrs = thread_of("beqz r1 out", "St a 1", "out:")
         proc = ProcState(regs=(("r1", (0, 5)), ("r2", (0, 9))))
-        dins, sources = decode(instrs, proc, AMAP, timed=True)
+        dins, sources = decode(compile_thread(instrs, AMAP, timed=True), proc)
         assert dins == Nm(None, 0, 2)
         assert sources == ("r1",)
         assert source_ts(proc, sources) == 5
-        assert decode(thread_of("Commit"), proc, AMAP, timed=True) == (COMMIT, ())
+        assert decode(compile_thread(thread_of("Commit"), AMAP, timed=True), proc) == (COMMIT, ())
 
     @given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9))
     def test_ts_is_max_over_exactly_the_registers_read(self, t1, t2, t3):
         # r3 is in the register file but not a source; it must not count.
         instrs = thread_of("St (r1 + c) r2")
         proc = ProcState(regs=(("r1", (0, t1)), ("r2", (5, t2)), ("r3", (0, t3))))
-        _, sources = decode(instrs, proc, AMAP, timed=True)
+        _, sources = decode(compile_thread(instrs, AMAP, timed=True), proc)
         assert sorted(sources) == ["r1", "r2"]
         assert source_ts(proc, sources) == max(t1, t2)
 
@@ -159,7 +235,7 @@ class TestExecuteTs:
     def test_nm_carries_source_max(self):
         instrs = thread_of("r3 = r1 + r2")
         proc = ProcState(regs=(("r1", (1, 4)), ("r2", (2, 7))))
-        dins, sources = decode(instrs, proc, AMAP, timed=True)
+        dins, sources = decode(compile_thread(instrs, AMAP, timed=True), proc)
         after = execute(proc, dins, (dins.v, source_ts(proc, sources)))
         assert isa.reg_get(after.regs, "r3", None) == (3, 7)
 

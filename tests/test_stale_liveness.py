@@ -9,8 +9,6 @@ them with the unreduced reference in `oracle.unreduced`, which on
 their age order, so the `wmm-s` checks cover all three reductions.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -154,8 +152,8 @@ class TestDeadValues:
         model = build_model(model_id, parse(DEAD_AFTER_RECONCILE))
         state = model.initial_state()
         # P2 reconciles before its load
-        p2 = replace(state.procs[1], ib=(stale(model_id, 0, 0),))
-        state = replace(state, procs=(state.procs[0], p2, state.procs[2]))
+        p2 = state.procs[1]._replace(ib=(stale(model_id, 0, 0),))
+        state = state._replace(procs=(state.procs[0], p2, state.procs[2]))
         with pytest.raises(AssertionError, match="dead stale values"):
             model.check_invariants(state)
         unreduced(build_model(model_id, parse(DEAD_AFTER_RECONCILE))).check_invariants(state)
@@ -164,8 +162,8 @@ class TestDeadValues:
         model = build_model(model_id, parse(LOAD_THEN_OTHER))
         state = model.initial_state()
         older, younger = stale(model_id, 0, 0), stale(model_id, 0, 5, (0, 1))
-        state = replace(state, procs=(replace(state.procs[0], ib=(older, younger)),)
-                        + state.procs[1:])
+        state = state._replace(procs=(state.procs[0]._replace(ib=(older, younger)),)
+                               + state.procs[1:])
         rule = RuleInstance(model.LDIB_RULE, 0, (0,))
         assert model.apply(state, rule).procs[0].ib == ()
         reference = unreduced(build_model(model_id, parse(LOAD_THEN_OTHER)))
@@ -272,28 +270,47 @@ READER = ("ld", "ld", "ld", "st", "Commit", "Reconcile", "branch", "exit")
 def small_programs(draw):
     """P1 stores to a and b, optionally with a Commit between (message
     passing), and one or two readers run constant and register-computed
-    loads, a store, fences, forward branches and exits.  Two stores with
-    two readers, three with one, keep every search small."""
+    loads, a store, fences, forward branches and exits; a reader's store
+    may pass on a register it loaded.  Or two readers start in the WRC
+    shape, whose outcome r(P2) = 1, r(P3, second) = 1, r(P3, first) = 0
+    needs a WMM-S copy: P1 only stores to first, P2 loads first and
+    stores that register to second, and P3 loads second, reconciles and
+    loads first.  Two stores with two readers, three with one, keep every
+    search small."""
     first, second = draw(st.permutations("ab"))
-    writer = [f"St {first} 1"] + ["Commit"] * draw(st.booleans()) + [f"St {second} 2"]
-    lines = ["i2e-litmus v1", "thread P1:"] + [f"  {ins}" for ins in writer]
     nreaders = draw(st.integers(1, 2))
+    wrc = nreaders == 2 and draw(st.booleans())
+    writer = [f"St {first} 1"]
+    if not wrc:
+        writer += ["Commit"] * draw(st.booleans()) + [f"St {second} 2"]
+    lines = ["i2e-litmus v1", "thread P1:"] + [f"  {ins}" for ins in writer]
     stores = 1 + nreaders
     regs = []
     for t in range(nreaders):
         lines.append(f"thread P{t + 2}:")
         body, mine = [], []
-        for _ in range(draw(st.integers(1, 3))):
+
+        def load(addr):
+            mine.append(f"r{len(regs) + len(mine) + 1}")
+            body.append(f"{mine[-1]} = Ld {addr}")
+
+        if wrc and t == 0:
+            load(first)
+            body.append(f"St {second} {mine[-1]}")
+        elif wrc:
+            load(second)
+            body.append("Reconcile")
+            load(first)
+        for _ in range(draw(st.integers(0, 1) if wrc else st.integers(1, 3))):
             addr = draw(st.sampled_from("ab"))
             if mine and draw(st.booleans()):
                 addr = f"({draw(st.sampled_from(mine))} + {addr})"
             kind = draw(st.sampled_from(READER))
             if kind == "ld":
-                mine.append(f"r{len(regs) + len(mine) + 1}")
-                body.append(f"{mine[-1]} = Ld {addr}")
+                load(addr)
             elif kind == "st" and stores < 3:
                 stores += 1
-                body.append(f"St {addr} {draw(st.integers(1, 2))}")
+                body.append(f"St {addr} {draw(st.sampled_from(mine + ['1', '2']))}")
             elif kind == "branch" and mine:
                 # jump over one or two instructions, or to the end
                 body.append((draw(st.sampled_from(mine)), len(body) + draw(st.integers(2, 3))))

@@ -139,7 +139,7 @@ check allowed: r1 = 1
         def audit(state, rule, nxt):
             if rule.rule != "TSO-Ld":
                 return
-            dins = model.decode_at(state, rule.proc)
+            dins = isa.decode(model.decoded[rule.proc], state.procs[rule.proc])[0]
             hit = isa.sb_youngest(state.procs[rule.proc].sb, dins.a)
             if hit is not None:
                 assert model.reg_value(nxt, rule.proc, dins.dst) == hit[1]

@@ -1,7 +1,5 @@
 """The eight-rule machine with store and invalidation buffers."""
 
-from dataclasses import replace
-
 import pytest
 
 from i2e_litmus.explorer import explore
@@ -44,23 +42,23 @@ class TestEnabled:
     def test_buffered_store_forces_bypass(self):
         model = build_model("wmm", parse(LD_TEST))
         state = model.initial_state()
-        p1 = replace(state.procs[0], sb=((0, 7),))
-        state = replace(state, procs=(p1,) + state.procs[1:])
+        p1 = state.procs[0]._replace(sb=((0, 7),))
+        state = state._replace(procs=(p1,) + state.procs[1:])
         assert load_rules(model, state) == [RuleInstance("WMM-LdSb", 0)]
 
     def test_memory_and_stale_choices_enumerated(self):
         model = build_model("wmm", parse(LD_TEST))
         state = model.initial_state()
-        p1 = replace(state.procs[0], ib=((0, 5),))
-        state = replace(state, procs=(p1,) + state.procs[1:])
+        p1 = state.procs[0]._replace(ib=((0, 5),))
+        state = state._replace(procs=(p1,) + state.procs[1:])
         assert load_rules(model, state) == [
             RuleInstance("WMM-LdMem", 0), RuleInstance("WMM-LdIb", 0, (0,))]
 
     def test_youngest_stale_value_equal_to_memory_is_not_offered(self):
         model = build_model("wmm", parse(LD_TEST.replace("r1 = Ld a", "r1 = Ld a\n  r2 = Ld a")))
         state = model.initial_state()
-        p1 = replace(state.procs[0], ib=((0, 0), (0, 5), (0, 0)))
-        state = replace(state, procs=(p1,) + state.procs[1:])
+        p1 = state.procs[0]._replace(ib=((0, 0), (0, 5), (0, 0)))
+        state = state._replace(procs=(p1,) + state.procs[1:])
         # taking the youngest would leave what LdMem leaves: no entry for a
         assert load_rules(model, state) == [
             RuleInstance("WMM-LdMem", 0),
@@ -69,8 +67,8 @@ class TestEnabled:
     def test_one_choice_per_value_once_the_address_is_dead(self):
         model = build_model("wmm", parse(LD_TEST))
         state = model.initial_state()
-        p1 = replace(state.procs[0], ib=((0, 0), (0, 5), (0, 5)))
-        state = replace(state, procs=(p1,) + state.procs[1:])
+        p1 = state.procs[0]._replace(ib=((0, 0), (0, 5), (0, 5)))
+        state = state._replace(procs=(p1,) + state.procs[1:])
         # no value for a survives the load, so only the loaded value differs
         assert load_rules(model, state) == [
             RuleInstance("WMM-LdMem", 0), RuleInstance("WMM-LdIb", 0, (1,))]
@@ -112,8 +110,8 @@ class TestRuleActions:
 
     def test_dequeue_feeds_other_invalidation_buffers(self, model):
         state = model.initial_state()
-        p2 = replace(state.procs[1], sb=((0, 1),))
-        state = replace(state, procs=(state.procs[0], p2))
+        p2 = state.procs[1]._replace(sb=((0, 1),))
+        state = state._replace(procs=(state.procs[0], p2))
         after = model.apply(state, RuleInstance("WMM-DeqSb", 1, (0,)))
         assert after.m == ((0, 1),)
         assert after.procs[1].sb == ()
@@ -122,17 +120,17 @@ class TestRuleActions:
 
     def test_dequeue_skips_buffers_holding_the_address(self, model):
         state = model.initial_state()
-        p1 = replace(state.procs[0], sb=((0, 9),))
-        p2 = replace(state.procs[1], sb=((0, 1),))
-        state = replace(state, procs=(p1, p2))
+        p1 = state.procs[0]._replace(sb=((0, 9),))
+        p2 = state.procs[1]._replace(sb=((0, 1),))
+        state = state._replace(procs=(p1, p2))
         after = model.apply(state, RuleInstance("WMM-DeqSb", 1, (0,)))
         assert after.procs[0].ib == ()  # p1 buffers a store to this address
 
     def test_store_purges_own_stale_values(self):
         model = build_model("wmm", parse(PURGE_TEST))
         state = model.initial_state()
-        p2 = replace(state.procs[1], ib=((0, 0), (1024, 3)))
-        state = replace(state, procs=(state.procs[0], p2))
+        p2 = state.procs[1]._replace(ib=((0, 0), (1024, 3)))
+        state = state._replace(procs=(state.procs[0], p2))
         after = model.apply(state, RuleInstance("WMM-St", 1))
         assert after.procs[1].sb == ((0, 1),)
         assert after.procs[1].ib == ((1024, 3),)
@@ -140,8 +138,8 @@ class TestRuleActions:
     def test_memory_read_purges_the_address(self):
         model = build_model("wmm", parse(PURGE_TEST))
         state = model.initial_state()
-        p1 = replace(state.procs[0], ib=((0, 0), (1024, 3)))
-        state = replace(state, procs=(p1, state.procs[1]))
+        p1 = state.procs[0]._replace(ib=((0, 0), (1024, 3)))
+        state = state._replace(procs=(p1, state.procs[1]))
         after = model.apply(state, RuleInstance("WMM-LdMem", 0))
         assert after.procs[0].ib == ((1024, 3),)
         assert model.reg_value(after, 0, "r1") == 0
@@ -156,15 +154,15 @@ check allowed: r1 = 0
 """
         model = build_model("wmm", parse(text))
         state = model.initial_state()
-        p1 = replace(state.procs[0], ib=((0, 0), (1024, 3)))
-        state = replace(state, procs=(p1,))
+        p1 = state.procs[0]._replace(ib=((0, 0), (1024, 3)))
+        state = state._replace(procs=(p1,))
         after = model.apply(state, RuleInstance("WMM-Rec", 0))
         assert after.procs[0].ib == ()
 
     def test_stale_read_consumes_older_entries(self, model):
         state = model.initial_state()
-        p1 = replace(state.procs[0], ib=((0, 0), (0, 2)))
-        state = replace(state, procs=(p1, state.procs[1]))
+        p1 = state.procs[0]._replace(ib=((0, 0), (0, 2)))
+        state = state._replace(procs=(p1, state.procs[1]))
         after = model.apply(state, RuleInstance("WMM-LdIb", 0, (1,)))
         assert model.reg_value(after, 0, "r1") == 2
         assert after.procs[0].ib == ()

@@ -1,6 +1,5 @@
 """Tagged stores, the copy rule, and the partial coherence order."""
 
-from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -62,11 +61,11 @@ def copied_state():
     model = build_model("wmm-s", parse(THREE_THREADS))
     state = model.initial_state()
     procs = (
-        replace(state.procs[0], sb=((0, 10, T_A),)),
-        replace(state.procs[1], sb=((0, 13, T_D), (0, 11, T_B), (0, 10, T_A))),
-        replace(state.procs[2], sb=((0, 12, T_C), (0, 11, T_B))),
+        state.procs[0]._replace(sb=((0, 10, T_A),)),
+        state.procs[1]._replace(sb=((0, 13, T_D), (0, 11, T_B), (0, 10, T_A))),
+        state.procs[2]._replace(sb=((0, 12, T_C), (0, 11, T_B))),
     )
-    return model, replace(state, procs=procs, next_tag=4)
+    return model, state._replace(procs=procs, next_tag=4)
 
 
 class TestNoCycle:
@@ -114,11 +113,11 @@ class TestEnabled:
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
         procs = (
-            replace(state.procs[0], sb=((0, 1, 0),)),            # the original
-            replace(state.procs[1], sb=((0, 2, 1), (0, 1, 0))),  # copy behind t1
+            state.procs[0]._replace(sb=((0, 1, 0),)),            # the original
+            state.procs[1]._replace(sb=((0, 2, 1), (0, 1, 0))),  # copy behind t1
             state.procs[2],
         )
-        state = replace(state, procs=procs, next_tag=2)
+        state = state._replace(procs=procs, next_tag=2)
         deqs = {r for r in model.enabled(state) if r.rule == "WMM-S-DeqSb"}
         assert deqs == {RuleInstance("WMM-S-DeqSb", 1, (0,))}
         # after P2's own store commits, the copy becomes oldest everywhere
@@ -133,11 +132,11 @@ class TestRuleActions:
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
         procs = (
-            replace(state.procs[0], sb=((0, 1, 0),)),
-            replace(state.procs[1], sb=((0, 2, 1),), ib=()),
-            replace(state.procs[2], ib=((0, 7),)),
+            state.procs[0]._replace(sb=((0, 1, 0),)),
+            state.procs[1]._replace(sb=((0, 2, 1),), ib=()),
+            state.procs[2]._replace(ib=((0, 7),)),
         )
-        state = replace(state, procs=procs, next_tag=2)
+        state = state._replace(procs=procs, next_tag=2)
         after = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, 0, 2)))
         assert after.procs[2].sb == ((0, 1, 0),)
         assert after.procs[2].ib == ()
@@ -146,11 +145,11 @@ class TestRuleActions:
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
         procs = (
-            replace(state.procs[0], sb=((0, 1, 0),)),
-            replace(state.procs[1], sb=((0, 1, 0), (0, 2, 1))),  # copy + own store
+            state.procs[0]._replace(sb=((0, 1, 0),)),
+            state.procs[1]._replace(sb=((0, 1, 0), (0, 2, 1))),  # copy + own store
             state.procs[2],
         )
-        state = replace(state, procs=procs, next_tag=2)
+        state = state._replace(procs=procs, next_tag=2)
         after = model.apply(state, RuleInstance("WMM-S-DeqSb", 0, (0,)))
         assert after.m == ((0, 1),)
         assert after.procs[0].sb == ()
@@ -174,8 +173,8 @@ class TestCanonicalKey:
     @staticmethod
     def with_buffers(model, *sbs):
         state = model.initial_state()
-        procs = tuple(replace(proc, sb=sb) for proc, sb in zip(state.procs, sbs))
-        return replace(state, procs=procs, next_tag=10)
+        procs = tuple(proc._replace(sb=sb) for proc, sb in zip(state.procs, sbs))
+        return state._replace(procs=procs, next_tag=10)
 
     def test_tag_numbering_is_ignored(self):
         model = build_model("wmm-s", parse(THREE_THREADS))
@@ -183,11 +182,11 @@ class TestCanonicalKey:
 
         def with_tags(t1, t2, next_tag):
             procs = (
-                replace(state.procs[0], sb=((0, 1, t1),)),
-                replace(state.procs[1], sb=((0, 2, t2),)),
+                state.procs[0]._replace(sb=((0, 1, t1),)),
+                state.procs[1]._replace(sb=((0, 2, t2),)),
                 state.procs[2],
             )
-            return replace(state, procs=procs, next_tag=next_tag)
+            return state._replace(procs=procs, next_tag=next_tag)
 
         assert (model.canonical_key(with_tags(0, 1, 2))
                 == model.canonical_key(with_tags(1, 0, 5)))
@@ -345,8 +344,8 @@ class TestKeyIgnoresOrderBetweenAddresses:
         for state in states.values():
             key = model.canonical_key(state)
             for sbs in product(*(cross_address_reorderings(p.sb) for p in state.procs)):
-                variant = replace(state, procs=tuple(
-                    replace(p, sb=sb) for p, sb in zip(state.procs, sbs)))
+                variant = state._replace(procs=tuple(
+                    p._replace(sb=sb) for p, sb in zip(state.procs, sbs)))
                 reordered += variant != state
                 assert model.canonical_key(variant) == key
                 behaviours.setdefault(key, set()).add((
