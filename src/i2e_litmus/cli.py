@@ -223,12 +223,11 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 3
 
-    jobs, errors = _collect_inputs(args.inputs)
-    expectations: dict[str, dict] = {}
+    inputs, errors = _collect_inputs(args.inputs)
+    # only the corpus's own tests carry its expectation table, whatever a file's name
+    jobs = [(name, test, {}) for name, test in inputs]
     if args.corpus:
-        for entry in corpus_mod.load_corpus():
-            jobs.append((entry.name, entry.test))
-            expectations[entry.name] = entry.expected
+        jobs.extend((e.name, e.test, e.expected) for e in corpus_mod.load_corpus())
     if not jobs and not errors:
         print("error: nothing to run (give .litmus files or --corpus)",
               file=sys.stderr)
@@ -239,7 +238,7 @@ def main(argv=None) -> int:
     records = []
     comparisons = []
     jobs.sort(key=lambda job: job[0])
-    for name, test in jobs:
+    for name, test, expectations in jobs:
         results = {}
         for model_id in _models_for(test, selected):
             try:
@@ -249,7 +248,7 @@ def main(argv=None) -> int:
                 errors.append({"input": name, "message": f"{name}: {exc}"})
                 continue
             results[model_id] = report
-            expected = expectations.get(name, {}).get(model_id)
+            expected = expectations.get(model_id)
             records.append(_result_record(report, expected, args.witness))
         if args.compare:
             for left in selected:

@@ -123,6 +123,9 @@ class WmmModel(BaseModel):
         # stale_live[i][pc]: addresses thread i may still load a stale value for
         self.stale_live = tuple(liveness(instrs, self.addr_map, purges_kill=True)
                                 for instrs in self.programs)
+        # load_live[i][pc]: addresses thread i may still load at all (WMM-D, WMM-S)
+        self.load_live = tuple(liveness(instrs, self.addr_map, purges_kill=False)
+                               for instrs in self.programs)
 
     def enabled(self, state: MachineState) -> list[RuleInstance]:
         out = []

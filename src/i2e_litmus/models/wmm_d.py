@@ -27,13 +27,25 @@ tick `gts` and hand out [tsL, tsU] stale entries (`_write_memory`).
 WMM's Reconcile already sets rts = gts.  The stale-value liveness
 reduction (`wmm.liveness`) applies unchanged: timestamps matter
 only when a stale value is read, and a dead one never is.
+
+Once no thread can reach a load whose address reads a register
+(`load_live` is ANY_ADDRESS at no thread's pc), the state key drops
+every clock: memory's writer, sts and mts, register and entry stamps,
+rts and gts.  Sound because (1) the only guard reading a timestamp is
+`_stale_choices`' ats <= tsU, and ats = 0 at a constant address;
+(2) `_load_ib`'s `ib_rm_older` reads only the order of tsU among one
+address's ib entries, which is insertion order (gts ticks on every
+write, entries are appended); (3) writer only picks a timestamp; (4) a
+later pc reaches no more pcs, so such a pc never becomes ANY_ADDRESS
+again.  Equal keys give the same rule instances, the same clock-free
+successors and outcomes, so witnesses still replay.
 """
 
 from __future__ import annotations
 
 from .. import isa
 from .base import MachineState, mem_get, mem_set
-from .wmm import WmmModel
+from .wmm import ANY_ADDRESS, WmmModel
 
 _INIT_CELL = (0, None, 0, 0)  # value, writer, creation time, memory time
 
@@ -45,7 +57,7 @@ def load_value_timestamp(ats: int, rts: int, vts: int) -> int:
 
 def _ats(proc: isa.ProcState, sources: tuple) -> int:
     """The latest timestamp among the registers an instruction read."""
-    return max((isa.reg_get(proc.regs, r, (0, 0))[1] for r in sources), default=0)
+    return max(isa.reg_get(proc.regs, r, (0, 0))[1] for r in sources) if sources else 0
 
 
 class WmmDModel(WmmModel):
@@ -60,6 +72,11 @@ class WmmDModel(WmmModel):
     COM_RULE = "WMM-D-Com"
     REC_RULE = "WMM-D-Rec"
     DEQ_RULE = "WMM-D-DeqSb"
+
+    def __init__(self, bound):
+        super().__init__(bound)
+        # canonical_key's memos: memory, and each thread's ProcStates
+        self._plain_m, self._plain_procs = {}, tuple({} for _ in self.programs)
 
     def _initial_cell(self, value: int):
         return (value, None, 0, 0)
@@ -112,6 +129,25 @@ class WmmDModel(WmmModel):
         stale = tuple((a, old_v, old_sts if j == old_writer else old_mts, state.gts)
                       for j in range(self.nprocs))
         return m, state.gts + 1, stale
+
+    def canonical_key(self, state: MachineState):
+        """The state, or without its clocks once no thread can reach a
+        register-addressed load (see the module docstring)."""
+        procs = []
+        # a thread's memo holds only procs at pcs past its register-addressed loads
+        for memo, live, proc in zip(self._plain_procs, self.load_live, state.procs):
+            plain = memo.get(proc)
+            if plain is None:
+                if live[proc.pc] is ANY_ADDRESS:
+                    return state
+                plain = memo[proc] = (tuple([(r, v[0]) for r, v in proc.regs]), proc.pc,
+                                      proc.sb and tuple([e[:2] for e in proc.sb]),
+                                      proc.ib and tuple([e[:2] for e in proc.ib]))
+            procs.append(plain)
+        m = self._plain_m.get(state.m)
+        if m is None:
+            m = self._plain_m[state.m] = tuple([(a, cell[0]) for a, cell in state.m])
+        return m, tuple(procs)
 
     def check_invariants(self, state: MachineState) -> None:
         super().check_invariants(state)

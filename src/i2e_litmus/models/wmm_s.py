@@ -24,11 +24,12 @@ produce exactly the same successor.
 A copy into processor j is observed only by j's later loads of its
 address, which bypass from it or find the ib purged; otherwise it only
 holds guards back.  So Copy is offered only into a processor whose
-`load_live` set at its pc holds the address.  `load_live` is
-`wmm.liveness` without kills: a load adds its address (every address
-when it is computed), Exit and the end of the program give the empty
-set, and Reconcile and stores remove nothing, so the set never grows as
-a pc advances.  No outcome is lost.  The reduced machine only declines
+`load_live` set at its pc holds the address.  `load_live`, which
+`WmmModel` builds and WMM-D's state key reads too, is `wmm.liveness`
+without kills: a load adds its address (every address when it is
+computed), Exit and the end of the program give the empty set, and
+Reconcile and stores remove nothing, so the set never grows as a pc
+advances.  No outcome is lost.  The reduced machine only declines
 some Copy firings, so each of its runs is a run of the full machine.
 Conversely, deleting from a run of the full machine every copy made
 into a processor that was load-dead at the time only weakens guards
@@ -59,7 +60,7 @@ from operator import itemgetter
 
 from .. import isa
 from .base import MachineState, RuleInstance
-from .wmm import WmmModel, liveness
+from .wmm import WmmModel
 
 _address = itemgetter(0)  # of a store-buffer entry
 
@@ -108,12 +109,6 @@ class WmmSModel(WmmModel):
     ST_RULE = "WMM-S-St"
     DEQ_RULE = "WMM-S-DeqSb"
     COPY_RULE = "WMM-S-Copy"
-
-    def __init__(self, bound):
-        super().__init__(bound)
-        # load_live[j][pc]: addresses thread j may still load, so a copy may matter
-        self.load_live = tuple(liveness(instrs, self.addr_map, purges_kill=False)
-                               for instrs in self.programs)
 
     def enabled(self, state: MachineState) -> list[RuleInstance]:
         out = super().enabled(state)

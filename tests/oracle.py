@@ -19,12 +19,14 @@ offers DeqSb and Copy once per processor holding a copy of the tag.
 paper's machine: every address counts as live at every pc, so DeqSb
 inserts each overwritten value (with its [tsL, tsU] interval under
 `wmm-d`) into every processor without a pending store to the address,
-and no stale value is dropped when a pc advances.  On `wmm-s` it also
-offers Copy into every processor, whether or not it may still load the
-address, and keys states by `age_ordered_key`: each store buffer in its
-global age order, tags renamed by first appearance.  That key tells
-apart two buffers that differ only in the order between addresses,
-which the library's key (each buffer grouped by address) merges.
+and no stale value is dropped when a pc advances.  Every pc also counts
+as one from which a register-addressed load may follow, so `wmm-d`
+keys states with all their clocks.  On `wmm-s` it also offers Copy into
+every processor, whether or not it may still load the address, and
+keys states by `age_ordered_key`: each store buffer in its global age
+order, tags renamed by first appearance.  That key tells apart two
+buffers that differ only in the order between addresses, which the
+library's key (each buffer grouped by address) merges.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from i2e_litmus.models.wmm_s import WmmSModel, no_cycle
 
 
 def unreduced(model: WmmModel) -> WmmModel:
-    """The same model with every stale value kept (the paper's DeqSb) and,
-    on `wmm-s`, with Copy into every processor (the paper's Copy) and store
-    buffers keyed in their global age order."""
+    """The same model with every stale value kept (the paper's DeqSb), on
+    `wmm-d` with every clock in the state key, and on `wmm-s` with Copy
+    into every processor (the paper's Copy) and store buffers keyed in
+    their global age order."""
     everywhere = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
-    model.stale_live = everywhere
+    model.stale_live = model.load_live = everywhere
     if isinstance(model, WmmSModel):
-        model.load_live = everywhere
         model.canonical_key = age_ordered_key
     return model
 

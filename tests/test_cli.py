@@ -155,6 +155,18 @@ class TestJson:
         assert lvp["expected_satisfiable"] is True
         assert lvp["expectation_met"] is True
 
+    def test_user_file_named_like_a_corpus_test_is_judged_by_its_checks(
+            self, tmp_path, capsys):
+        # name: mp, but the check is one that holds under sc
+        path = tmp_path / "mine.litmus"
+        path.write_text(corpus_test("mp").text.replace(
+            "check forbidden: r1 = 1 & r2 = 0", "check allowed: r1 = 0 & r2 = 0"))
+        assert main([str(path), "--corpus", "--models", "sc", "--format", "json"]) == 0
+        mps = [r for r in json.loads(capsys.readouterr().out)["results"]
+               if r["test"] == "mp"]
+        assert sorted(r["expected_satisfiable"] is None for r in mps) == [False, True]
+        assert all(r["pass"] is True for r in mps)
+
 
 class TestWitness:
     def test_witness_printed_for_satisfiable(self, dekker_nofence_file, capsys):

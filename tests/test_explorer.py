@@ -173,14 +173,27 @@ class TestCanonicalKey:
         b = model.initial_state()
         assert model.canonical_key(a) == model.canonical_key(b)
 
-    def test_interval_differences_split_states(self, corpus_by_name):
-        model = build_model("wmm-d", corpus_by_name["mp"].test)
+    @staticmethod
+    def interval_variants(model):
+        """Two initial states whose only difference is the [tsL, tsU] of
+        one stale value."""
         state = model.initial_state()
-        one = state._replace(procs=(
-            state.procs[0]._replace(ib=((0, 0, 0, 1),)), state.procs[1]))
-        two = state._replace(procs=(
-            state.procs[0]._replace(ib=((0, 0, 0, 2),)), state.procs[1]))
+        one, two = (state._replace(procs=(
+            state.procs[0]._replace(ib=((0, 0, 0, ts_upper),)),) + state.procs[1:])
+            for ts_upper in (1, 2))
+        return one, two
+
+    def test_interval_differences_split_states(self, corpus_by_name):
+        # P2's second load reads its address from a register
+        model = build_model("wmm-d", corpus_by_name["load-value-prediction"].test)
+        one, two = self.interval_variants(model)
         assert model.canonical_key(one) != model.canonical_key(two)
+
+    def test_interval_differences_merge_without_register_addressed_loads(
+            self, corpus_by_name):
+        model = build_model("wmm-d", corpus_by_name["mp"].test)
+        one, two = self.interval_variants(model)
+        assert model.canonical_key(one) == model.canonical_key(two)
 
 
 class TestOrderInvariance:
