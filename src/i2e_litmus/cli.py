@@ -21,7 +21,7 @@ from .explorer import CheckReport, ExploreLimits, check, outcome_subset
 from .litmus import LitmusError, parse_file
 from .models import MODEL_IDS
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SEED_ENV = "I2E_LITMUS_SEED"
 
 
@@ -72,8 +72,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _collect_inputs(paths: list[str]) -> tuple[list[tuple[str, object]], list[dict]]:
-    """Parse every input file; collect errors without aborting the batch."""
+def _collect_inputs(paths: list[str]) -> tuple[list[tuple[str, str, object]], list[dict]]:
+    """Parse every input file into (test name, path, test); collect errors
+    without aborting the batch."""
     jobs, errors = [], []
     files: list[Path] = []
     for raw in paths:
@@ -94,7 +95,7 @@ def _collect_inputs(paths: list[str]) -> tuple[list[tuple[str, object]], list[di
         name = test.name or path.stem
         if not test.name:
             test = type(test)(name, test.model_hint, test.init, test.threads, test.checks)
-        jobs.append((name, test))
+        jobs.append((name, str(path), test))
     return jobs, errors
 
 
@@ -112,13 +113,14 @@ def _witness_lines(report: CheckReport, witness) -> list[str]:
             for n, rule in enumerate(witness, start=1)]
 
 
-def _result_record(report: CheckReport, expected, want_witness: bool) -> dict:
+def _result_record(report: CheckReport, source: str, expected, want_witness: bool) -> dict:
     satisfiable = any(v.satisfiable for v in report.verdicts)
     expectation_met = None
     if expected is not None and report.result.complete:
         expectation_met = satisfiable == expected
     record = {
         "test": report.test_name,
+        "input": source,
         "model": report.model_id,
         "complete": report.result.complete,
         "pass": report.passed,
@@ -162,7 +164,7 @@ def _print_text(records, comparisons, errors, out) -> None:
     for rec in records:
         status = "INCONCLUSIVE" if not rec["complete"] else (
             "ok" if _ok(rec) else "FAIL")
-        print(f"=== {rec['test']} [{rec['model']}] {status}", file=out)
+        print(f"=== {rec['test']} [{rec['model']}] {status}  ({rec['input']})", file=out)
         for v in rec["verdicts"]:
             verdict = ("inconclusive" if v["inconclusive"]
                        else "pass" if v["passed"] else "FAIL")
@@ -188,7 +190,7 @@ def _print_text(records, comparisons, errors, out) -> None:
               f" deadlocks={rec['deadlocks']}", file=out)
     for cmp_rec in comparisons:
         verdict = {True: "holds", False: "FAILS", None: "unknown"}[cmp_rec["subset"]]
-        line = (f"compare {cmp_rec['test']}: outcomes({cmp_rec['left']})"
+        line = (f"compare {cmp_rec['test']} ({cmp_rec['input']}): outcomes({cmp_rec['left']})"
                 f" <= outcomes({cmp_rec['right']}) {verdict}")
         if cmp_rec["counterexample"]:
             line += f"  e.g. {cmp_rec['counterexample']}"
@@ -225,9 +227,9 @@ def main(argv=None) -> int:
 
     inputs, errors = _collect_inputs(args.inputs)
     # only the corpus's own tests carry its expectation table, whatever a file's name
-    jobs = [(name, test, {}) for name, test in inputs]
+    jobs = [(name, source, test, {}) for name, source, test in inputs]
     if args.corpus:
-        jobs.extend((e.name, e.test, e.expected) for e in corpus_mod.load_corpus())
+        jobs.extend((e.name, "corpus", e.test, e.expected) for e in corpus_mod.load_corpus())
     if not jobs and not errors:
         print("error: nothing to run (give .litmus files or --corpus)",
               file=sys.stderr)
@@ -237,19 +239,19 @@ def main(argv=None) -> int:
 
     records = []
     comparisons = []
-    jobs.sort(key=lambda job: job[0])
-    for name, test, expectations in jobs:
+    jobs.sort(key=lambda job: job[:2])
+    for name, source, test, expectations in jobs:
         results = {}
         for model_id in _models_for(test, selected):
             try:
                 report = check(test, model_id, limits=limits, order=order,
                                seed=seed, want_witness=args.witness)
             except LitmusError as exc:
-                errors.append({"input": name, "message": f"{name}: {exc}"})
+                errors.append({"input": source, "message": f"{name}: {exc}"})
                 continue
             results[model_id] = report
             expected = expectations.get(model_id)
-            records.append(_result_record(report, expected, args.witness))
+            records.append(_result_record(report, source, expected, args.witness))
         if args.compare:
             for left in selected:
                 for right in selected:
@@ -259,6 +261,7 @@ def main(argv=None) -> int:
                         results[left].result, results[right].result)
                     comparisons.append({
                         "test": name,
+                        "input": source,
                         "left": left,
                         "right": right,
                         "subset": subset,
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
                                            if counterexample else None),
                     })
 
-    records.sort(key=lambda r: (r["test"], r["model"]))
+    records.sort(key=lambda r: (r["test"], r["input"], r["model"]))
     if args.format == "json":
         json.dump({"schema_version": SCHEMA_VERSION, "results": records,
                    "comparisons": comparisons, "errors": errors}, out, indent=2)

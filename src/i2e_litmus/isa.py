@@ -228,7 +228,10 @@ def sb_enq(sb: tuple, entry: tuple) -> tuple:
 
 
 def sb_exist(sb: tuple, a: int) -> bool:
-    return any(e[0] == a for e in sb)
+    for entry in sb:
+        if entry[0] == a:
+            return True
+    return False
 
 
 def sb_youngest(sb: tuple, a: int) -> Optional[tuple]:
@@ -243,13 +246,6 @@ def sb_oldest(sb: tuple, a: int) -> Optional[tuple]:
         if entry[0] == a:
             return entry
     return None
-
-
-def sb_deq(sb: tuple) -> tuple[tuple, tuple]:
-    """Remove the globally oldest entry."""
-    if not sb:
-        raise MachineError("deq on an empty store buffer")
-    return sb[0], sb[1:]
 
 
 def sb_rm_oldest(sb: tuple, a: int) -> tuple[tuple, tuple]:

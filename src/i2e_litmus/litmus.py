@@ -86,7 +86,6 @@ class ConditionEvalError(LitmusError):
 
 
 _REGISTER_RE = re.compile(r"r\d+\Z")
-_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 
 def is_register(name: str) -> bool:
@@ -129,10 +128,6 @@ class Expr:
             else:
                 parts.append(("- " if sign < 0 else "+ ") + text)
         return " ".join(parts)
-
-
-def const_expr(value: int) -> Expr:
-    return Expr(((1, "const", value),)) if value >= 0 else Expr(((-1, "const", -value),))
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +330,6 @@ class LitmusTest:
     init: tuple[tuple[str, int], ...]
     threads: tuple[Thread, ...]
     checks: tuple[Check, ...]
-
-    def thread(self, name: str) -> Thread:
-        for th in self.threads:
-            if th.name == name:
-                return th
-        raise KeyError(name)
 
     def instruction_count(self) -> int:
         return sum(len(th.instrs) for th in self.threads)

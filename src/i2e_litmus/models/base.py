@@ -9,15 +9,13 @@ these two methods and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .. import isa
 from ..litmus import BoundTest, Outcome
 
 
-@dataclass(frozen=True, slots=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     """One enabled rule firing: rule id, acting processor, and the
     nondeterministic choice payload (ib entry index, store address, ...)."""
 

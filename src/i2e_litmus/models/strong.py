@@ -1,22 +1,32 @@
-"""SC, TSO, and PSO as rule catalogs.
+"""SC as its own rule catalog; PSO and TSO as deltas on WMM's.
 
 SC executes loads and stores directly against the monolithic memory.
-TSO adds a per-processor store buffer: loads bypass from the youngest
-local store when one exists, Commit blocks until the buffer drains, and
-a background rule dequeues the globally oldest store to memory.  PSO
-relaxes only that background rule: it may dequeue the oldest store *for
-any address*, reordering stores to different addresses.
+Commit and Reconcile are no-ops there, since there is no buffer, so one
+litmus file runs unchanged under every model.
 
-Reconcile has nothing to drop in these machines (there is no stale-value
-buffer), so all three accept it as a no-op; Commit under SC is likewise
-a no-op since the buffer is always empty.  That way one litmus file runs
-unchanged under every model.
+PSO is WMM with no live stale value: its `stale_live` table is empty at
+every pc, so DeqSb never inserts a stale value, LdIb is never
+offered, and Reconcile clears an already empty invalidation buffer.
+What remains is WMM's store buffer: a load bypasses from the youngest
+local store to its address, else reads memory; Commit blocks until the
+buffer drains; and the background DeqSb writes the oldest store *for
+any address* to memory, reordering stores to different addresses.
+TSO is PSO whose DeqSb drains only each buffer's globally oldest store,
+so it names no address.
+
+The paper's TSO table has one load rule, whose effect depends on the
+buffer, so `TSO-Ld` names both of WMM's LdSb and LdMem effects:
+`WmmModel.apply` picks the effect from whether the buffer holds the
+address, the guard `enabled` used, not from the rule name.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .. import isa
 from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
+from .wmm import WmmModel
 
 
 class ScModel(BaseModel):
@@ -49,74 +59,27 @@ class ScModel(BaseModel):
         return MachineState(m, procs)
 
 
-class TsoModel(BaseModel):
+class PsoModel(WmmModel):
+    model_id = "pso"
+
+    NM_RULE = "TSO-Nm"
+    LDSB_RULE = LDMEM_RULE = LDIB_RULE = "TSO-Ld"
+    ST_RULE = "TSO-St"
+    COM_RULE = "TSO-Com"
+    REC_RULE = "TSO-Rec"
+    DEQ_RULE = "PSO-DeqSb"
+
+    @cached_property
+    def stale_live(self) -> tuple:
+        """No address at any pc: no stale value is ever kept."""
+        return tuple((frozenset(),) * (len(instrs) + 1) for instrs in self.programs)
+
+
+class TsoModel(PsoModel):
     model_id = "tso"
 
     DEQ_RULE = "TSO-DeqSb"
-    _RULES = {isa.Nm: "TSO-Nm", isa.Ld: "TSO-Ld", isa.St: "TSO-St",
-              isa.Commit: "TSO-Com", isa.Reconcile: "TSO-Rec"}
 
-    def enabled(self, state: MachineState) -> list[RuleInstance]:
-        out = []
-        for i, proc in enumerate(state.procs):
-            if self.halted[i][proc.pc]:
-                continue
-            dins = isa.decode(self.decoded[i], proc)[0]
-            if isinstance(dins, isa.Commit):
-                if not proc.sb:
-                    out.append(RuleInstance("TSO-Com", i))
-            else:
-                out.append(RuleInstance(self._RULES[type(dins)], i))
-        for i in range(self.nprocs):
-            out.extend(self._dequeue_instances(state, i))
-        return out
-
-    def _dequeue_instances(self, state: MachineState, i: int) -> list[RuleInstance]:
-        if state.procs[i].sb:
-            return [RuleInstance(self.DEQ_RULE, i)]
-        return []
-
-    def _dequeue(self, sb: tuple, rule: RuleInstance) -> tuple[tuple, tuple]:
-        """The store a DeqSb writes to memory, and the buffer without it."""
-        return isa.sb_deq(sb)
-
-    def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
-        i = rule.proc
-        proc = state.procs[i]
-        m = state.m
-        if rule.rule == self.DEQ_RULE:
-            (a, v), sb = self._dequeue(proc.sb, rule)
-            proc = isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts)
-            m = mem_set(m, a, v)
-        else:
-            dins = isa.decode(self.decoded[i], proc)[0]
-            if rule.rule == "TSO-Ld":
-                hit = isa.sb_youngest(proc.sb, dins.a)
-                v = hit[1] if hit is not None else mem_get(m, dins.a, 0)
-                proc = isa.execute(proc, dins, v)
-            elif rule.rule == "TSO-St":
-                proc = isa.execute(proc, dins)
-                proc = isa.ProcState(proc.regs, proc.pc, isa.sb_enq(proc.sb, (dins.a, dins.v)),
-                                     proc.ib, proc.rts)
-            else:  # TSO-Nm / TSO-Com / TSO-Rec
-                proc = isa.execute(proc, dins)
-        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return MachineState(m, procs)
-
-
-class PsoModel(TsoModel):
-    model_id = "pso"
-
-    DEQ_RULE = "PSO-DeqSb"
-
-    def _dequeue_instances(self, state: MachineState, i: int) -> list[RuleInstance]:
-        return [RuleInstance(self.DEQ_RULE, i, (a,))
-                for a in isa.sb_addrs(state.procs[i].sb)]
-
-    def _dequeue(self, sb: tuple, rule: RuleInstance) -> tuple[tuple, tuple]:
-        return isa.sb_rm_oldest(sb, rule.payload[0])
-
-    def _describe_payload(self, rule: RuleInstance) -> str:
-        if rule.rule == self.DEQ_RULE:
-            return self.addr_name(rule.payload[0])
-        return super()._describe_payload(rule)
+    def _background_instances(self, state: MachineState) -> list[RuleInstance]:
+        """One DeqSb per non-empty buffer, for its globally oldest store."""
+        return [RuleInstance(self.DEQ_RULE, i) for i, proc in enumerate(state.procs) if proc.sb]

@@ -19,8 +19,8 @@ see older values for a.  Stores and memory reads purge the local ib for
 their address for the same reason; Reconcile clears it outright.
 
 Stale values that their processor can never load are not kept.
-`liveness` with `purges_kill` computes, once per thread and pc, the
-addresses whose stale value a later load of that thread may still read:
+`liveness` with `purges_kill` computes, on first use, per thread and pc,
+the addresses whose stale value a later load of that thread may still read:
 a backward dataflow over the thread's control flow in which a load adds
 its address, Reconcile clears the set, and a store to a constant address
 removes that address (the store purges it from the ib).  A load whose
@@ -35,14 +35,23 @@ WMM-LdIb is offered once per distinct successor: a choice that loads
 memory's value and leaves no value for the address behind would repeat
 WMM-LdMem.
 
-WMM-D and WMM-S subclass this catalog and rename its rules through the
-class attributes `NM_RULE` ... `DEQ_RULE`.  WMM-D's timestamps live in
-hooks that WMM implements without them, at most one per fired rule:
-`_nm_value`, `_load_sb`, `_load_mem`, `_load_ib`, `_stale_choices`,
-`_store_entry` and `_write_memory`.
+`apply` picks a load's effect from its payload and the buffer, the
+guards `enabled` used, not from the rule name: a stale choice reads the
+ib, a buffered address bypasses, anything else reads memory.
+
+WMM-D, WMM-S, PSO and TSO subclass this catalog and rename its rules
+through the class attributes `NM_RULE` ... `DEQ_RULE`.  PSO and TSO
+(`strong.py`) keep no live stale value, so one name, `TSO-Ld`, covers
+both LdSb and LdMem; TSO also drains only the globally oldest store, a
+DeqSb with no address.  WMM-D's timestamps live in hooks that WMM
+implements without them, at most one per fired rule: `_nm_value`,
+`_load_sb`, `_load_mem`, `_load_ib`, `_stale_choices`, `_store_entry`
+and `_write_memory`.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .. import isa
 from ..litmus import Branch, Exit, Fence, Load, Store
@@ -118,43 +127,45 @@ class WmmModel(BaseModel):
     REC_RULE = "WMM-Rec"
     DEQ_RULE = "WMM-DeqSb"
 
-    def __init__(self, bound):
-        super().__init__(bound)
-        # stale_live[i][pc]: addresses thread i may still load a stale value for
-        self.stale_live = tuple(liveness(instrs, self.addr_map, purges_kill=True)
-                                for instrs in self.programs)
-        # load_live[i][pc]: addresses thread i may still load at all (WMM-D, WMM-S)
-        self.load_live = tuple(liveness(instrs, self.addr_map, purges_kill=False)
-                               for instrs in self.programs)
+    @cached_property
+    def stale_live(self) -> tuple:
+        """stale_live[i][pc]: addresses thread i may still load a stale value for."""
+        return tuple(liveness(instrs, self.addr_map, purges_kill=True)
+                     for instrs in self.programs)
+
+    @cached_property
+    def load_live(self) -> tuple:
+        """load_live[i][pc]: addresses thread i may still load at all (read
+        only by WMM-D's state key and WMM-S's Copy)."""
+        return tuple(liveness(instrs, self.addr_map, purges_kill=False)
+                     for instrs in self.programs)
 
     def enabled(self, state: MachineState) -> list[RuleInstance]:
         out = []
-        for i in range(self.nprocs):
-            out.extend(self._instruction_instances(state, i))
-        out.extend(self._background_instances(state))
+        for i, proc in enumerate(state.procs):
+            if self.halted[i][proc.pc]:
+                continue
+            dins, sources = isa.decode(self.decoded[i], proc)
+            kind = type(dins)
+            if kind is isa.Ld:
+                if isa.sb_exist(proc.sb, dins.a):
+                    out.append(RuleInstance(self.LDSB_RULE, i))
+                else:
+                    out.append(RuleInstance(self.LDMEM_RULE, i))
+                    if proc.ib:
+                        out.extend(RuleInstance(self.LDIB_RULE, i, (k,))
+                                   for k in self._stale_choices(state, i, sources, dins.a))
+            elif kind is isa.St:
+                out.append(RuleInstance(self.ST_RULE, i))
+            elif kind is isa.Nm:
+                out.append(RuleInstance(self.NM_RULE, i))
+            elif kind is isa.Commit:
+                if not proc.sb:
+                    out.append(RuleInstance(self.COM_RULE, i))
+            else:
+                out.append(RuleInstance(self.REC_RULE, i))
+        out += self._background_instances(state)
         return out
-
-    def _instruction_instances(self, state: MachineState, i: int) -> list[RuleInstance]:
-        proc = state.procs[i]
-        if self.halted[i][proc.pc]:
-            return []
-        dins, sources = isa.decode(self.decoded[i], proc)
-        if isinstance(dins, isa.Nm):
-            return [RuleInstance(self.NM_RULE, i)]
-        if isinstance(dins, isa.Ld):
-            if isa.sb_exist(proc.sb, dins.a):
-                return [RuleInstance(self.LDSB_RULE, i)]
-            out = [RuleInstance(self.LDMEM_RULE, i)]
-            out.extend(RuleInstance(self.LDIB_RULE, i, (k,))
-                       for k in self._stale_choices(state, i, sources, dins.a))
-            return out
-        if isinstance(dins, isa.St):
-            return [RuleInstance(self.ST_RULE, i)]
-        if isinstance(dins, isa.Commit):
-            if not proc.sb:
-                return [RuleInstance(self.COM_RULE, i)]
-            return []
-        return [RuleInstance(self.REC_RULE, i)]
 
     def _stale_choices(self, state: MachineState, i: int, sources: tuple,
                        a: int) -> list[int]:
@@ -186,37 +197,42 @@ class WmmModel(BaseModel):
         i = rule.proc
         proc = state.procs[i]
         dins, sources = isa.decode(self.decoded[i], proc)
-        name = rule.rule
-        if name == self.LDSB_RULE:
-            proc = isa.execute(proc, dins, self._load_sb(state, i, sources, dins.a))
-        elif name == self.LDMEM_RULE:
-            proc = isa.execute(proc, dins, self._load_mem(state, i, sources, dins.a))
-            proc = isa.ProcState(proc.regs, proc.pc, proc.sb,
-                                 isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-        elif name == self.LDIB_RULE:
-            value, ib = self._load_ib(state, i, sources, dins.a, rule.payload[0])
-            proc = isa.execute(proc, dins, value)
-            proc = isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
-        elif name == self.ST_RULE:
+        kind = type(dins)
+        if kind is isa.Ld:
+            a = dins.a
+            if rule.payload:  # LdIb: the stale choice
+                value, ib = self._load_ib(state, i, sources, a, rule.payload[0])
+                proc = isa.execute(proc, dins, value)
+                proc = isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
+            elif isa.sb_exist(proc.sb, a):  # LdSb, by the guard enabled used
+                proc = isa.execute(proc, dins, self._load_sb(state, i, sources, a))
+            else:  # LdMem
+                proc = isa.execute(proc, dins, self._load_mem(state, i, sources, a))
+                if proc.ib:
+                    proc = isa.ProcState(proc.regs, proc.pc, proc.sb,
+                                         isa.ib_rm_addr(proc.ib, a), proc.rts)
+        elif kind is isa.St:
             proc = isa.execute(proc, dins)
             proc = isa.ProcState(proc.regs, proc.pc,
                                  isa.sb_enq(proc.sb, self._store_entry(state, i, sources, dins)),
-                                 isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-        elif name == self.REC_RULE:
+                                 proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
+        elif kind is isa.Reconcile:
             # rts = gts; only the timestamped machine's clock ever moves
             proc = isa.execute(proc, dins)
             proc = isa.ProcState(proc.regs, proc.pc, proc.sb, (), state.gts)
-        elif name == self.NM_RULE:
+        elif kind is isa.Nm:
             proc = isa.execute(proc, dins, self._nm_value(state, i, sources, dins))
-        else:  # Com
+        else:  # Commit
             proc = isa.execute(proc, dins)
-        procs = state.procs[:i] + (self._drop_dead(i, proc),) + state.procs[i + 1:]
+        if proc.ib:
+            proc = self._drop_dead(i, proc)
+        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
         return MachineState(state.m, procs, state.gts, state.next_tag)
 
     def _drop_dead(self, i: int, proc: isa.ProcState) -> isa.ProcState:
         """Drop the stale values thread i can no longer load from its new pc."""
         live = self.stale_live[i][proc.pc]
-        if not proc.ib or live is ANY_ADDRESS:
+        if live is ANY_ADDRESS:
             return proc
         ib = tuple(e for e in proc.ib if e[0] in live)
         if len(ib) == len(proc.ib):
@@ -253,7 +269,9 @@ class WmmModel(BaseModel):
 
     def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
         i = rule.proc
-        entry, sb = isa.sb_rm_oldest(state.procs[i].sb, rule.payload[0])
+        sb = state.procs[i].sb
+        # DeqSb names an address, or none to drain the globally oldest store
+        entry, sb = isa.sb_rm_oldest(sb, rule.payload[0] if rule.payload else sb[0][0])
         m, gts, stale = self._write_memory(state, i, entry)
         procs = []
         for j, proc in enumerate(state.procs):

@@ -25,11 +25,11 @@ A copy into processor j is observed only by j's later loads of its
 address, which bypass from it or find the ib purged; otherwise it only
 holds guards back.  So Copy is offered only into a processor whose
 `load_live` set at its pc holds the address.  `load_live`, which
-`WmmModel` builds and WMM-D's state key reads too, is `wmm.liveness`
-without kills: a load adds its address (every address when it is
-computed), Exit and the end of the program give the empty set, and
-Reconcile and stores remove nothing, so the set never grows as a pc
-advances.  No outcome is lost.  The reduced machine only declines
+`WmmModel` builds on first use and WMM-D's state key reads too, is
+`wmm.liveness` without kills: a load adds its address (every address
+when it is computed), Exit and the end of the program give the empty
+set, and Reconcile and stores remove nothing, so the set never grows
+as a pc advances.  No outcome is lost.  The reduced machine only declines
 some Copy firings, so each of its runs is a run of the full machine.
 Conversely, deleting from a run of the full machine every copy made
 into a processor that was load-dead at the time only weakens guards

@@ -6,6 +6,10 @@ recursive interleaving, used as an independent oracle for the SC engine.
 It interprets the surface instructions straight off the parsed test - no
 decoded instructions, no rule catalog, no explorer - enumerating every
 interleaving of atomic instruction executions with memoization.
+`buffered_outcomes` does the same with an explicit store buffer per
+thread and dequeues interleaved with the instructions, as the
+independent oracle for TSO and PSO.  Neither uses anything from
+`models/`.
 
 `interpreted_decode` is the decoder that walks the surface instruction
 and its expression trees on every call, against which the compiled
@@ -66,9 +70,7 @@ def age_ordered_key(state) -> tuple:
 
 def wmm_s_per_holder_instances(model: WmmSModel, state) -> list:
     """Every WMM-S rule instance, with DeqSb and Copy once per holder."""
-    out = []
-    for i in range(model.nprocs):
-        out.extend(model._instruction_instances(state, i))
+    out = [r for r in model.enabled(state) if r.rule not in (model.DEQ_RULE, model.COPY_RULE)]
     for i, proc in enumerate(state.procs):
         for a in isa.sb_addrs(proc.sb):
             if model._committable(state, a, isa.sb_oldest(proc.sb, a)):
@@ -120,23 +122,31 @@ def interpreted_decode(instrs: tuple, proc, amap,
     raise isa.MachineError(f"cannot decode {ins!r}")
 
 
-def interleaving_outcomes(bound: BoundTest) -> frozenset[Outcome]:
+def _surface(bound: BoundTest):
+    """What the interleaving oracles read off a bound test: its address
+    map, each thread's instructions, the initial memory, whether thread i
+    has finished at a pc, and the outcome of final registers and memory."""
     amap = bound.amap()
     threads = [th.instrs for th in bound.test.threads]
     names = [th.name for th in bound.test.threads]
     init_mem = {amap[name]: 0 for name in amap}
     for name, value in bound.test.init:
         init_mem[amap[name]] = value
-    observed = bound.observed
     locations = sorted(amap)
 
-    def finished(instrs, pc):
-        return pc >= len(instrs) or isinstance(instrs[pc], Exit)
+    def finished(i, pc):
+        return pc >= len(threads[i]) or isinstance(threads[i][pc], Exit)
 
     def outcome_of(regs, mem):
-        robs = tuple(((t, r), regs[names.index(t)].get(r, 0)) for t, r in observed)
+        robs = tuple(((t, r), regs[names.index(t)].get(r, 0)) for t, r in bound.observed)
         mobs = tuple((name, mem[amap[name]]) for name in locations)
         return Outcome(robs, mobs)
+
+    return amap, threads, init_mem, finished, outcome_of
+
+
+def interleaving_outcomes(bound: BoundTest) -> frozenset[Outcome]:
+    amap, threads, init_mem, finished, outcome_of = _surface(bound)
 
     def step(i, pcs, regs, mem):
         instrs = threads[i]
@@ -175,7 +185,7 @@ def interleaving_outcomes(bound: BoundTest) -> frozenset[Outcome]:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        runnable = [i for i in range(len(threads)) if not finished(threads[i], pcs[i])]
+        runnable = [i for i in range(len(threads)) if not finished(i, pcs[i])]
         if not runnable:
             result = frozenset([outcome_of(regs, mem)])
         else:
@@ -187,3 +197,80 @@ def interleaving_outcomes(bound: BoundTest) -> frozenset[Outcome]:
     return go(tuple(0 for _ in threads),
               tuple({} for _ in threads),
               init_mem)
+
+
+def buffered_outcomes(bound: BoundTest, per_address: bool) -> frozenset[Outcome]:
+    """TSO outcomes, or PSO outcomes with `per_address`: every
+    interleaving of the surface instructions and of store-buffer
+    dequeues, memoised, with an explicit store buffer per thread.  A
+    store enters its thread's buffer; a load bypasses from the youngest
+    store to its address there, else reads memory; Commit waits for an
+    empty buffer and Reconcile does nothing.  A dequeue writes a buffer's
+    oldest store (TSO), or its oldest store for one address (PSO), to
+    memory."""
+    amap, threads, init_mem, finished, outcome_of = _surface(bound)
+
+    def step(i, pcs, regs, mem, sbs):
+        """The state after thread i's instruction, or None while its
+        Commit waits."""
+        pc = pcs[i]
+        ins = threads[i][pc]
+        my = dict(regs[i])
+        sb = sbs[i]
+        getreg = lambda r: my.get(r, 0)
+        if isinstance(ins, Assign):
+            my[ins.dst] = ins.expr.evaluate(getreg, amap)
+            pc += 1
+        elif isinstance(ins, Load):
+            a = ins.addr.evaluate(getreg, amap)
+            own = [v for b, v in sb if b == a]
+            my[ins.dst] = own[-1] if own else mem.get(a, 0)
+            pc += 1
+        elif isinstance(ins, Store):
+            sb += ((ins.addr.evaluate(getreg, amap), ins.value.evaluate(getreg, amap)),)
+            pc += 1
+        elif isinstance(ins, Fence):
+            if ins.kind == "Commit" and sb:
+                return None
+            pc += 1
+        elif isinstance(ins, Branch):
+            taken = (my.get(ins.reg, 0) == 0) == (ins.cond == "eqz")
+            pc = ins.target_index if taken else pc + 1
+        else:
+            raise AssertionError(f"unexpected instruction {ins!r}")
+        return (pcs[:i] + (pc,) + pcs[i + 1:], regs[:i] + (my,) + regs[i + 1:], mem,
+                sbs[:i] + (sb,) + sbs[i + 1:])
+
+    def dequeues(pcs, regs, mem, sbs):
+        for i, sb in enumerate(sbs):
+            oldest: dict[int, int] = {}  # address -> index of its oldest store
+            for n, (a, _) in enumerate(sb):
+                oldest.setdefault(a, n)
+            for n in oldest.values() if per_address else ([0] if sb else []):
+                a, v = sb[n]
+                yield pcs, regs, {**mem, a: v}, sbs[:i] + (sb[:n] + sb[n + 1:],) + sbs[i + 1:]
+
+    memo: dict = {}
+
+    def go(pcs, regs, mem, sbs) -> frozenset[Outcome]:
+        key = (pcs,
+               tuple(tuple(sorted(r.items())) for r in regs),
+               tuple(sorted(mem.items())),
+               sbs)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        nexts = [step(i, pcs, regs, mem, sbs)
+                 for i in range(len(threads)) if not finished(i, pcs[i])]
+        nexts = [n for n in nexts if n is not None] + list(dequeues(pcs, regs, mem, sbs))
+        if not nexts:  # every thread finished and every buffer drained
+            result = frozenset([outcome_of(regs, mem)])
+        else:
+            result = frozenset().union(*(go(*n) for n in nexts))
+        memo[key] = result
+        return result
+
+    return go(tuple(0 for _ in threads),
+              tuple({} for _ in threads),
+              init_mem,
+              tuple(() for _ in threads))

@@ -5,6 +5,9 @@ them); a failing criterion prints FAIL and raises.
 """
 
 import contextlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,7 @@ from i2e_litmus import isa
 from i2e_litmus.explorer import explore, replay
 from i2e_litmus.litmus import bind, eval_condition
 from i2e_litmus.models import MODEL_IDS, RuleInstance, build_model
-from oracle import interleaving_outcomes
+from oracle import buffered_outcomes, interleaving_outcomes
 
 WMM_FAMILY = ("wmm", "wmm-d", "wmm-s")
 
@@ -230,6 +233,42 @@ def test_criterion_18_sc_equals_interleaving_oracle(corpus, explored):
             assert engine == interleaving_outcomes(bind(entry.test)), entry.name
             compared += 1
         assert compared >= 10
+
+
+def test_criterion_19_tso_pso_equal_buffered_oracle(corpus, explored):
+    with criterion(19, "tso and pso outcome sets equal the store-buffer "
+                       "interleaving oracle on every corpus test"):
+        for entry in corpus:
+            bound = bind(entry.test)
+            for model_id, per_address in (("tso", False), ("pso", True)):
+                engine = explored(entry, model_id).outcomes
+                assert engine == buffered_outcomes(bound, per_address), (entry.name, model_id)
+
+
+def benchmark_rules() -> dict:
+    """`RULES` of perfbench/run.py: the rule ids whose firings it counts, per model."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(perfbench))  # run.py imports its sibling modules
+    sys.modules[spec.name] = run  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(perfbench))
+        del sys.modules[spec.name]
+    return run.RULES
+
+
+def test_fired_rules_are_counted_by_the_benchmark(corpus):
+    """A renamed rule would otherwise zero a per-layer count silently."""
+    rules = benchmark_rules()
+    for model_id in MODEL_IDS:
+        fired = set()
+        for entry in corpus:
+            explore(build_model(model_id, entry.test),
+                    audit=lambda state, rule, nxt: fired.add(rule.rule))
+        assert fired <= set(rules[model_id]), (model_id, fired - set(rules[model_id]))
 
 
 def test_corpus_expectation_table(corpus, explored):

@@ -132,12 +132,13 @@ class TestJson:
                      "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 1
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         assert data["errors"] == []
         by_model = {r["model"]: r for r in data["results"]}
         assert set(by_model) == {"sc", "tso"}
         sc = by_model["sc"]
         assert sc["test"] == "dekker-nofence"
+        assert sc["input"] == str(dekker_nofence_file)
         assert sc["complete"] is True
         assert sc["pass"] is True
         assert sc["verdicts"][0]["polarity"] == "forbidden"
@@ -166,6 +167,24 @@ class TestJson:
                if r["test"] == "mp"]
         assert sorted(r["expected_satisfiable"] is None for r in mps) == [False, True]
         assert all(r["pass"] is True for r in mps)
+
+    def test_user_file_and_corpus_test_of_one_name_are_told_apart(self, tmp_path, capsys):
+        path = tmp_path / "mine.litmus"
+        path.write_text(corpus_test("mp").text)
+        main([str(path), "--corpus", "--models", "sc,tso", "--compare", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        mps = [(r["input"], r["model"]) for r in data["results"] if r["test"] == "mp"]
+        assert sorted(mps) == sorted((source, model) for source in (str(path), "corpus")
+                                     for model in ("sc", "tso"))
+        compared = [(c["input"], c["left"]) for c in data["comparisons"] if c["test"] == "mp"]
+        assert sorted(compared) == sorted((source, model) for source in (str(path), "corpus")
+                                          for model in ("sc", "tso"))
+        main([str(path), "--corpus", "--models", "sc,tso", "--compare"])
+        out = capsys.readouterr().out
+        assert f"=== mp [sc] ok  ({path})" in out
+        assert "=== mp [sc] ok  (corpus)" in out
+        assert f"compare mp ({path}): outcomes(sc) <= outcomes(tso) holds" in out
+        assert "compare mp (corpus): outcomes(sc) <= outcomes(tso) holds" in out
 
 
 class TestWitness:

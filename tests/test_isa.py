@@ -249,12 +249,6 @@ class TestStoreBuffer:
         assert entry == (0, 1)
         assert sb == ((0, 2),)
 
-    def test_deq_removes_global_oldest(self):
-        sb = ((0, 1), (1024, 2), (0, 3))
-        entry, rest = isa.sb_deq(sb)
-        assert entry == (0, 1)
-        assert rest == ((1024, 2), (0, 3))
-
     def test_any_addr_on_empty_buffer(self):
         assert isa.sb_addrs(()) == ()
 
@@ -268,8 +262,6 @@ class TestStoreBuffer:
         assert isa.sb_oldest(sb, 1024) == (1024, 3, 12)
 
     def test_contract_violations(self):
-        with pytest.raises(MachineError):
-            isa.sb_deq(())
         with pytest.raises(MachineError):
             isa.sb_rm_oldest(((0, 1),), 1024)
 

@@ -314,9 +314,13 @@ class TestCorpus:
         from importlib.resources import files
         from pathlib import Path
         from i2e_litmus.cli import _collect_inputs
-        jobs, errors = _collect_inputs([str(Path(str(files("i2e_litmus.corpus"))))])
+        directory = Path(str(files("i2e_litmus.corpus")))
+        jobs, errors = _collect_inputs([str(directory)])
         assert errors == []
-        assert dict(jobs) == {entry.name: entry.test for entry in corpus}
+        assert {name: test for name, _, test in jobs} == {entry.name: entry.test
+                                                          for entry in corpus}
+        assert {source for _, source, _ in jobs} == {str(directory / f"{entry.name}.litmus")
+                                                     for entry in corpus}
 
     def test_checked_in_corpus_dir_matches_embedded(self):
         """The checked-in .litmus files and the expectation table embedded

@@ -1,11 +1,13 @@
 """SC, TSO, and PSO rule catalogs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from i2e_litmus.explorer import explore, replay
 from i2e_litmus.litmus import bind, parse
 from i2e_litmus.models import RuleInstance, build_model
-from oracle import interleaving_outcomes
+from oracle import buffered_outcomes, interleaving_outcomes
+from test_stale_liveness import small_programs
 
 
 def explore_outcomes(text_or_test, model_id):
@@ -106,6 +108,25 @@ check allowed: r1 = 1
         state = model.apply(state, RuleInstance("TSO-Ld", 0))
         assert model.reg_value(state, 0, "r1") == 1
 
+    def test_dequeue_drains_the_globally_oldest_store(self):
+        text = """
+i2e-litmus v1
+thread P1:
+  St a 1
+  St b 2
+  St a 3
+check allowed: m[a] = 3
+"""
+        model = build_model("tso", parse(text))
+        a, b = model.addr_map["a"], model.addr_map["b"]
+        state = model.initial_state()
+        for _ in range(3):
+            state = model.apply(state, RuleInstance("TSO-St", 0))
+        assert model.enabled(state) == [RuleInstance("TSO-DeqSb", 0)]
+        state = model.apply(state, RuleInstance("TSO-DeqSb", 0))
+        assert model.mem_value(state, "a") == 1
+        assert state.procs[0].sb == ((b, 2), (a, 3))
+
     def test_commit_blocks_until_drained(self):
         text = """
 i2e-litmus v1
@@ -203,3 +224,12 @@ check allowed: m[a] = 2
 """
         outcomes = explore_outcomes(text, "pso")
         assert {o.loc("a") for o in outcomes} == {2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_programs(), st.sampled_from(["tso", "pso"]))
+def test_generated_programs_match_buffered_oracle(text, model_id):
+    bound = bind(parse(text))
+    result = explore(build_model(model_id, bound))
+    assert result.complete
+    assert result.outcomes == buffered_outcomes(bound, per_address=model_id == "pso")
