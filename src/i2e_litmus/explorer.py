@@ -1,10 +1,10 @@
 """Exhaustive, deduplicated search over rule firings.
 
-From a test's initial state the explorer follows every enabled rule
-instance, deduplicating states by their canonical key, until it has
-seen every reachable terminal state.  The set of terminal outcomes is
-independent of the frontier discipline (BFS, DFS, or seeded random
-pops), which the test suite checks.  Resource limits never turn into
+From a test's initial state the explorer follows every rule instance
+that the model's `expand` offers, deduplicating states by their
+canonical key, until it has seen every reachable terminal state.  The
+set of terminal outcomes is independent of the frontier discipline
+(BFS, DFS, or seeded random pops), which the test suite checks.  Resource limits never turn into
 verdicts: hitting one marks the result incomplete and every dependent
 check inconclusive.
 """
@@ -72,8 +72,7 @@ def explore(model: BaseModel,
             limits: Optional[ExploreLimits] = None,
             order: str = "bfs",
             seed: Optional[int] = None,
-            audit: Optional[Callable] = None,
-            dedup: bool = True) -> ExploreResult:
+            audit: Optional[Callable] = None) -> ExploreResult:
     """Enumerate all reachable terminal outcomes of one model run.
 
     `audit`, when given, is called as audit(state, rule, successor) for
@@ -113,23 +112,20 @@ def explore(model: BaseModel,
             if found not in outcomes:
                 outcomes[found] = key
             continue
-        rules = model.enabled(state)
-        if not rules:
-            # Should be unreachable for these models; reported, not raised.
-            deadlocked += 1
-            continue
-        for rule in rules:
-            nxt = model.apply(state, rule)
+        rule = None
+        for rule, nxt in model.expand(state):
             if audit is not None:
                 audit(state, rule, nxt)
             nxt_key = model.canonical_key(nxt)
             if nxt_key in parents:
                 stats.dedup_hits += 1
-                if dedup:
-                    continue
-            else:
-                parents[nxt_key] = (key, rule)
+                continue
+            parents[nxt_key] = (key, rule)
             frontier.append((nxt, nxt_key))
+        if rule is None:
+            # Should be unreachable for these models; reported, not raised.
+            deadlocked += 1
+            continue
         if len(frontier) > stats.max_frontier:
             stats.max_frontier = len(frontier)
 
@@ -147,12 +143,15 @@ def explore(model: BaseModel,
 
 
 def replay(model: BaseModel, rules) -> tuple[MachineState, Outcome]:
-    """Re-run a witness, checking each rule is enabled where it fires."""
+    """Re-run a witness, checking each rule is offered where it fires."""
     state = model.initial_state()
     for rule in rules:
-        if rule not in model.enabled(state):
+        for offered, nxt in model.expand(state):
+            if offered == rule:
+                state = nxt
+                break
+        else:
             raise ValueError(f"witness rule not enabled: {rule}")
-        state = model.apply(state, rule)
     if not model.is_terminal(state):
         raise ValueError("witness does not end in a terminal state")
     return state, model.outcome(state)

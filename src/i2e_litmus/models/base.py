@@ -1,15 +1,16 @@
 """Shared machinery for the rule-based machines.
 
 Every model is a catalog of guarded rules over an immutable
-`MachineState`.  `enabled` lists every rule instance that may fire
-(nondeterministic choices appear as separate instances), `apply` fires
-one atomically and returns the successor state.  The explorer drives
-these two methods and nothing else.
+`MachineState`, and `expand` is that catalog: a lazy generator of
+(rule instance, successor) pairs, one per instance whose guard holds
+(nondeterministic choices are separate instances), each guard and
+decode computed once.  The explorer and `replay` drive it; `enabled`
+and `apply` are thin wrappers over it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .. import isa
 from ..litmus import BoundTest, Outcome
@@ -109,11 +110,19 @@ class BaseModel:
     def check_invariants(self, state: MachineState) -> None:
         """Raise AssertionError if a structural invariant is broken."""
 
-    def enabled(self, state: MachineState) -> list[RuleInstance]:
+    def expand(self, state: MachineState) -> Iterator[tuple[RuleInstance, MachineState]]:
+        """Each rule instance that may fire in state, with its successor."""
         raise NotImplementedError
 
+    def enabled(self, state: MachineState) -> list[RuleInstance]:
+        return [rule for rule, _ in self.expand(state)]
+
     def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
-        raise NotImplementedError
+        """The successor of firing rule; ValueError if `expand` does not offer it."""
+        for offered, nxt in self.expand(state):
+            if offered == rule:
+                return nxt
+        raise ValueError(f"rule not enabled: {rule}")
 
     # -- presentation --------------------------------------------------------
 

@@ -16,8 +16,8 @@ so it names no address.
 
 The paper's TSO table has one load rule, whose effect depends on the
 buffer, so `TSO-Ld` names both of WMM's LdSb and LdMem effects:
-`WmmModel.apply` picks the effect from whether the buffer holds the
-address, the guard `enabled` used, not from the rule name.
+`WmmModel.expand` picks the effect from whether the buffer holds the
+address, the guard it checked, not from the rule name.
 """
 
 from __future__ import annotations
@@ -35,28 +35,21 @@ class ScModel(BaseModel):
     _RULES = {isa.Nm: "SC-Nm", isa.Ld: "SC-Ld", isa.St: "SC-St",
               isa.Commit: "SC-Com", isa.Reconcile: "SC-Rec"}
 
-    def enabled(self, state: MachineState) -> list[RuleInstance]:
-        out = []
+    def expand(self, state: MachineState):
         for i, proc in enumerate(state.procs):
-            if not self.halted[i][proc.pc]:
-                dins = isa.decode(self.decoded[i], proc)[0]
-                out.append(RuleInstance(self._RULES[type(dins)], i))
-        return out
-
-    def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
-        i = rule.proc
-        proc = state.procs[i]
-        dins = isa.decode(self.decoded[i], proc)[0]
-        m = state.m
-        if rule.rule == "SC-Ld":
-            proc = isa.execute(proc, dins, mem_get(m, dins.a, 0))
-        elif rule.rule == "SC-St":
-            proc = isa.execute(proc, dins)
-            m = mem_set(m, dins.a, dins.v)
-        else:  # SC-Nm / SC-Com / SC-Rec
-            proc = isa.execute(proc, dins)
-        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return MachineState(m, procs)
+            if self.halted[i][proc.pc]:
+                continue
+            dins = isa.decode(self.decoded[i], proc)[0]
+            kind = type(dins)
+            m = state.m
+            if kind is isa.Ld:
+                nxt = isa.execute(proc, dins, mem_get(m, dins.a, 0))
+            else:
+                nxt = isa.execute(proc, dins)
+                if kind is isa.St:
+                    m = mem_set(m, dins.a, dins.v)
+            procs = state.procs[:i] + (nxt,) + state.procs[i + 1:]
+            yield RuleInstance(self._RULES[kind], i), MachineState(m, procs)
 
 
 class PsoModel(WmmModel):
@@ -80,6 +73,8 @@ class TsoModel(PsoModel):
 
     DEQ_RULE = "TSO-DeqSb"
 
-    def _background_instances(self, state: MachineState) -> list[RuleInstance]:
+    def _background(self, state: MachineState):
         """One DeqSb per non-empty buffer, for its globally oldest store."""
-        return [RuleInstance(self.DEQ_RULE, i) for i, proc in enumerate(state.procs) if proc.sb]
+        for i, proc in enumerate(state.procs):
+            if proc.sb:
+                yield RuleInstance(self.DEQ_RULE, i), self._dequeue(state, i, proc.sb[0])

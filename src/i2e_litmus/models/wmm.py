@@ -35,18 +35,20 @@ WMM-LdIb is offered once per distinct successor: a choice that loads
 memory's value and leaves no value for the address behind would repeat
 WMM-LdMem.
 
-`apply` picks a load's effect from its payload and the buffer, the
-guards `enabled` used, not from the rule name: a stale choice reads the
-ib, a buffered address bypasses, anything else reads memory.
+`expand` decodes each processor's instruction once and yields each
+enabled rule instance with its successor, then `_background`'s.  The
+guard that picks a load's rule also fixes its effect, whatever the
+rule's name: a buffered address bypasses, anything else reads memory,
+and each stale choice reads the ib.
 
 WMM-D, WMM-S, PSO and TSO subclass this catalog and rename its rules
 through the class attributes `NM_RULE` ... `DEQ_RULE`.  PSO and TSO
 (`strong.py`) keep no live stale value, so one name, `TSO-Ld`, covers
-both LdSb and LdMem; TSO also drains only the globally oldest store, a
-DeqSb with no address.  WMM-D's timestamps live in hooks that WMM
-implements without them, at most one per fired rule: `_nm_value`,
-`_load_sb`, `_load_mem`, `_load_ib`, `_stale_choices`, `_store_entry`
-and `_write_memory`.
+both LdSb and LdMem; TSO's `_background` drains only the globally
+oldest store, a DeqSb with no address.  WMM-D's timestamps live in hooks
+that WMM implements without them, at most one per fired rule:
+`_nm_value`, `_load_sb`, `_load_mem`, `_load_ib`, `_stale_choices`,
+`_store_entry` and `_write_memory`.
 """
 
 from __future__ import annotations
@@ -140,32 +142,60 @@ class WmmModel(BaseModel):
         return tuple(liveness(instrs, self.addr_map, purges_kill=False)
                      for instrs in self.programs)
 
-    def enabled(self, state: MachineState) -> list[RuleInstance]:
-        out = []
+    def expand(self, state: MachineState):
         for i, proc in enumerate(state.procs):
             if self.halted[i][proc.pc]:
                 continue
             dins, sources = isa.decode(self.decoded[i], proc)
             kind = type(dins)
             if kind is isa.Ld:
-                if isa.sb_exist(proc.sb, dins.a):
-                    out.append(RuleInstance(self.LDSB_RULE, i))
-                else:
-                    out.append(RuleInstance(self.LDMEM_RULE, i))
-                    if proc.ib:
-                        out.extend(RuleInstance(self.LDIB_RULE, i, (k,))
-                                   for k in self._stale_choices(state, i, sources, dins.a))
+                a = dins.a
+                if isa.sb_exist(proc.sb, a):
+                    nxt = isa.execute(proc, dins, self._load_sb(state, i, sources, a))
+                    yield RuleInstance(self.LDSB_RULE, i), self._step(state, i, nxt)
+                    continue
+                nxt = isa.execute(proc, dins, self._load_mem(state, i, sources, a))
+                if proc.ib:
+                    nxt = isa.ProcState(nxt.regs, nxt.pc, nxt.sb, isa.ib_rm_addr(proc.ib, a),
+                                        nxt.rts)
+                yield RuleInstance(self.LDMEM_RULE, i), self._step(state, i, nxt)
+                if not proc.ib:
+                    continue
+                for k in self._stale_choices(state, i, sources, a):
+                    value, ib = self._load_ib(state, i, sources, a, k)
+                    nxt = isa.execute(isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts),
+                                      dins, value)
+                    yield RuleInstance(self.LDIB_RULE, i, (k,)), self._step(state, i, nxt)
             elif kind is isa.St:
-                out.append(RuleInstance(self.ST_RULE, i))
+                entry, next_tag = self._store_entry(state, i, sources, dins)
+                nxt = isa.ProcState(proc.regs, proc.pc + 1, isa.sb_enq(proc.sb, entry),
+                                    proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
+                yield RuleInstance(self.ST_RULE, i), self._step(state, i, nxt, next_tag)
             elif kind is isa.Nm:
-                out.append(RuleInstance(self.NM_RULE, i))
+                nxt = isa.execute(proc, dins, self._nm_value(state, i, sources, dins))
+                yield RuleInstance(self.NM_RULE, i), self._step(state, i, nxt)
             elif kind is isa.Commit:
                 if not proc.sb:
-                    out.append(RuleInstance(self.COM_RULE, i))
-            else:
-                out.append(RuleInstance(self.REC_RULE, i))
-        out += self._background_instances(state)
-        return out
+                    yield (RuleInstance(self.COM_RULE, i),
+                           self._step(state, i, isa.execute(proc, dins)))
+            else:  # Reconcile: rts = gts; only the timestamped machine's clock ever moves
+                nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, (), state.gts)
+                yield RuleInstance(self.REC_RULE, i), self._step(state, i, nxt)
+        yield from self._background(state)
+
+    def _step(self, state: MachineState, i: int, proc: isa.ProcState,
+              next_tag=None) -> MachineState:
+        """state once processor i has executed an instruction and become
+        proc, less the stale values proc can no longer load from its new pc."""
+        if proc.ib:
+            live = self.stale_live[i][proc.pc]
+            if live is not ANY_ADDRESS:
+                ib = tuple(e for e in proc.ib if e[0] in live)
+                if len(ib) != len(proc.ib):
+                    proc = isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
+        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
+        return MachineState(state.m, procs, state.gts,
+                            state.next_tag if next_tag is None else next_tag)
 
     def _stale_choices(self, state: MachineState, i: int, sources: tuple,
                        a: int) -> list[int]:
@@ -186,58 +216,41 @@ class WmmModel(BaseModel):
                 choices.append(k)
         return choices
 
-    def _background_instances(self, state: MachineState) -> list[RuleInstance]:
-        return [RuleInstance(self.DEQ_RULE, i, (a,))
-                for i in range(self.nprocs)
-                for a in isa.sb_addrs(state.procs[i].sb)]
+    def _background(self, state: MachineState):
+        """DeqSb: any buffer's oldest store for any address reaches memory."""
+        for i, proc in enumerate(state.procs):
+            for a in isa.sb_addrs(proc.sb):
+                yield (RuleInstance(self.DEQ_RULE, i, (a,)),
+                       self._dequeue(state, i, isa.sb_oldest(proc.sb, a)))
 
-    def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
-        if rule.rule == self.DEQ_RULE:
-            return self._apply_dequeue(state, rule)
-        i = rule.proc
-        proc = state.procs[i]
-        dins, sources = isa.decode(self.decoded[i], proc)
-        kind = type(dins)
-        if kind is isa.Ld:
-            a = dins.a
-            if rule.payload:  # LdIb: the stale choice
-                value, ib = self._load_ib(state, i, sources, a, rule.payload[0])
-                proc = isa.execute(proc, dins, value)
-                proc = isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
-            elif isa.sb_exist(proc.sb, a):  # LdSb, by the guard enabled used
-                proc = isa.execute(proc, dins, self._load_sb(state, i, sources, a))
-            else:  # LdMem
-                proc = isa.execute(proc, dins, self._load_mem(state, i, sources, a))
-                if proc.ib:
-                    proc = isa.ProcState(proc.regs, proc.pc, proc.sb,
-                                         isa.ib_rm_addr(proc.ib, a), proc.rts)
-        elif kind is isa.St:
-            proc = isa.execute(proc, dins)
-            proc = isa.ProcState(proc.regs, proc.pc,
-                                 isa.sb_enq(proc.sb, self._store_entry(state, i, sources, dins)),
-                                 proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-        elif kind is isa.Reconcile:
-            # rts = gts; only the timestamped machine's clock ever moves
-            proc = isa.execute(proc, dins)
-            proc = isa.ProcState(proc.regs, proc.pc, proc.sb, (), state.gts)
-        elif kind is isa.Nm:
-            proc = isa.execute(proc, dins, self._nm_value(state, i, sources, dins))
-        else:  # Commit
-            proc = isa.execute(proc, dins)
-        if proc.ib:
-            proc = self._drop_dead(i, proc)
-        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return MachineState(state.m, procs, state.gts, state.next_tag)
+    def _dequeue(self, state: MachineState, i: int, entry: tuple) -> MachineState:
+        """state once processor i's store entry, its oldest for the address,
+        has reached memory: it leaves every buffer holding it, and every
+        other processor is offered the overwritten value."""
+        m, gts, stale = self._write_memory(state, i, entry)
+        holders = self._holders(state, i, entry)
+        procs = []
+        for j, proc in enumerate(state.procs):
+            if j in holders:
+                sb = isa.sb_rm_oldest(proc.sb, entry[0])[1]
+                procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
+            else:
+                procs.append(self._offer_stale(j, proc, stale[j]))
+        return MachineState(m, tuple(procs), gts, state.next_tag)
 
-    def _drop_dead(self, i: int, proc: isa.ProcState) -> isa.ProcState:
-        """Drop the stale values thread i can no longer load from its new pc."""
-        live = self.stale_live[i][proc.pc]
-        if live is ANY_ADDRESS:
+    def _holders(self, state: MachineState, i: int, entry: tuple) -> tuple:
+        """The processors whose buffer holds processor i's store entry."""
+        return (i,)
+
+    def _offer_stale(self, j: int, proc: isa.ProcState, stale: tuple) -> isa.ProcState:
+        """Processor j after memory overwrote a value: its stale ib entry
+        goes in unless j has a pending store to the address or can never
+        load it."""
+        a = stale[0]
+        if a not in self.stale_live[j][proc.pc] or isa.sb_exist(proc.sb, a):
             return proc
-        ib = tuple(e for e in proc.ib if e[0] in live)
-        if len(ib) == len(proc.ib):
-            return proc
-        return isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
+        return isa.ProcState(proc.regs, proc.pc, proc.sb,
+                             isa.ib_insert(proc.ib, stale), proc.rts)
 
     # -- timestamp hooks: WMM-D overrides these, WMM needs no timestamps --
 
@@ -258,7 +271,8 @@ class WmmModel(BaseModel):
 
     def _store_entry(self, state: MachineState, i: int, sources: tuple,
                      dins: isa.St) -> tuple:
-        return (dins.a, dins.v)
+        """The entry a store enqueues, and the state's next store tag."""
+        return (dins.a, dins.v), state.next_tag
 
     def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:
         """Memory once processor i's store entry reaches it, the clock, and
@@ -266,30 +280,6 @@ class WmmModel(BaseModel):
         a = entry[0]
         stale = (a, mem_get(state.m, a, 0))
         return mem_set(state.m, a, entry[1]), state.gts, (stale,) * self.nprocs
-
-    def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
-        i = rule.proc
-        sb = state.procs[i].sb
-        # DeqSb names an address, or none to drain the globally oldest store
-        entry, sb = isa.sb_rm_oldest(sb, rule.payload[0] if rule.payload else sb[0][0])
-        m, gts, stale = self._write_memory(state, i, entry)
-        procs = []
-        for j, proc in enumerate(state.procs):
-            if j == i:
-                procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
-            else:
-                procs.append(self._offer_stale(j, proc, stale[j]))
-        return MachineState(m, tuple(procs), gts, state.next_tag)
-
-    def _offer_stale(self, j: int, proc: isa.ProcState, stale: tuple) -> isa.ProcState:
-        """Processor j after memory overwrote a value: its stale ib entry
-        goes in unless j has a pending store to the address or can never
-        load it."""
-        a = stale[0]
-        if a not in self.stale_live[j][proc.pc] or isa.sb_exist(proc.sb, a):
-            return proc
-        return isa.ProcState(proc.regs, proc.pc, proc.sb,
-                             isa.ib_insert(proc.ib, stale), proc.rts)
 
     def check_invariants(self, state: MachineState) -> None:
         for i, proc in enumerate(state.procs):

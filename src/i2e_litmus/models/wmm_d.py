@@ -118,7 +118,7 @@ class WmmDModel(WmmModel):
 
     def _store_entry(self, state: MachineState, i: int, sources: tuple,
                      dins: isa.St) -> tuple:
-        return (dins.a, dins.v, _ats(state.procs[i], sources))
+        return (dins.a, dins.v, _ats(state.procs[i], sources)), state.next_tag
 
     def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:
         a, v, sts = entry

@@ -110,11 +110,22 @@ class WmmSModel(WmmModel):
     DEQ_RULE = "WMM-S-DeqSb"
     COPY_RULE = "WMM-S-Copy"
 
-    def enabled(self, state: MachineState) -> list[RuleInstance]:
-        out = super().enabled(state)
+    def _background(self, state: MachineState):
+        """DeqSb once per tag, then Copy once per (tag, target), each fired
+        by the tag's lowest-index holder."""
         seen = set()
         for i, proc in enumerate(state.procs):
-            for a, v, tag in proc.sb:
+            for a in isa.sb_addrs(proc.sb):
+                entry = isa.sb_oldest(proc.sb, a)
+                if entry[2] in seen:
+                    continue
+                seen.add(entry[2])
+                if self._committable(state, a, entry):
+                    yield RuleInstance(self.DEQ_RULE, i, (a,)), self._dequeue(state, i, entry)
+        seen = set()
+        for i, proc in enumerate(state.procs):
+            for entry in proc.sb:
+                a, _, tag = entry
                 if tag in seen:
                     continue
                 seen.add(tag)
@@ -125,73 +136,34 @@ class WmmSModel(WmmModel):
                 lists = _tag_lists(state, a)
                 for j in targets:
                     if _copy_keeps_order(lists, tag, j):
-                        out.append(RuleInstance(self.COPY_RULE, i, (a, tag, j)))
-        return out
-
-    def _background_instances(self, state: MachineState) -> list[RuleInstance]:
-        out = []
-        seen = set()
-        for i, proc in enumerate(state.procs):
-            for a in isa.sb_addrs(proc.sb):
-                entry = isa.sb_oldest(proc.sb, a)
-                if entry[2] in seen:
-                    continue
-                seen.add(entry[2])
-                if self._committable(state, a, entry):
-                    out.append(RuleInstance(self.DEQ_RULE, i, (a,)))
-        return out
+                        yield (RuleInstance(self.COPY_RULE, i, (a, tag, j)),
+                               self._copy(state, entry, j))
 
     @staticmethod
     def _committable(state: MachineState, a: int, entry: tuple) -> bool:
         """Every copy of the tag must be the oldest store for a in its buffer."""
-        tag = entry[2]
-        for proc in state.procs:
-            behind = False  # an older store for a came first
-            for e in proc.sb:
-                if e[2] == tag:
-                    if behind:
-                        return False
-                    break
-                behind = behind or e[0] == a
-        return True
+        return all(isa.sb_oldest(proc.sb, a) == entry
+                   for proc in state.procs if entry in proc.sb)
+
+    def _holders(self, state: MachineState, i: int, entry: tuple) -> list[int]:
+        """Every processor with a copy of the tag: as the entry is
+        committable, one whose oldest store for the address is the entry."""
+        return [j for j, proc in enumerate(state.procs)
+                if isa.sb_oldest(proc.sb, entry[0]) == entry]
+
+    @staticmethod
+    def _copy(state: MachineState, entry: tuple, j: int) -> MachineState:
+        """state once the tagged store entry is copied into processor j's
+        buffer, which purges j's stale values for its address."""
+        target = state.procs[j]
+        target = isa.ProcState(target.regs, target.pc, isa.sb_enq(target.sb, entry),
+                               isa.ib_rm_addr(target.ib, entry[0]), target.rts)
+        procs = state.procs[:j] + (target,) + state.procs[j + 1:]
+        return MachineState(state.m, procs, state.gts, state.next_tag)
 
     def _store_entry(self, state: MachineState, i: int, sources: tuple,
                      dins: isa.St) -> tuple:
-        return (dins.a, dins.v, state.next_tag)
-
-    def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
-        if rule.rule == self.COPY_RULE:
-            a, tag, j = rule.payload
-            entry = next(e for e in state.procs[rule.proc].sb if e[2] == tag)
-            target = state.procs[j]
-            target = isa.ProcState(target.regs, target.pc, isa.sb_enq(target.sb, entry),
-                                   isa.ib_rm_addr(target.ib, a), target.rts)
-            procs = state.procs[:j] + (target,) + state.procs[j + 1:]
-            return MachineState(state.m, procs, state.gts, state.next_tag)
-        nxt = super().apply(state, rule)
-        if rule.rule == self.ST_RULE:  # the store took tag next_tag
-            return MachineState(nxt.m, nxt.procs, nxt.gts, nxt.next_tag + 1)
-        return nxt
-
-    def _apply_dequeue(self, state: MachineState, rule: RuleInstance) -> MachineState:
-        a = rule.payload[0]
-        entry = isa.sb_oldest(state.procs[rule.proc].sb, a)
-        m, gts, stale = self._write_memory(state, rule.proc, entry)
-        procs = []
-        for j, proc in enumerate(state.procs):
-            # DeqSb is enabled, so a buffer holds the tag exactly when its
-            # oldest store for a is the entry
-            for n, e in enumerate(proc.sb):
-                if e[0] == a:
-                    break
-            else:
-                e = None
-            if e == entry:
-                sb = proc.sb[:n] + proc.sb[n + 1:]
-                procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
-            else:
-                procs.append(self._offer_stale(j, proc, stale[j]))
-        return MachineState(m, tuple(procs), gts, state.next_tag)
+        return (dins.a, dins.v, state.next_tag), state.next_tag + 1
 
     def canonical_key(self, state: MachineState):
         """Each buffer in address order (stable, so each address keeps its

@@ -16,8 +16,10 @@ and its expression trees on every call, against which the compiled
 per-pc tables of `isa.compile_thread` are checked.  It uses nothing from
 `models/`.
 
-`wmm_s_per_holder_instances` is the unreduced WMM-S enumeration, which
-offers DeqSb and Copy once per processor holding a copy of the tag.
+`wmm_s_per_holder_expansion` is the unreduced WMM-S expansion, which
+fires DeqSb and Copy once per processor holding a copy of the tag,
+through the catalog's per-rule helpers `_dequeue` and `_copy` rather
+than `expand`'s once-per-tag choice.
 
 `unreduced` turns a `wmm`, `wmm-d` or `wmm-s` model back into the
 paper's machine: every address counts as live at every pc, so DeqSb
@@ -68,18 +70,24 @@ def age_ordered_key(state) -> tuple:
     return (state.m, tuple(procs))
 
 
-def wmm_s_per_holder_instances(model: WmmSModel, state) -> list:
-    """Every WMM-S rule instance, with DeqSb and Copy once per holder."""
-    out = [r for r in model.enabled(state) if r.rule not in (model.DEQ_RULE, model.COPY_RULE)]
+def wmm_s_per_holder_expansion(model: WmmSModel, state) -> list:
+    """Every WMM-S rule instance with its successor, DeqSb and Copy once
+    per holder."""
+    out = [(r, nxt) for r, nxt in model.expand(state)
+           if r.rule not in (model.DEQ_RULE, model.COPY_RULE)]
     for i, proc in enumerate(state.procs):
         for a in isa.sb_addrs(proc.sb):
-            if model._committable(state, a, isa.sb_oldest(proc.sb, a)):
-                out.append(RuleInstance(model.DEQ_RULE, i, (a,)))
+            entry = isa.sb_oldest(proc.sb, a)
+            if model._committable(state, a, entry):
+                out.append((RuleInstance(model.DEQ_RULE, i, (a,)),
+                            model._dequeue(state, i, entry)))
     for i, proc in enumerate(state.procs):
-        for a, v, tag in proc.sb:
+        for entry in proc.sb:
+            a, _, tag = entry
             for j in range(model.nprocs):
                 if no_cycle(state, a, tag, j):
-                    out.append(RuleInstance(model.COPY_RULE, i, (a, tag, j)))
+                    out.append((RuleInstance(model.COPY_RULE, i, (a, tag, j)),
+                                model._copy(state, entry, j)))
     return out
 
 

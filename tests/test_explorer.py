@@ -207,18 +207,6 @@ class TestOrderInvariance:
             assert bfs == dfs == rnd
 
 
-class TestDedupSoundness:
-    @pytest.mark.parametrize("name", ["corr", "thin-air", "mp-nofence", "dekker"])
-    def test_disabling_dedup_preserves_outcomes(self, corpus_by_name, name):
-        entry = corpus_by_name[name]
-        model = build_model("wmm", entry.test)
-        with_dedup = explore(model)
-        without = explore(model, dedup=False)
-        assert without.complete
-        assert with_dedup.outcomes == without.outcomes
-        assert without.stats.visited >= with_dedup.stats.visited
-
-
 class TestWitnesses:
     def test_every_outcome_replays(self, corpus_by_name, explored):
         for name in ("dekker-no-reconcile-p1", "wwc", "load-value-prediction"):
@@ -234,6 +222,18 @@ class TestWitnesses:
         model = build_model("wmm", corpus_by_name["dekker"].test)
         with pytest.raises(ValueError, match="not enabled"):
             replay(model, [RuleInstance("WMM-Com", 0)])
+
+    def test_replay_rejects_a_witness_with_one_instance_swapped(self, corpus_by_name, explored):
+        entry = corpus_by_name["dekker"]
+        result = explored(entry, "wmm")
+        witness = list(result.witness(max(result.outcomes)))
+        model = build_model("wmm", entry.test)
+        replay(model, witness)
+        k = next(n for n, rule in enumerate(witness) if rule.rule == "WMM-DeqSb")
+        # a store to an address that no store buffer holds
+        witness[k] = witness[k]._replace(payload=(max(model.addr_map.values()) + 1,))
+        with pytest.raises(ValueError, match="not enabled"):
+            replay(model, witness)
 
 
 class TestLimits:

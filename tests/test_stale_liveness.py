@@ -168,11 +168,29 @@ class TestDeadValues:
         state = state._replace(procs=(state.procs[0]._replace(ib=(older, younger)),)
                                + state.procs[1:])
         rule = RuleInstance(model.LDIB_RULE, 0, (0,))
-        assert model.apply(state, rule).procs[0].ib == ()
+        offered = dict(model.expand(state))
+        # P1 passes its last load of a: no successor of that load keeps a value for a
+        assert RuleInstance(model.LDMEM_RULE, 0) in offered
+        assert all(nxt.procs[0].ib == () for r, nxt in offered.items() if r.proc == 0)
+        # so choice 0 reads memory's value and leaves what LdMem leaves, and
+        # only WMM-D, which has no distinct-successor filter, offers it
+        assert (rule in offered) == (model_id == "wmm-d")
         reference = unreduced(build_model(model_id, parse(LOAD_THEN_OTHER)))
         # WMM consumes the value it read; WMM-D's rmOlder keeps it
         kept = (older, younger) if model_id == "wmm-d" else (younger,)
         assert reference.apply(state, rule).procs[0].ib == kept
+
+
+def test_apply_refuses_an_instance_expand_does_not_offer():
+    """`apply` fires only what `expand` offers: here the LdIb choice that
+    WMM's distinct-successor filter drops."""
+    model = build_model("wmm", parse(LOAD_THEN_OTHER))
+    state = model.initial_state()
+    state = state._replace(procs=(state.procs[0]._replace(ib=((0, 0), (0, 5))),)
+                           + state.procs[1:])
+    assert model.apply(state, RuleInstance("WMM-LdIb", 0, (1,))).procs[0].regs == (("r1", 5),)
+    with pytest.raises(ValueError, match="not enabled"):
+        model.apply(state, RuleInstance("WMM-LdIb", 0, (0,)))
 
 
 def assert_same_as_unreduced(test, model_id, reduced_results):

@@ -8,7 +8,7 @@ from i2e_litmus.explorer import explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.wmm_s import no_cycle
-from oracle import age_ordered_key, unreduced, wmm_s_per_holder_instances
+from oracle import age_ordered_key, unreduced, wmm_s_per_holder_expansion
 
 
 def reg_projection(outcomes, *keys):
@@ -305,11 +305,9 @@ class TestOncePerTag:
                 states.setdefault(model.canonical_key(state), state))
         dropped = 0
         for state in states.values():
-            reduced = {r: model.canonical_key(model.apply(state, r))
-                       for r in model.enabled(state)}
-            reference = wmm_s_per_holder_instances(model, state)
-            assert set(reduced.values()) == {model.canonical_key(model.apply(state, r))
-                                             for r in reference}
+            reduced = {r: model.canonical_key(nxt) for r, nxt in model.expand(state)}
+            reference = wmm_s_per_holder_expansion(model, state)
+            assert set(reduced.values()) == {model.canonical_key(nxt) for _, nxt in reference}
             assert len(set(reduced.values())) == len(reduced), "two instances, one successor"
             dropped += len(reference) - len(reduced)
         assert dropped > 0  # some tag really had several holders
