@@ -186,10 +186,6 @@ class CheckReport:
             return None
         return True
 
-    @property
-    def inconclusive(self) -> bool:
-        return any(v.inconclusive for v in self.verdicts)
-
 
 def _judge(check: Check, result: ExploreResult,
            want_witness: bool) -> Verdict:

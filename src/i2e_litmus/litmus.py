@@ -397,9 +397,6 @@ class _Tokens:
         self.pos += 1
         return tok
 
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def expect_done(self) -> None:
         tok = self.peek()
         if tok is not None:

@@ -29,14 +29,12 @@ class MachineState(NamedTuple):
     """Monolithic memory plus one ProcState per thread.
 
     `gts` is the global memory-write clock (timestamped machine only);
-    `next_tag` feeds store-tag allocation (tagged machine only).  Both
-    stay 0 elsewhere.
+    it stays 0 elsewhere.
     """
 
     m: tuple
     procs: tuple
     gts: int = 0
-    next_tag: int = 0
 
 
 # Memory has the register file's shape: a sorted tuple of (address, value) pairs.

@@ -30,10 +30,9 @@ moves on drops the values that just became dead.  On every path the
 Reconcile or store that would remove such a value comes before any
 load that could read it, so states that differ only in dead values
 reach the same outcomes, and the search merges them.  The test suite
-keeps the unreduced machine as a reference.  For the same reason
-WMM-LdIb is offered once per distinct successor: a choice that loads
-memory's value and leaves no value for the address behind would repeat
-WMM-LdMem.
+keeps the unreduced machine as a reference.  WMM-LdIb is offered for
+every stale value, as in the paper, even where its successor is one
+that WMM-LdMem or another choice also gives: the search merges those.
 
 `expand` decodes each processor's instruction once and yields each
 enabled rule instance with its successor, then `_background`'s.  The
@@ -47,8 +46,8 @@ through the class attributes `NM_RULE` ... `DEQ_RULE`.  PSO and TSO
 both LdSb and LdMem; TSO's `_background` drains only the globally
 oldest store, a DeqSb with no address.  WMM-D's timestamps live in hooks
 that WMM implements without them, at most one per fired rule:
-`_nm_value`, `_load_sb`, `_load_mem`, `_load_ib`, `_stale_choices`,
-`_store_entry` and `_write_memory`.
+`_nm_value`, `_load_sb`, `_load_mem`, `_stale_loads`, `_store_entry`
+and `_write_memory`.  WMM-S tags its stores through `_store_entry`.
 """
 
 from __future__ import annotations
@@ -161,16 +160,15 @@ class WmmModel(BaseModel):
                 yield RuleInstance(self.LDMEM_RULE, i), self._step(state, i, nxt)
                 if not proc.ib:
                     continue
-                for k in self._stale_choices(state, i, sources, a):
-                    value, ib = self._load_ib(state, i, sources, a, k)
+                for k, value, ib in self._stale_loads(state, i, sources, a):
                     nxt = isa.execute(isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts),
                                       dins, value)
                     yield RuleInstance(self.LDIB_RULE, i, (k,)), self._step(state, i, nxt)
             elif kind is isa.St:
-                entry, next_tag = self._store_entry(state, i, sources, dins)
+                entry = self._store_entry(state, i, sources, dins)
                 nxt = isa.ProcState(proc.regs, proc.pc + 1, isa.sb_enq(proc.sb, entry),
                                     proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-                yield RuleInstance(self.ST_RULE, i), self._step(state, i, nxt, next_tag)
+                yield RuleInstance(self.ST_RULE, i), self._step(state, i, nxt)
             elif kind is isa.Nm:
                 nxt = isa.execute(proc, dins, self._nm_value(state, i, sources, dins))
                 yield RuleInstance(self.NM_RULE, i), self._step(state, i, nxt)
@@ -183,8 +181,7 @@ class WmmModel(BaseModel):
                 yield RuleInstance(self.REC_RULE, i), self._step(state, i, nxt)
         yield from self._background(state)
 
-    def _step(self, state: MachineState, i: int, proc: isa.ProcState,
-              next_tag=None) -> MachineState:
+    def _step(self, state: MachineState, i: int, proc: isa.ProcState) -> MachineState:
         """state once processor i has executed an instruction and become
         proc, less the stale values proc can no longer load from its new pc."""
         if proc.ib:
@@ -194,27 +191,7 @@ class WmmModel(BaseModel):
                 if len(ib) != len(proc.ib):
                     proc = isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
         procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return MachineState(state.m, procs, state.gts,
-                            state.next_tag if next_tag is None else next_tag)
-
-    def _stale_choices(self, state: MachineState, i: int, sources: tuple,
-                       a: int) -> list[int]:
-        """The ib choices for a load of a whose successor neither LdMem nor
-        an earlier choice gives.  A choice loads its value and leaves the
-        younger values for a, or none once a is dead at the next pc."""
-        proc = state.procs[i]
-        stale = isa.ib_entries(proc.ib, a)
-        if not stale:
-            return []
-        keep = a in self.stale_live[i][proc.pc + 1]
-        seen = {(mem_get(state.m, a, 0), ())}  # what LdMem gives
-        choices = []
-        for k, entry in enumerate(stale):
-            result = (entry[1], stale[k + 1:] if keep else ())
-            if result not in seen:
-                seen.add(result)
-                choices.append(k)
-        return choices
+        return MachineState(state.m, procs, state.gts)
 
     def _background(self, state: MachineState):
         """DeqSb: any buffer's oldest store for any address reaches memory."""
@@ -236,7 +213,7 @@ class WmmModel(BaseModel):
                 procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
             else:
                 procs.append(self._offer_stale(j, proc, stale[j]))
-        return MachineState(m, tuple(procs), gts, state.next_tag)
+        return MachineState(m, tuple(procs), gts)
 
     def _holders(self, state: MachineState, i: int, entry: tuple) -> tuple:
         """The processors whose buffer holds processor i's store entry."""
@@ -263,16 +240,18 @@ class WmmModel(BaseModel):
     def _load_mem(self, state: MachineState, i: int, sources: tuple, a: int):
         return mem_get(state.m, a, 0)
 
-    def _load_ib(self, state: MachineState, i: int, sources: tuple, a: int,
-                 k: int) -> tuple:
-        """The value stale choice k loads, and the ib it leaves behind."""
-        entry, ib = isa.ib_take(state.procs[i].ib, a, k)
-        return entry[1], ib
+    def _stale_loads(self, state: MachineState, i: int, sources: tuple, a: int):
+        """(choice, value loaded, ib left behind) for each stale value of a
+        that a load may read: here every one, consumed with `ib_take`."""
+        ib = state.procs[i].ib
+        for k in range(len(isa.ib_entries(ib, a))):
+            entry, rest = isa.ib_take(ib, a, k)
+            yield k, entry[1], rest
 
     def _store_entry(self, state: MachineState, i: int, sources: tuple,
                      dins: isa.St) -> tuple:
-        """The entry a store enqueues, and the state's next store tag."""
-        return (dins.a, dins.v), state.next_tag
+        """The entry a store enqueues."""
+        return dins.a, dins.v
 
     def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:
         """Memory once processor i's store entry reaches it, the clock, and

@@ -19,11 +19,11 @@ rts = gts, so checking ats <= tsU suffices.
 Everything else is WMM's rule catalog, with rules named WMM-D-* and
 registers decoded as (value, ts) pairs.  The timestamp hooks it
 overrides stamp results (`_nm_value` with ats, `_load_sb` with the
-entry's sts, `_load_mem` with sts or mts by writer, `_load_ib` with
-tsL), offer a stale value only when ats <= tsU (`_stale_choices`),
-consume it with `ib_rm_older`, which keeps the entry read (`_load_ib`),
-stamp a buffered store (`_store_entry`), and write the memory cell,
-tick `gts` and hand out [tsL, tsU] stale entries (`_write_memory`).
+entry's sts, `_load_mem` with sts or mts by writer); offer a stale
+value only when ats <= tsU, stamp it with tsL and consume it with
+`ib_rm_older`, which keeps the entry read (`_stale_loads`); stamp a
+buffered store (`_store_entry`); and write the memory cell, tick `gts`
+and hand out [tsL, tsU] stale entries (`_write_memory`).
 WMM's Reconcile already sets rts = gts.  The stale-value liveness
 reduction (`wmm.liveness`) applies unchanged: timestamps matter
 only when a stale value is read, and a dead one never is.
@@ -32,8 +32,8 @@ Once no thread can reach a load whose address reads a register
 (`load_live` is ANY_ADDRESS at no thread's pc), the state key drops
 every clock: memory's writer, sts and mts, register and entry stamps,
 rts and gts.  Sound because (1) the only guard reading a timestamp is
-`_stale_choices`' ats <= tsU, and ats = 0 at a constant address;
-(2) `_load_ib`'s `ib_rm_older` reads only the order of tsU among one
+`_stale_loads`' ats <= tsU, and ats = 0 at a constant address;
+(2) `_stale_loads`' `ib_rm_older` reads only the order of tsU among one
 address's ib entries, which is insertion order (gts ticks on every
 write, entries are appended); (3) writer only picks a timestamp; (4) a
 later pc reaches no more pcs, so such a pc never becomes ANY_ADDRESS
@@ -101,24 +101,19 @@ class WmmDModel(WmmModel):
         vts = sts if writer == i else mts
         return v, load_value_timestamp(_ats(proc, sources), proc.rts, vts)
 
-    def _stale_choices(self, state: MachineState, i: int, sources: tuple,
-                       a: int) -> list[int]:
-        ats = _ats(state.procs[i], sources)
-        return [k for k, entry in enumerate(isa.ib_entries(state.procs[i].ib, a))
-                if ats <= entry[3]]  # stale-timing: ats must not pass tsU
-
-    def _load_ib(self, state: MachineState, i: int, sources: tuple, a: int,
-                 k: int) -> tuple:
+    def _stale_loads(self, state: MachineState, i: int, sources: tuple, a: int):
         proc = state.procs[i]
-        _, v, ts_lower, ts_upper = isa.ib_entries(proc.ib, a)[k]
-        value = (v, load_value_timestamp(_ats(proc, sources), proc.rts, ts_lower))
-        # rmOlder is strict, so the entry read here survives: it may
-        # be read again by a later load from the same store.
-        return value, isa.ib_rm_older(proc.ib, a, ts_upper)
+        ats = _ats(proc, sources)
+        for k, (_, v, ts_lower, ts_upper) in enumerate(isa.ib_entries(proc.ib, a)):
+            if ats <= ts_upper:  # stale-timing: ats must not pass tsU
+                # rmOlder is strict, so the entry read here survives: it may
+                # be read again by a later load from the same store.
+                yield (k, (v, load_value_timestamp(ats, proc.rts, ts_lower)),
+                       isa.ib_rm_older(proc.ib, a, ts_upper))
 
     def _store_entry(self, state: MachineState, i: int, sources: tuple,
                      dins: isa.St) -> tuple:
-        return (dins.a, dins.v, _ats(state.procs[i], sources)), state.next_tag
+        return dins.a, dins.v, _ats(state.procs[i], sources)
 
     def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:
         a, v, sts = entry

@@ -2,11 +2,14 @@
 
 Stores become visible to different processors at different times here:
 a background rule may copy a buffered store into another processor's
-store buffer, and every copy shares the tag minted when the store
-executed.  The per-address orders of all store buffers, glued together
-by tags, must stay a strict partial order (the partial coherence
-order); `no_cycle` rejects any copy that would close a cycle, which
-also covers copying into a buffer that already holds the tag.
+store buffer, and every copy shares the store's tag, one past the
+largest tag any buffer held when the store executed.  A tag need only
+be unique among buffered entries, because DeqSb removes every copy at
+once, and the state key renames tags anyway.  The per-address orders
+of all store buffers, glued together by tags, must stay a strict
+partial order (the partial coherence order); `no_cycle` rejects any
+copy that would close a cycle, which also covers copying into a buffer
+that already holds the tag.
 
 Writing a store to memory requires every copy to be the oldest store
 for its address in its buffer; the write then removes all copies at
@@ -159,11 +162,17 @@ class WmmSModel(WmmModel):
         target = isa.ProcState(target.regs, target.pc, isa.sb_enq(target.sb, entry),
                                isa.ib_rm_addr(target.ib, entry[0]), target.rts)
         procs = state.procs[:j] + (target,) + state.procs[j + 1:]
-        return MachineState(state.m, procs, state.gts, state.next_tag)
+        return MachineState(state.m, procs, state.gts)
 
     def _store_entry(self, state: MachineState, i: int, sources: tuple,
                      dins: isa.St) -> tuple:
-        return (dins.a, dins.v, state.next_tag), state.next_tag + 1
+        """The store, tagged one past the largest tag any buffer holds."""
+        tag = 0
+        for proc in state.procs:
+            for entry in proc.sb:
+                if entry[2] >= tag:
+                    tag = entry[2] + 1
+        return dins.a, dins.v, tag
 
     def canonical_key(self, state: MachineState):
         """Each buffer in address order (stable, so each address keeps its

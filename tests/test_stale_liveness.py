@@ -172,9 +172,10 @@ class TestDeadValues:
         # P1 passes its last load of a: no successor of that load keeps a value for a
         assert RuleInstance(model.LDMEM_RULE, 0) in offered
         assert all(nxt.procs[0].ib == () for r, nxt in offered.items() if r.proc == 0)
-        # so choice 0 reads memory's value and leaves what LdMem leaves, and
-        # only WMM-D, which has no distinct-successor filter, offers it
-        assert (rule in offered) == (model_id == "wmm-d")
+        # so choice 0 reads memory's value and leaves what LdMem leaves; it
+        # is offered all the same, as the paper's LdIb reads any stale value
+        assert rule in offered
+        assert offered[rule].procs[0] == offered[RuleInstance(model.LDMEM_RULE, 0)].procs[0]
         reference = unreduced(build_model(model_id, parse(LOAD_THEN_OTHER)))
         # WMM consumes the value it read; WMM-D's rmOlder keeps it
         kept = (older, younger) if model_id == "wmm-d" else (younger,)
@@ -182,15 +183,15 @@ class TestDeadValues:
 
 
 def test_apply_refuses_an_instance_expand_does_not_offer():
-    """`apply` fires only what `expand` offers: here the LdIb choice that
-    WMM's distinct-successor filter drops."""
+    """`apply` fires only what `expand` offers: here an LdIb choice past
+    the last stale value."""
     model = build_model("wmm", parse(LOAD_THEN_OTHER))
     state = model.initial_state()
     state = state._replace(procs=(state.procs[0]._replace(ib=((0, 0), (0, 5))),)
                            + state.procs[1:])
     assert model.apply(state, RuleInstance("WMM-LdIb", 0, (1,))).procs[0].regs == (("r1", 5),)
     with pytest.raises(ValueError, match="not enabled"):
-        model.apply(state, RuleInstance("WMM-LdIb", 0, (0,)))
+        model.apply(state, RuleInstance("WMM-LdIb", 0, (2,)))
 
 
 def assert_same_as_unreduced(test, model_id, reduced_results):

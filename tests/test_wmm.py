@@ -54,24 +54,23 @@ class TestEnabled:
         assert load_rules(model, state) == [
             RuleInstance("WMM-LdMem", 0), RuleInstance("WMM-LdIb", 0, (0,))]
 
-    def test_youngest_stale_value_equal_to_memory_is_not_offered(self):
-        model = build_model("wmm", parse(LD_TEST.replace("r1 = Ld a", "r1 = Ld a\n  r2 = Ld a")))
+    @pytest.mark.parametrize("program, ib", [
+        (LD_TEST.replace("r1 = Ld a", "r1 = Ld a\n  r2 = Ld a"), ((0, 0), (0, 5), (0, 0))),
+        (LD_TEST, ((0, 0), (0, 5), (0, 5))),
+    ], ids=["address-live", "address-dead"])
+    def test_every_stale_value_is_a_choice(self, program, ib):
+        # even a choice whose successor LdMem or an earlier choice also gives
+        model = build_model("wmm", parse(program))
         state = model.initial_state()
-        p1 = state.procs[0]._replace(ib=((0, 0), (0, 5), (0, 0)))
-        state = state._replace(procs=(p1,) + state.procs[1:])
-        # taking the youngest would leave what LdMem leaves: no entry for a
-        assert load_rules(model, state) == [
-            RuleInstance("WMM-LdMem", 0),
-            RuleInstance("WMM-LdIb", 0, (0,)), RuleInstance("WMM-LdIb", 0, (1,))]
-
-    def test_one_choice_per_value_once_the_address_is_dead(self):
-        model = build_model("wmm", parse(LD_TEST))
-        state = model.initial_state()
-        p1 = state.procs[0]._replace(ib=((0, 0), (0, 5), (0, 5)))
-        state = state._replace(procs=(p1,) + state.procs[1:])
-        # no value for a survives the load, so only the loaded value differs
-        assert load_rules(model, state) == [
-            RuleInstance("WMM-LdMem", 0), RuleInstance("WMM-LdIb", 0, (1,))]
+        state = state._replace(procs=(state.procs[0]._replace(ib=ib),) + state.procs[1:])
+        assert load_rules(model, state) == [RuleInstance("WMM-LdMem", 0)] + [
+            RuleInstance("WMM-LdIb", 0, (k,)) for k in range(3)]
+        live = len(model.programs[0]) > 1
+        for k, (_, v) in enumerate(ib):
+            after = model.apply(state, RuleInstance("WMM-LdIb", 0, (k,)))
+            assert model.reg_value(after, 0, "r1") == v
+            # the younger values stay while a later load may read them
+            assert after.procs[0].ib == (ib[k + 1:] if live else ())
 
     def test_commit_gated_on_empty_buffer(self):
         text = """
