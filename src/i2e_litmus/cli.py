@@ -80,7 +80,10 @@ def _collect_inputs(paths: list[str]) -> tuple[list[tuple[str, str, object]], li
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(p.glob("*.litmus")))
+            found = sorted(p.glob("*.litmus"))
+            if not found:
+                errors.append({"input": str(p), "message": f"{p}: no .litmus files in directory"})
+            files.extend(found)
         else:
             files.append(p)
     for path in files:

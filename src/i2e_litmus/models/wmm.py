@@ -34,9 +34,25 @@ keeps the unreduced machine as a reference.  WMM-LdIb is offered for
 every stale value, as in the paper, even where its successor is one
 that WMM-LdMem or another choice also gives: the search merges those.
 
-`expand` decodes each processor's instruction once and yields each
-enabled rule instance with its successor, then `_background`'s.  The
-guard that picks a load's rule also fixes its effect, whatever the
+Every rule fires instantaneously, and a processor-local rule (Nm, LdSb,
+LdMem, LdIb, St, Commit, Reconcile) reads its own ProcState and at most
+one global value: LdMem the memory cell at its address, Reconcile `gts`,
+and St the entry `_store_entry` returns, whose WMM-S tag depends on
+every buffer.  Its successor ProcState is therefore a pure function of
+that ProcState and that value, and so is the dead-stale-value drop
+above, which reads only the new pc.  `expand` memoizes it per thread:
+the memo maps a ProcState to its (rule instance, successor ProcState)
+pairs, or, for a step that reads a global value, to those pairs keyed by
+the value.  A hit only splices the successor into the state; a miss
+decodes the instruction once and runs the rule.  The timestamp hooks
+take the ProcState and the keyed value, never the state (only
+`_store_entry`, whose result is the key, sees the other processors), so
+no rule can read a global value its key leaves out.  The memo is filled
+from the liveness tables: they must not change once a model has expanded
+a state.  `_background` (DeqSb) acts on several processors and is
+computed afresh for each state.
+
+The guard that picks a load's rule also fixes its effect, whatever the
 rule's name: a buffered address bypasses, anything else reads memory,
 and each stale choice reads the ib.
 
@@ -75,6 +91,22 @@ class _AnyAddress:
 
 
 ANY_ADDRESS = _AnyAddress()
+
+
+class _Reads(dict):
+    """A memoized step that reads one global value: its (rule instance,
+    successor ProcState) pairs keyed by that value, `read(state)`, and
+    computed on a miss by `step(value)`."""
+
+    __slots__ = ("read", "step")
+
+    def __init__(self, read, step):
+        super().__init__()
+        self.read, self.step = read, step
+
+
+def _gts(state: MachineState) -> int:
+    return state.gts
 
 
 def _constant_address(expr, amap):
@@ -141,57 +173,88 @@ class WmmModel(BaseModel):
         return tuple(liveness(instrs, self.addr_map, purges_kill=False)
                      for instrs in self.programs)
 
+    def __init__(self, bound):
+        super().__init__(bound)
+        # _steps[i]: thread i's step memo (see the module docstring)
+        self._steps = tuple({} for _ in self.programs)
+
     def expand(self, state: MachineState):
-        for i, proc in enumerate(state.procs):
-            if self.halted[i][proc.pc]:
+        m, procs, gts = state
+        halted, memos = self.halted, self._steps
+        for i, proc in enumerate(procs):
+            if halted[i][proc.pc]:
                 continue
-            dins, sources = isa.decode(self.decoded[i], proc)
-            kind = type(dins)
-            if kind is isa.Ld:
-                a = dins.a
-                if isa.sb_exist(proc.sb, a):
-                    nxt = isa.execute(proc, dins, self._load_sb(state, i, sources, a))
-                    yield RuleInstance(self.LDSB_RULE, i), self._step(state, i, nxt)
-                    continue
-                nxt = isa.execute(proc, dins, self._load_mem(state, i, sources, a))
-                if proc.ib:
-                    nxt = isa.ProcState(nxt.regs, nxt.pc, nxt.sb, isa.ib_rm_addr(proc.ib, a),
-                                        nxt.rts)
-                yield RuleInstance(self.LDMEM_RULE, i), self._step(state, i, nxt)
-                if not proc.ib:
-                    continue
-                for k, value, ib in self._stale_loads(state, i, sources, a):
-                    nxt = isa.execute(isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts),
-                                      dins, value)
-                    yield RuleInstance(self.LDIB_RULE, i, (k,)), self._step(state, i, nxt)
-            elif kind is isa.St:
-                entry = self._store_entry(state, i, sources, dins)
-                nxt = isa.ProcState(proc.regs, proc.pc + 1, isa.sb_enq(proc.sb, entry),
-                                    proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-                yield RuleInstance(self.ST_RULE, i), self._step(state, i, nxt)
-            elif kind is isa.Nm:
-                nxt = isa.execute(proc, dins, self._nm_value(state, i, sources, dins))
-                yield RuleInstance(self.NM_RULE, i), self._step(state, i, nxt)
-            elif kind is isa.Commit:
-                if not proc.sb:
-                    yield (RuleInstance(self.COM_RULE, i),
-                           self._step(state, i, isa.execute(proc, dins)))
-            else:  # Reconcile: rts = gts; only the timestamped machine's clock ever moves
-                nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, (), state.gts)
-                yield RuleInstance(self.REC_RULE, i), self._step(state, i, nxt)
+            memo = memos[i]
+            steps = memo.get(proc)
+            if steps is None:
+                steps = memo[proc] = self._proc_steps(i, proc)
+            if type(steps) is _Reads:
+                value = steps.read(state)
+                pairs = steps.get(value)
+                if pairs is None:
+                    pairs = steps[value] = steps.step(value)
+                steps = pairs
+            for rule, nxt in steps:
+                yield rule, MachineState(m, procs[:i] + (nxt,) + procs[i + 1:], gts)
         yield from self._background(state)
 
-    def _step(self, state: MachineState, i: int, proc: isa.ProcState) -> MachineState:
-        """state once processor i has executed an instruction and become
-        proc, less the stale values proc can no longer load from its new pc."""
+    def _proc_steps(self, i: int, proc: isa.ProcState):
+        """Processor i's (rule instance, successor ProcState) pairs from
+        proc, or a `_Reads` for a step that also reads one global value."""
+        dins, sources = isa.decode(self.decoded[i], proc)
+        kind = type(dins)
+        if kind is isa.Ld:
+            a = dins.a
+            if isa.sb_exist(proc.sb, a):
+                nxt = isa.execute(proc, dins, self._load_sb(proc, sources, a))
+                return (RuleInstance(self.LDSB_RULE, i), self._settle(i, nxt)),
+            default = self._initial_cell(0)
+            return _Reads(lambda state: mem_get(state.m, a, default),
+                          lambda cell: self._load_steps(i, proc, dins, sources, cell))
+        if kind is isa.St:
+            def store(entry):
+                nxt = isa.ProcState(proc.regs, proc.pc + 1, isa.sb_enq(proc.sb, entry),
+                                    proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
+                return (RuleInstance(self.ST_RULE, i), self._settle(i, nxt)),
+            return _Reads(lambda state: self._store_entry(state.procs, i, sources, dins), store)
+        if kind is isa.Nm:
+            nxt = isa.execute(proc, dins, self._nm_value(proc, sources, dins))
+            return (RuleInstance(self.NM_RULE, i), self._settle(i, nxt)),
+        if kind is isa.Commit:
+            return () if proc.sb else (
+                (RuleInstance(self.COM_RULE, i), self._settle(i, isa.execute(proc, dins))),)
+
+        def reconcile(gts):  # rts = gts; only the timestamped machine's clock ever moves
+            return (RuleInstance(self.REC_RULE, i),
+                    isa.ProcState(proc.regs, proc.pc + 1, proc.sb, (), gts)),
+        return _Reads(_gts, reconcile)
+
+    def _load_steps(self, i: int, proc: isa.ProcState, dins: isa.Ld, sources: tuple,
+                    cell) -> tuple:
+        """A load that reads memory, whose cell for the address is cell,
+        then one load per stale choice."""
+        a = dins.a
+        nxt = isa.execute(proc, dins, self._load_mem(i, proc, sources, cell))
+        if not proc.ib:
+            return (RuleInstance(self.LDMEM_RULE, i), self._settle(i, nxt)),
+        nxt = isa.ProcState(nxt.regs, nxt.pc, nxt.sb, isa.ib_rm_addr(proc.ib, a), nxt.rts)
+        pairs = [(RuleInstance(self.LDMEM_RULE, i), self._settle(i, nxt))]
+        for k, value, ib in self._stale_loads(proc, sources, a):
+            nxt = isa.execute(isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts),
+                              dins, value)
+            pairs.append((RuleInstance(self.LDIB_RULE, i, (k,)), self._settle(i, nxt)))
+        return tuple(pairs)
+
+    def _settle(self, i: int, proc: isa.ProcState) -> isa.ProcState:
+        """Processor i once it has executed an instruction and become proc,
+        less the stale values it can no longer load from its new pc."""
         if proc.ib:
             live = self.stale_live[i][proc.pc]
             if live is not ANY_ADDRESS:
                 ib = tuple(e for e in proc.ib if e[0] in live)
                 if len(ib) != len(proc.ib):
-                    proc = isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
-        procs = state.procs[:i] + (proc,) + state.procs[i + 1:]
-        return MachineState(state.m, procs, state.gts)
+                    return isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
+        return proc
 
     def _background(self, state: MachineState):
         """DeqSb: any buffer's oldest store for any address reaches memory."""
@@ -230,27 +293,29 @@ class WmmModel(BaseModel):
                              isa.ib_insert(proc.ib, stale), proc.rts)
 
     # -- timestamp hooks: WMM-D overrides these, WMM needs no timestamps --
+    # Each takes the acting ProcState and at most the global value its
+    # step is memoized by (the module docstring), never the state.
 
-    def _nm_value(self, state: MachineState, i: int, sources: tuple, dins: isa.Nm):
+    def _nm_value(self, proc: isa.ProcState, sources: tuple, dins: isa.Nm):
         return dins.v
 
-    def _load_sb(self, state: MachineState, i: int, sources: tuple, a: int):
-        return isa.sb_youngest(state.procs[i].sb, a)[1]
+    def _load_sb(self, proc: isa.ProcState, sources: tuple, a: int):
+        return isa.sb_youngest(proc.sb, a)[1]
 
-    def _load_mem(self, state: MachineState, i: int, sources: tuple, a: int):
-        return mem_get(state.m, a, 0)
+    def _load_mem(self, i: int, proc: isa.ProcState, sources: tuple, cell):
+        """The value processor i loads from memory cell."""
+        return cell
 
-    def _stale_loads(self, state: MachineState, i: int, sources: tuple, a: int):
+    def _stale_loads(self, proc: isa.ProcState, sources: tuple, a: int):
         """(choice, value loaded, ib left behind) for each stale value of a
         that a load may read: here every one, consumed with `ib_take`."""
-        ib = state.procs[i].ib
-        for k in range(len(isa.ib_entries(ib, a))):
-            entry, rest = isa.ib_take(ib, a, k)
+        for k in range(len(isa.ib_entries(proc.ib, a))):
+            entry, rest = isa.ib_take(proc.ib, a, k)
             yield k, entry[1], rest
 
-    def _store_entry(self, state: MachineState, i: int, sources: tuple,
-                     dins: isa.St) -> tuple:
-        """The entry a store enqueues."""
+    def _store_entry(self, procs: tuple, i: int, sources: tuple, dins: isa.St) -> tuple:
+        """The entry processor i's store enqueues.  St is memoized by this
+        entry, so it alone may read the other processors (`procs`)."""
         return dins.a, dins.v
 
     def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:

@@ -87,22 +87,19 @@ class WmmDModel(WmmModel):
     def mem_value(self, state: MachineState, name: str) -> int:
         return mem_get(state.m, self.addr_map[name], _INIT_CELL)[0]
 
-    def _nm_value(self, state: MachineState, i: int, sources: tuple, dins: isa.Nm):
-        return dins.v, _ats(state.procs[i], sources)
+    def _nm_value(self, proc: isa.ProcState, sources: tuple, dins: isa.Nm):
+        return dins.v, _ats(proc, sources)
 
-    def _load_sb(self, state: MachineState, i: int, sources: tuple, a: int):
-        proc = state.procs[i]
+    def _load_sb(self, proc: isa.ProcState, sources: tuple, a: int):
         _, v, sts = isa.sb_youngest(proc.sb, a)
         return v, load_value_timestamp(_ats(proc, sources), proc.rts, sts)
 
-    def _load_mem(self, state: MachineState, i: int, sources: tuple, a: int):
-        proc = state.procs[i]
-        v, writer, sts, mts = mem_get(state.m, a, _INIT_CELL)
+    def _load_mem(self, i: int, proc: isa.ProcState, sources: tuple, cell):
+        v, writer, sts, mts = cell
         vts = sts if writer == i else mts
         return v, load_value_timestamp(_ats(proc, sources), proc.rts, vts)
 
-    def _stale_loads(self, state: MachineState, i: int, sources: tuple, a: int):
-        proc = state.procs[i]
+    def _stale_loads(self, proc: isa.ProcState, sources: tuple, a: int):
         ats = _ats(proc, sources)
         for k, (_, v, ts_lower, ts_upper) in enumerate(isa.ib_entries(proc.ib, a)):
             if ats <= ts_upper:  # stale-timing: ats must not pass tsU
@@ -111,9 +108,8 @@ class WmmDModel(WmmModel):
                 yield (k, (v, load_value_timestamp(ats, proc.rts, ts_lower)),
                        isa.ib_rm_older(proc.ib, a, ts_upper))
 
-    def _store_entry(self, state: MachineState, i: int, sources: tuple,
-                     dins: isa.St) -> tuple:
-        return dins.a, dins.v, _ats(state.procs[i], sources)
+    def _store_entry(self, procs: tuple, i: int, sources: tuple, dins: isa.St) -> tuple:
+        return dins.a, dins.v, _ats(procs[i], sources)
 
     def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:
         a, v, sts = entry

@@ -164,11 +164,10 @@ class WmmSModel(WmmModel):
         procs = state.procs[:j] + (target,) + state.procs[j + 1:]
         return MachineState(state.m, procs, state.gts)
 
-    def _store_entry(self, state: MachineState, i: int, sources: tuple,
-                     dins: isa.St) -> tuple:
+    def _store_entry(self, procs: tuple, i: int, sources: tuple, dins: isa.St) -> tuple:
         """The store, tagged one past the largest tag any buffer holds."""
         tag = 0
-        for proc in state.procs:
+        for proc in procs:
             for entry in proc.sb:
                 if entry[2] >= tag:
                     tag = entry[2] + 1

@@ -21,6 +21,10 @@ fires DeqSb and Copy once per processor holding a copy of the tag,
 through the catalog's per-rule helpers `_dequeue` and `_copy` rather
 than `expand`'s once-per-tag choice.
 
+`cold_expansion` is `expand` with the per-thread step memo emptied
+first, so every processor's step is computed afresh from the state: the
+unmemoized reference that memoized expansions are checked against.
+
 `unreduced` turns a `wmm`, `wmm-d` or `wmm-s` model back into the
 paper's machine: every address counts as live at every pc, so DeqSb
 inserts each overwritten value (with its [tsL, tsU] interval under
@@ -32,7 +36,9 @@ every processor, whether or not it may still load the address, and
 keys states by `age_ordered_key`: each store buffer in its global age
 order, tags renamed by first appearance.  That key tells apart two
 buffers that differ only in the order between addresses, which the
-library's key (each buffer grouped by address) merges.
+library's key (each buffer grouped by address) merges.  It empties the
+memos that were filled from the reduced liveness tables, so a model
+that has already explored may be turned back too.
 """
 
 from __future__ import annotations
@@ -52,9 +58,25 @@ def unreduced(model: WmmModel) -> WmmModel:
     their global age order."""
     everywhere = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
     model.stale_live = model.load_live = everywhere
+    forget_steps(model)
+    for memo in getattr(model, "_plain_procs", ()):  # wmm-d's clock-free keys
+        memo.clear()
     if isinstance(model, WmmSModel):
         model.canonical_key = age_ordered_key
     return model
+
+
+def forget_steps(model: WmmModel) -> None:
+    """Empty model's per-thread step memo."""
+    for memo in model._steps:
+        memo.clear()
+
+
+def cold_expansion(model: WmmModel, state) -> list:
+    """Every rule instance of state with its successor, each processor's
+    step computed afresh rather than read from the memo."""
+    forget_steps(model)
+    return list(model.expand(state))
 
 
 def age_ordered_key(state) -> tuple:

@@ -95,6 +95,24 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "corr [sc]" in out and "thin-air [sc]" in out
 
+    def test_directory_without_litmus_files_alone(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("not a test\n")
+        assert main([str(tmp_path), "--models", "sc"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {tmp_path}: no .litmus files in directory"]
+
+    def test_directory_without_litmus_files_beside_a_good_input(
+            self, tmp_path, dekker_nofence_file, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code = main([str(empty), str(dekker_nofence_file), "--models", "sc",
+                     "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert [r["model"] for r in report["results"]] == ["sc"]  # the good file still ran
+        assert report["errors"] == [{"input": str(empty),
+                                     "message": f"{empty}: no .litmus files in directory"}]
+
     @pytest.mark.parametrize("argv, seed", [
         (["--max-states", "0"], None),
         (["--max-states", "-5"], None),
