@@ -30,9 +30,12 @@ moves on drops the values that just became dead.  On every path the
 Reconcile or store that would remove such a value comes before any
 load that could read it, so states that differ only in dead values
 reach the same outcomes, and the search merges them.  The test suite
-keeps the unreduced machine as a reference.  WMM-LdIb is offered for
-every stale value, as in the paper, even where its successor is one
-that WMM-LdMem or another choice also gives: the search merges those.
+keeps the unreduced machine as a reference.  Without `purges_kill`,
+`liveness` gives the addresses a thread may still load at all, which
+only WMM-D's clock-free state key reads (`WmmDModel.load_live`).
+WMM-LdIb is offered for every stale value, as in the paper, even where
+its successor is one that WMM-LdMem or another choice also gives: the
+search merges those.
 
 Every rule fires instantaneously, and a processor-local rule (Nm, LdSb,
 LdMem, LdIb, St, Commit, Reconcile) reads its own ProcState and at most
@@ -164,13 +167,6 @@ class WmmModel(BaseModel):
     def stale_live(self) -> tuple:
         """stale_live[i][pc]: addresses thread i may still load a stale value for."""
         return tuple(liveness(instrs, self.addr_map, purges_kill=True)
-                     for instrs in self.programs)
-
-    @cached_property
-    def load_live(self) -> tuple:
-        """load_live[i][pc]: addresses thread i may still load at all (read
-        only by WMM-D's state key and WMM-S's Copy)."""
-        return tuple(liveness(instrs, self.addr_map, purges_kill=False)
                      for instrs in self.programs)
 
     def __init__(self, bound):

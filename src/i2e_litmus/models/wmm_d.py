@@ -29,10 +29,11 @@ reduction (`wmm.liveness`) applies unchanged: timestamps matter
 only when a stale value is read, and a dead one never is.
 
 Once no thread can reach a load whose address reads a register
-(`load_live` is ANY_ADDRESS at no thread's pc), the state key drops
-every clock: memory's writer, sts and mts, register and entry stamps,
-rts and gts.  Sound because (1) the only guard reading a timestamp is
-`_stale_loads`' ats <= tsU, and ats = 0 at a constant address;
+(`load_live`, `wmm.liveness` without kills, is ANY_ADDRESS at no
+thread's pc), the state key drops every clock: memory's writer, sts
+and mts, register and entry stamps, rts and gts.  Sound because (1)
+the only guard reading a timestamp is `_stale_loads`' ats <= tsU, and
+ats = 0 at a constant address;
 (2) `_stale_loads`' `ib_rm_older` reads only the order of tsU among one
 address's ib entries, which is insertion order (gts ticks on every
 write, entries are appended); (3) writer only picks a timestamp; (4) a
@@ -43,9 +44,11 @@ successors and outcomes, so witnesses still replay.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .. import isa
 from .base import MachineState, mem_get, mem_set
-from .wmm import ANY_ADDRESS, WmmModel
+from .wmm import ANY_ADDRESS, WmmModel, liveness
 
 _INIT_CELL = (0, None, 0, 0)  # value, writer, creation time, memory time
 
@@ -77,6 +80,12 @@ class WmmDModel(WmmModel):
         super().__init__(bound)
         # canonical_key's memos: memory, and each thread's ProcStates
         self._plain_m, self._plain_procs = {}, tuple({} for _ in self.programs)
+
+    @cached_property
+    def load_live(self) -> tuple:
+        """load_live[i][pc]: addresses thread i may still load at all."""
+        return tuple(liveness(instrs, self.addr_map, purges_kill=False)
+                     for instrs in self.programs)
 
     def _initial_cell(self, value: int):
         return (value, None, 0, 0)

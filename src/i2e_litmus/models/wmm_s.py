@@ -24,27 +24,33 @@ per tag and Copy once per (tag, target), with the lowest-index holder
 as the instance's `proc`; firing either rule from another holder would
 produce exactly the same successor.
 
-A copy into processor j is observed only by j's later loads of its
-address, which bypass from it or find the ib purged; otherwise it only
-holds guards back.  So Copy is offered only into a processor whose
-`load_live` set at its pc holds the address.  `load_live`, which
-`WmmModel` builds on first use and WMM-D's state key reads too, is
-`wmm.liveness` without kills: a load adds its address (every address
-when it is computed), Exit and the end of the program give the empty
-set, and Reconcile and stores remove nothing, so the set never grows
-as a pc advances.  No outcome is lost.  The reduced machine only declines
-some Copy firings, so each of its runs is a run of the full machine.
-Conversely, deleting from a run of the full machine every copy made
-into a processor that was load-dead at the time only weakens guards
-(`no_cycle`, the all-copies-oldest DeqSb guard, Commit) and changes no
-effect: load-dead implies stale-dead, so the target holds no ib value
-for the address to purge and gets no stale insert when the store
-reaches memory, and it never loads the address again.  The deletion is
-sound only for copies made into a processor that was already dead.  A
-copy made while its target was live must stay when the target later
-passes its last load: it can pin a coherence order the target has
-observed, and dropping it lets a later Copy order the stores the other
-way, which adds outcomes.
+A copy into processor j is observed only by a load of j that bypasses
+from it; until then it only holds guards back.  So Copy is offered only
+into a processor whose next instruction, decoded against its registers
+(a computed address included), loads the store's address
+(`_next_loads`).  No outcome is lost.  The reduced machine only
+declines some Copy firings, so each of its runs is a run of the full
+machine.  Conversely, take a run of the full machine and change its
+copies into each processor j: drop a copy that no load of j bypasses
+from, and move every other one to just before the first load of j that
+bypasses from it, where j's pc sits at that load.  Every other rule
+fires as before, and the outcome is the same:
+
+* Between the copy and that load, j gains no entry for the address: it
+  would be younger, could not drain first, and the load would bypass
+  from it instead.  So each buffer's per-address list in the changed
+  run is a subsequence, in order, of the original one, with a moved
+  copy still the youngest entry.  Hence `no_cycle` holds (its orders
+  are a subset of an acyclic one), as do DeqSb's every-copy-oldest
+  guard and Commit's empty-buffer test, and LdSb and LdMem pick the
+  same source.  Copies never change which tags are buffered, so St
+  mints the same tags.
+* Without the copy's ib purge and the holder's skipped insert, j's ib
+  holds extra stale values for the address, all older than the ones of
+  the original run: while j holds an entry for an address, its loads of
+  it bypass.  LdIb reads past them with a higher index, and `ib_take`,
+  LdMem, St and Reconcile remove them as before.
+* Memory, the DeqSb order and every loaded value are unchanged.
 
 The state key keeps each store buffer's order per address but not the
 order between addresses.  No rule reads the latter: DeqSb writes the
@@ -125,6 +131,9 @@ class WmmSModel(WmmModel):
                 seen.add(entry[2])
                 if self._committable(state, a, entry):
                     yield RuleInstance(self.DEQ_RULE, i, (a,)), self._dequeue(state, i, entry)
+        loads = self._next_loads(state)
+        if not any(loads):
+            return  # no processor is about to load
         seen = set()
         for i, proc in enumerate(state.procs):
             for entry in proc.sb:
@@ -132,8 +141,7 @@ class WmmSModel(WmmModel):
                 if tag in seen:
                     continue
                 seen.add(tag)
-                targets = [j for j, target in enumerate(state.procs)
-                           if a in self.load_live[j][target.pc]]
+                targets = [j for j, next_load in enumerate(loads) if a in next_load]
                 if not targets:
                     continue
                 lists = _tag_lists(state, a)
@@ -141,6 +149,15 @@ class WmmSModel(WmmModel):
                     if _copy_keeps_order(lists, tag, j):
                         yield (RuleInstance(self.COPY_RULE, i, (a, tag, j)),
                                self._copy(state, entry, j))
+
+    def _next_loads(self, state: MachineState) -> list:
+        """Per processor, the address its next instruction loads, as a
+        one-address tuple, or () if that instruction is no load."""
+        loads = []
+        for table, proc in zip(self.decoded, state.procs):
+            dins = isa.decode(table, proc)[0]
+            loads.append((dins.a,) if type(dins) is isa.Ld else ())
+        return loads
 
     @staticmethod
     def _committable(state: MachineState, a: int, entry: tuple) -> bool:

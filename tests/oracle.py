@@ -32,13 +32,14 @@ inserts each overwritten value (with its [tsL, tsU] interval under
 and no stale value is dropped when a pc advances.  Every pc also counts
 as one from which a register-addressed load may follow, so `wmm-d`
 keys states with all their clocks.  On `wmm-s` it also offers Copy into
-every processor, whether or not it may still load the address, and
-keys states by `age_ordered_key`: each store buffer in its global age
-order, tags renamed by first appearance.  That key tells apart two
-buffers that differ only in the order between addresses, which the
-library's key (each buffer grouped by address) merges.  It empties the
-memos that were filled from the reduced liveness tables, so a model
-that has already explored may be turned back too.
+every processor, whatever its next instruction (`_next_loads` answers
+ANY_ADDRESS), and keys states by `age_ordered_key`: each store buffer
+in its global age order, tags renamed by first appearance.  That key
+tells apart two buffers that differ only in the order between
+addresses, which the library's key (each buffer grouped by address)
+merges.  It empties the memos that were filled from the reduced
+liveness tables, so a model that has already explored may be turned
+back too.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from i2e_litmus.litmus import (Assign, Branch, BoundTest, Exit, Fence, Load,
                                Outcome, Store)
 from i2e_litmus.models import RuleInstance
 from i2e_litmus.models.wmm import ANY_ADDRESS, WmmModel
+from i2e_litmus.models.wmm_d import WmmDModel
 from i2e_litmus.models.wmm_s import WmmSModel, no_cycle
 
 
@@ -57,11 +59,14 @@ def unreduced(model: WmmModel) -> WmmModel:
     into every processor (the paper's Copy) and store buffers keyed in
     their global age order."""
     everywhere = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
-    model.stale_live = model.load_live = everywhere
+    model.stale_live = everywhere
     forget_steps(model)
-    for memo in getattr(model, "_plain_procs", ()):  # wmm-d's clock-free keys
-        memo.clear()
+    if isinstance(model, WmmDModel):
+        model.load_live = everywhere
+        for memo in model._plain_procs:  # the clock-free keys
+            memo.clear()
     if isinstance(model, WmmSModel):
+        model._next_loads = lambda state: (ANY_ADDRESS,) * model.nprocs
         model.canonical_key = age_ordered_key
     return model
 

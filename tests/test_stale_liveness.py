@@ -3,8 +3,9 @@
 The reduced `wmm`/`wmm-d`/`wmm-s` machines never insert a stale value that its
 processor cannot load, and drop one once its processor's pc passes the
 last load that could read it; `wmm-s` also copies a store only into a
-processor that may still load its address, and `wmm-d` drops its clocks
-from the state key once no register-addressed load can follow.  Every
+processor whose next instruction loads its address, and `wmm-d` drops
+its clocks from the state key once no register-addressed load can
+follow.  Every
 check here compares them with the unreduced reference in
 `oracle.unreduced`, which on `wmm-d` keeps every clock in the key, and
 on `wmm-s` also copies into every processor and keys store buffers in
@@ -30,8 +31,9 @@ def liveness(body: str):
 
 
 def load_liveness(body: str):
-    """The `wmm-s` Copy table of a one-thread test, and its address map."""
-    model = build_model("wmm-s", parse(
+    """The `wmm-d` load-liveness table (which its clock-free key reads) of
+    a one-thread test, and its address map."""
+    model = build_model("wmm-d", parse(
         f"i2e-litmus v1\nthread P1:\n{body}\ncheck allowed: m[a] = 0\n"))
     return model.load_live[0], model.addr_map
 
@@ -261,6 +263,80 @@ def test_no_copy_into_a_finished_processor():
     finished = model.apply(stored, RuleInstance(model.LDMEM_RULE, 1))
     assert copy_targets(model, finished) == set()
     assert copy_targets(unreduced(build_model("wmm-s", test)), finished) == {1}
+
+
+# P2 reaches its load of a past an Nm, both fences and a store to a.
+LOAD_LAST = """
+i2e-litmus v1
+thread P1:
+  St a 1
+thread P2:
+  r0 = 1
+  Commit
+  Reconcile
+  St a 2
+  r1 = Ld a
+check allowed: r1 = 1
+"""
+
+
+def test_copy_only_into_a_processor_whose_next_instruction_loads():
+    test = parse(LOAD_LAST)
+    model = build_model("wmm-s", test)
+    reference = unreduced(build_model("wmm-s", test))
+    state = model.apply(model.initial_state(), RuleInstance(model.ST_RULE, 0))
+    for rule in (model.NM_RULE, model.COM_RULE, model.REC_RULE, model.ST_RULE):
+        assert copy_targets(model, state) == set(), rule
+        assert 1 in copy_targets(reference, state), rule  # the paper's Copy
+        state = model.apply(state, RuleInstance(rule, 1))
+    assert state.procs[1].pc == 4  # at its load of a
+    assert copy_targets(model, state) == {1}
+
+
+def test_copy_only_for_the_decoded_address_of_a_computed_load():
+    """P2 loads (r0 + a) with r0 = b: only the store to b is copied in."""
+    test = parse("i2e-litmus v1\nthread P1:\n  St a 1\n  St b 1\n"
+                 "thread P2:\n  r0 = b\n  r1 = Ld (r0 + a)\ncheck allowed: r1 = 0\n")
+    model = build_model("wmm-s", test)
+    state = model.initial_state()
+    for rule in (RuleInstance(model.ST_RULE, 0), RuleInstance(model.ST_RULE, 0),
+                 RuleInstance(model.NM_RULE, 1)):
+        state = model.apply(state, rule)
+    copies = {r.payload[0] for r in model.enabled(state) if r.rule == model.COPY_RULE}
+    assert copies == {model.addr_map["b"]}
+
+
+# WRC: P3's Reconcile keeps its loads in order, so r1 = 1, r2 = 1, r3 = 0
+# needs P1's store copied into P2 before it reaches memory.
+WRC = """
+i2e-litmus v1
+thread P1:
+  St a 1
+thread P2:
+  r1 = Ld a
+  St b 1
+thread P3:
+  r2 = Ld b
+  Reconcile
+  r3 = Ld a
+check allowed: r1 = 1 & r2 = 1 & r3 = 0
+"""
+
+
+def test_wrc_matches_unreduced_reference():
+    test = parse(WRC)
+    reduced = explore(build_model("wmm-s", test))
+    reference = assert_same_as_unreduced(test, "wmm-s", {"bfs": reduced})
+    assert reference.stats.visited == 946
+    assert reduced.stats.visited < reference.stats.visited
+
+    def wrc(outcomes):
+        return any(o.reg("P2", "r1") == 1 and o.reg("P3", "r2") == 1
+                   and o.reg("P3", "r3") == 0 for o in outcomes)
+
+    assert wrc(reduced.outcomes)
+    for model_id in ("sc", "tso", "pso", "wmm", "wmm-d"):
+        assert not wrc(explore(build_model(model_id, test)).outcomes), model_id
 
 
 # wwc, whose allowed outcome needs P1's store copied into P2 before it

@@ -255,6 +255,12 @@ class TestVerdicts:
         assert (1, 0, 1, 0) not in reg_projection(
             explored(corpus_by_name["iriw-commit"], "wmm-s").outcomes, *keys)
 
+    @pytest.mark.parametrize("name, states", [("iriw", 784), ("iriw-commit", 788)])
+    def test_iriw_state_counts(self, corpus_by_name, explored, name, states):
+        """Copy only into a processor whose next instruction loads the
+        address: a guard that let more targets through would add states."""
+        assert explored(corpus_by_name[name], "wmm-s").stats.visited == states
+
     def test_wmm_outcomes_subset_of_wmm_s(self, corpus_by_name, explored):
         for name in ("wwc", "iriw", "dekker", "mp"):
             entry = corpus_by_name[name]
