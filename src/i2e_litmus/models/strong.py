@@ -7,12 +7,16 @@ litmus file runs unchanged under every model.
 PSO is WMM with no live stale value: its `stale_live` table is empty at
 every pc, so DeqSb never inserts a stale value, LdIb is never
 offered, and Reconcile clears an already empty invalidation buffer.
+Its DeqSb therefore writes memory and takes the holder's memoized
+successor without reading the overwritten value or offering it to
+anyone (`PsoModel._dequeue`).
 What remains is WMM's store buffer: a load bypasses from the youngest
 local store to its address, else reads memory; Commit blocks until the
 buffer drains; and the background DeqSb writes the oldest store *for
 any address* to memory, reordering stores to different addresses.
 TSO is PSO whose DeqSb drains only each buffer's globally oldest store,
-so it names no address.
+so it names no address; its drain memo holds that one drain
+(`TsoModel._drain_steps`).
 
 The paper's TSO table has one load rule, whose effect depends on the
 buffer, so `TSO-Ld` names both of WMM's LdSb and LdMem effects:
@@ -67,14 +71,22 @@ class PsoModel(WmmModel):
         """No address at any pc: no stale value is ever kept."""
         return tuple((frozenset(),) * (len(instrs) + 1) for instrs in self.programs)
 
+    def _dequeue(self, state: MachineState, i: int, entry: tuple,
+                 holders: dict) -> MachineState:
+        """state once processor i's store entry has reached memory and i
+        has become holders[i].  No processor keeps a stale value, so the
+        overwritten value is neither read nor offered."""
+        procs = state.procs
+        return MachineState(mem_set(state.m, entry[0], entry[1]),
+                            procs[:i] + (holders[i],) + procs[i + 1:], state.gts)
+
 
 class TsoModel(PsoModel):
     model_id = "tso"
 
     DEQ_RULE = "TSO-DeqSb"
 
-    def _background(self, state: MachineState):
-        """One DeqSb per non-empty buffer, for its globally oldest store."""
-        for i, proc in enumerate(state.procs):
-            if proc.sb:
-                yield RuleInstance(self.DEQ_RULE, i), self._dequeue(state, i, proc.sb[0])
+    def _drain_steps(self, i: int, proc: isa.ProcState) -> tuple:
+        """One DeqSb, for the buffer's globally oldest store."""
+        return (RuleInstance(self.DEQ_RULE, i), proc.sb[0],
+                isa.ProcState(proc.regs, proc.pc, proc.sb[1:], proc.ib, proc.rts)),

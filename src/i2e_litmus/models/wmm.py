@@ -52,8 +52,21 @@ take the ProcState and the keyed value, never the state (only
 `_store_entry`, whose result is the key, sees the other processors), so
 no rule can read a global value its key leaves out.  The memo is filled
 from the liveness tables: they must not change once a model has expanded
-a state.  `_background` (DeqSb) acts on several processors and is
-computed afresh for each state.
+a state.
+
+DeqSb is the one rule that acts on several processors: memory, the
+holder's buffer, and the other processors' ibs.  Its holder side is a
+pure function of the holder's ProcState: which addresses it drains, in
+`sb_addrs` order, the oldest entry for each, and the holder once that
+entry has left its buffer, `ProcState(regs, pc, sb_rm_oldest(...), ib,
+rts)`.  Its pc does not move, so no stale value dies and nothing needs
+settling.  `_background` therefore reads each buffered processor's
+drains from a second per-thread memo (`_drains_of`), and per state
+builds only what needs the whole state: the memory write
+(`_write_memory`), which reads the overwritten cell and the clock, and
+the stale-value offers to the other processors (`_offer_stale`), which
+read their own pcs and buffers.  Neither memo refers to the model (a
+`_Reads` is handed it), so a model is freed with its last reference.
 
 The guard that picks a load's rule also fixes its effect, whatever the
 rule's name: a buffered address bypasses, anything else reads memory,
@@ -62,9 +75,10 @@ and each stale choice reads the ib.
 WMM-D, WMM-S, PSO and TSO subclass this catalog and rename its rules
 through the class attributes `NM_RULE` ... `DEQ_RULE`.  PSO and TSO
 (`strong.py`) keep no live stale value, so one name, `TSO-Ld`, covers
-both LdSb and LdMem; TSO's `_background` drains only the globally
-oldest store, a DeqSb with no address.  WMM-D's timestamps live in hooks
-that WMM implements without them, at most one per fired rule:
+both LdSb and LdMem, and their DeqSb (`_dequeue`) neither reads the
+overwritten value nor offers it; TSO's `_drain_steps` drains only the
+globally oldest store, a DeqSb with no address.  WMM-D's timestamps live
+in hooks that WMM implements without them, at most one per fired rule:
 `_nm_value`, `_load_sb`, `_load_mem`, `_stale_loads`, `_store_entry`
 and `_write_memory`.  WMM-S tags its stores through `_store_entry`.
 """
@@ -98,8 +112,10 @@ ANY_ADDRESS = _AnyAddress()
 
 class _Reads(dict):
     """A memoized step that reads one global value: its (rule instance,
-    successor ProcState) pairs keyed by that value, `read(state)`, and
-    computed on a miss by `step(value)`."""
+    successor ProcState) pairs keyed by that value, `read(model, state)`,
+    and computed on a miss by `step(model, value)`.  Both take the model
+    as an argument rather than closing over it, so a model and its memos
+    form no reference cycle."""
 
     __slots__ = ("read", "step")
 
@@ -108,7 +124,7 @@ class _Reads(dict):
         self.read, self.step = read, step
 
 
-def _gts(state: MachineState) -> int:
+def _gts(model, state: MachineState) -> int:
     return state.gts
 
 
@@ -171,8 +187,10 @@ class WmmModel(BaseModel):
 
     def __init__(self, bound):
         super().__init__(bound)
-        # _steps[i]: thread i's step memo (see the module docstring)
+        # _steps[i] and _drains[i]: thread i's step and drain memos (see
+        # the module docstring)
         self._steps = tuple({} for _ in self.programs)
+        self._drains = tuple({} for _ in self.programs)
 
     def expand(self, state: MachineState):
         m, procs, gts = state
@@ -185,10 +203,10 @@ class WmmModel(BaseModel):
             if steps is None:
                 steps = memo[proc] = self._proc_steps(i, proc)
             if type(steps) is _Reads:
-                value = steps.read(state)
+                value = steps.read(self, state)
                 pairs = steps.get(value)
                 if pairs is None:
-                    pairs = steps[value] = steps.step(value)
+                    pairs = steps[value] = steps.step(self, value)
                 steps = pairs
             for rule, nxt in steps:
                 yield rule, MachineState(m, procs[:i] + (nxt,) + procs[i + 1:], gts)
@@ -205,14 +223,15 @@ class WmmModel(BaseModel):
                 nxt = isa.execute(proc, dins, self._load_sb(proc, sources, a))
                 return (RuleInstance(self.LDSB_RULE, i), self._settle(i, nxt)),
             default = self._initial_cell(0)
-            return _Reads(lambda state: mem_get(state.m, a, default),
-                          lambda cell: self._load_steps(i, proc, dins, sources, cell))
+            return _Reads(lambda model, state: mem_get(state.m, a, default),
+                          lambda model, cell: model._load_steps(i, proc, dins, sources, cell))
         if kind is isa.St:
-            def store(entry):
+            def store(model, entry):
                 nxt = isa.ProcState(proc.regs, proc.pc + 1, isa.sb_enq(proc.sb, entry),
                                     proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-                return (RuleInstance(self.ST_RULE, i), self._settle(i, nxt)),
-            return _Reads(lambda state: self._store_entry(state.procs, i, sources, dins), store)
+                return (RuleInstance(model.ST_RULE, i), model._settle(i, nxt)),
+            return _Reads(lambda model, state: model._store_entry(state.procs, i, sources, dins),
+                          store)
         if kind is isa.Nm:
             nxt = isa.execute(proc, dins, self._nm_value(proc, sources, dins))
             return (RuleInstance(self.NM_RULE, i), self._settle(i, nxt)),
@@ -220,8 +239,8 @@ class WmmModel(BaseModel):
             return () if proc.sb else (
                 (RuleInstance(self.COM_RULE, i), self._settle(i, isa.execute(proc, dins))),)
 
-        def reconcile(gts):  # rts = gts; only the timestamped machine's clock ever moves
-            return (RuleInstance(self.REC_RULE, i),
+        def reconcile(model, gts):  # rts = gts; only the timestamped machine's clock ever moves
+            return (RuleInstance(model.REC_RULE, i),
                     isa.ProcState(proc.regs, proc.pc + 1, proc.sb, (), gts)),
         return _Reads(_gts, reconcile)
 
@@ -255,28 +274,40 @@ class WmmModel(BaseModel):
     def _background(self, state: MachineState):
         """DeqSb: any buffer's oldest store for any address reaches memory."""
         for i, proc in enumerate(state.procs):
-            for a in isa.sb_addrs(proc.sb):
-                yield (RuleInstance(self.DEQ_RULE, i, (a,)),
-                       self._dequeue(state, i, isa.sb_oldest(proc.sb, a)))
+            if proc.sb:
+                for rule, entry, nxt in self._drains_of(i, proc):
+                    yield rule, self._dequeue(state, i, entry, {i: nxt})
 
-    def _dequeue(self, state: MachineState, i: int, entry: tuple) -> MachineState:
-        """state once processor i's store entry, its oldest for the address,
-        has reached memory: it leaves every buffer holding it, and every
+    def _drains_of(self, i: int, proc: isa.ProcState):
+        """`_drain_steps(i, proc)`, from processor i's drain memo."""
+        memo = self._drains[i]
+        drains = memo.get(proc)
+        if drains is None:
+            drains = memo[proc] = self._drain_steps(i, proc)
+        return drains
+
+    def _drain_steps(self, i: int, proc: isa.ProcState) -> tuple:
+        """Processor i's DeqSb instances from buffered proc, each with the
+        store entry it writes and proc once the entry has left the buffer:
+        one per buffered address, for its oldest store."""
+        drains = []
+        for a in isa.sb_addrs(proc.sb):
+            entry, sb = isa.sb_rm_oldest(proc.sb, a)
+            drains.append((RuleInstance(self.DEQ_RULE, i, (a,)), entry,
+                           isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts)))
+        return tuple(drains)
+
+    def _dequeue(self, state: MachineState, i: int, entry: tuple,
+                 holders: dict) -> MachineState:
+        """state once processor i's store entry has reached memory: each
+        processor j whose buffer held it becomes holders[j], and every
         other processor is offered the overwritten value."""
         m, gts, stale = self._write_memory(state, i, entry)
-        holders = self._holders(state, i, entry)
         procs = []
         for j, proc in enumerate(state.procs):
-            if j in holders:
-                sb = isa.sb_rm_oldest(proc.sb, entry[0])[1]
-                procs.append(isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts))
-            else:
-                procs.append(self._offer_stale(j, proc, stale[j]))
+            nxt = holders.get(j)
+            procs.append(nxt if nxt is not None else self._offer_stale(j, proc, stale[j]))
         return MachineState(m, tuple(procs), gts)
-
-    def _holders(self, state: MachineState, i: int, entry: tuple) -> tuple:
-        """The processors whose buffer holds processor i's store entry."""
-        return (i,)
 
     def _offer_stale(self, j: int, proc: isa.ProcState, stale: tuple) -> isa.ProcState:
         """Processor j after memory overwrote a value: its stale ib entry

@@ -24,11 +24,20 @@ per tag and Copy once per (tag, target), with the lowest-index holder
 as the instance's `proc`; firing either rule from another holder would
 produce exactly the same successor.
 
+DeqSb reads WMM's per-thread drain memo (see `wmm.py`), whose WMM-S
+entry adds, per ProcState, its oldest entries' successors by tag and
+the set of tags its buffer holds.  A tag drains iff every processor
+holding it has it among its oldest entries; its holders are exactly
+those processors, each taking its memoized successor; and the
+lowest-index one fires, the first to list the tag among its drains.
+The entry also keeps the address the processor's next instruction
+loads (`_next_load`), which reads only its pc and registers.
+
 A copy into processor j is observed only by a load of j that bypasses
 from it; until then it only holds guards back.  So Copy is offered only
 into a processor whose next instruction, decoded against its registers
 (a computed address included), loads the store's address
-(`_next_loads`).  No outcome is lost.  The reduced machine only
+(`_next_load`).  No outcome is lost.  The reduced machine only
 declines some Copy firings, so each of its runs is a run of the full
 machine.  Conversely, take a run of the full machine and change its
 copies into each processor j: drop a copy that no load of j bypasses
@@ -96,18 +105,19 @@ def _acyclic(lists: list[list[int]]) -> bool:
     for order in lists:
         for n, older in enumerate(order):
             edges.setdefault(older, set()).update(order[n + 1:])
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
+    marks: dict[int, int] = {}  # 1 = on stack, 2 = done
+    return all(marks.get(node) == 2 or _visit(node, edges, marks) for node in list(edges))
 
-    def visit(node: int) -> bool:
-        state[node] = 1
-        for succ in edges.get(node, ()):
-            mark = state.get(succ)
-            if mark == 1 or (mark is None and not visit(succ)):
-                return False
-        state[node] = 2
-        return True
 
-    return all(state.get(node) == 2 or visit(node) for node in list(edges))
+def _visit(node: int, edges: dict, marks: dict) -> bool:
+    """Depth first from node: False if it reaches a node still on the stack."""
+    marks[node] = 1
+    for succ in edges.get(node, ()):
+        mark = marks.get(succ)
+        if mark == 1 or (mark is None and not _visit(succ, edges, marks)):
+            return False
+    marks[node] = 2
+    return True
 
 
 class WmmSModel(WmmModel):
@@ -122,20 +132,36 @@ class WmmSModel(WmmModel):
     def _background(self, state: MachineState):
         """DeqSb once per tag, then Copy once per (tag, target), each fired
         by the tag's lowest-index holder."""
+        procs = state.procs
+        for proc in procs:
+            if proc.sb:
+                break
+        else:
+            return  # nothing buffered: nothing to drain or copy
+        drains = [self._drains_of(i, proc) for i, proc in enumerate(procs)]
         seen = set()
-        for i, proc in enumerate(state.procs):
-            for a in isa.sb_addrs(proc.sb):
-                entry = isa.sb_oldest(proc.sb, a)
-                if entry[2] in seen:
+        for i, (steps, _, _, _) in enumerate(drains):
+            for rule, entry, _ in steps:
+                tag = entry[2]
+                if tag in seen:
                     continue
-                seen.add(entry[2])
-                if self._committable(state, a, entry):
-                    yield RuleInstance(self.DEQ_RULE, i, (a,)), self._dequeue(state, i, entry)
-        loads = self._next_loads(state)
+                seen.add(tag)
+                # every copy of the tag must be the oldest store for its
+                # address in its buffer, and every copy leaves at once
+                holders = {}
+                for j, (_, oldest, tags, _) in enumerate(drains):
+                    if tag in tags:
+                        nxt = oldest.get(tag)
+                        if nxt is None:
+                            break
+                        holders[j] = nxt
+                else:
+                    yield rule, self._dequeue(state, i, entry, holders)
+        loads = [drain[3] for drain in drains]
         if not any(loads):
             return  # no processor is about to load
         seen = set()
-        for i, proc in enumerate(state.procs):
+        for i, proc in enumerate(procs):
             for entry in proc.sb:
                 a, _, tag = entry
                 if tag in seen:
@@ -150,26 +176,19 @@ class WmmSModel(WmmModel):
                         yield (RuleInstance(self.COPY_RULE, i, (a, tag, j)),
                                self._copy(state, entry, j))
 
-    def _next_loads(self, state: MachineState) -> list:
-        """Per processor, the address its next instruction loads, as a
-        one-address tuple, or () if that instruction is no load."""
-        loads = []
-        for table, proc in zip(self.decoded, state.procs):
-            dins = isa.decode(table, proc)[0]
-            loads.append((dins.a,) if type(dins) is isa.Ld else ())
-        return loads
+    def _drain_steps(self, i: int, proc: isa.ProcState) -> tuple:
+        """Processor i's drain memo entry for proc: WMM's drains, its
+        oldest entries' successors by tag, the tags its buffer holds, and
+        `_next_load`.  Unbuffered processors get one too, for the last."""
+        steps = super()._drain_steps(i, proc)
+        return (steps, {entry[2]: nxt for _, entry, nxt in steps},
+                frozenset([entry[2] for entry in proc.sb]), self._next_load(i, proc))
 
-    @staticmethod
-    def _committable(state: MachineState, a: int, entry: tuple) -> bool:
-        """Every copy of the tag must be the oldest store for a in its buffer."""
-        return all(isa.sb_oldest(proc.sb, a) == entry
-                   for proc in state.procs if entry in proc.sb)
-
-    def _holders(self, state: MachineState, i: int, entry: tuple) -> list[int]:
-        """Every processor with a copy of the tag: as the entry is
-        committable, one whose oldest store for the address is the entry."""
-        return [j for j, proc in enumerate(state.procs)
-                if isa.sb_oldest(proc.sb, entry[0]) == entry]
+    def _next_load(self, i: int, proc: isa.ProcState) -> tuple:
+        """The address processor i's next instruction loads, decoded
+        against its registers, as a one-address tuple; () if it is no load."""
+        dins = isa.decode(self.decoded[i], proc)[0]
+        return (dins.a,) if type(dins) is isa.Ld else ()
 
     @staticmethod
     def _copy(state: MachineState, entry: tuple, j: int) -> MachineState:

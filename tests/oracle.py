@@ -18,12 +18,14 @@ per-pc tables of `isa.compile_thread` are checked.  It uses nothing from
 
 `wmm_s_per_holder_expansion` is the unreduced WMM-S expansion, which
 fires DeqSb and Copy once per processor holding a copy of the tag,
-through the catalog's per-rule helpers `_dequeue` and `_copy` rather
-than `expand`'s once-per-tag choice.
+rather than `expand`'s once-per-tag choice.  Its DeqSb is its own
+transcription of the paper's rule, and its Copy goes through the
+catalog's `_copy`.
 
-`cold_expansion` is `expand` with the per-thread step memo emptied
-first, so every processor's step is computed afresh from the state: the
-unmemoized reference that memoized expansions are checked against.
+`cold_expansion` is `expand` with the per-thread step and drain memos
+emptied first, so every processor's steps and DeqSb drains are computed
+afresh from the state: the unmemoized reference that memoized
+expansions are checked against.
 
 `unreduced` turns a `wmm`, `wmm-d` or `wmm-s` model back into the
 paper's machine: every address counts as live at every pc, so DeqSb
@@ -32,14 +34,14 @@ inserts each overwritten value (with its [tsL, tsU] interval under
 and no stale value is dropped when a pc advances.  Every pc also counts
 as one from which a register-addressed load may follow, so `wmm-d`
 keys states with all their clocks.  On `wmm-s` it also offers Copy into
-every processor, whatever its next instruction (`_next_loads` answers
+every processor, whatever its next instruction (`_next_load` answers
 ANY_ADDRESS), and keys states by `age_ordered_key`: each store buffer
 in its global age order, tags renamed by first appearance.  That key
 tells apart two buffers that differ only in the order between
 addresses, which the library's key (each buffer grouped by address)
 merges.  It empties the memos that were filled from the reduced
-liveness tables, so a model that has already explored may be turned
-back too.
+liveness tables and Copy guard, so a model that has already explored
+may be turned back too.
 """
 
 from __future__ import annotations
@@ -66,20 +68,20 @@ def unreduced(model: WmmModel) -> WmmModel:
         for memo in model._plain_procs:  # the clock-free keys
             memo.clear()
     if isinstance(model, WmmSModel):
-        model._next_loads = lambda state: (ANY_ADDRESS,) * model.nprocs
+        model._next_load = lambda i, proc: ANY_ADDRESS
         model.canonical_key = age_ordered_key
     return model
 
 
 def forget_steps(model: WmmModel) -> None:
-    """Empty model's per-thread step memo."""
-    for memo in model._steps:
+    """Empty model's per-thread step and drain memos."""
+    for memo in model._steps + model._drains:
         memo.clear()
 
 
 def cold_expansion(model: WmmModel, state) -> list:
     """Every rule instance of state with its successor, each processor's
-    step computed afresh rather than read from the memo."""
+    steps and drains computed afresh rather than read from the memos."""
     forget_steps(model)
     return list(model.expand(state))
 
@@ -99,16 +101,35 @@ def age_ordered_key(state) -> tuple:
 
 def wmm_s_per_holder_expansion(model: WmmSModel, state) -> list:
     """Every WMM-S rule instance with its successor, DeqSb and Copy once
-    per holder."""
+    per holder.  DeqSb is the paper's rule, transcribed here: a holder's
+    oldest store for an address drains once every buffer holding it has
+    it as its oldest store for that address; memory takes its value,
+    every copy leaves its buffer, and every other processor without a
+    pending store to the address gets the overwritten value as a stale
+    ib entry (`unreduced` keeps every stale value live, so the model
+    inserts the same ones)."""
     out = [(r, nxt) for r, nxt in model.expand(state)
            if r.rule not in (model.DEQ_RULE, model.COPY_RULE)]
-    for i, proc in enumerate(state.procs):
+    procs = state.procs
+    for i, proc in enumerate(procs):
         for a in isa.sb_addrs(proc.sb):
             entry = isa.sb_oldest(proc.sb, a)
-            if model._committable(state, a, entry):
-                out.append((RuleInstance(model.DEQ_RULE, i, (a,)),
-                            model._dequeue(state, i, entry)))
-    for i, proc in enumerate(state.procs):
+            holders = [j for j, other in enumerate(procs) if entry in other.sb]
+            if any(isa.sb_oldest(procs[j].sb, a) != entry for j in holders):
+                continue
+            old = isa.reg_get(state.m, a, 0)
+            after = []
+            for j, other in enumerate(procs):
+                if j in holders:
+                    sb = tuple(e for e in other.sb if e != entry)
+                    other = other._replace(sb=sb)
+                elif not any(e[0] == a for e in other.sb):
+                    other = other._replace(ib=other.ib + ((a, old),))
+                after.append(other)
+            out.append((RuleInstance(model.DEQ_RULE, i, (a,)),
+                        state._replace(m=isa.reg_set(state.m, a, entry[1]),
+                                       procs=tuple(after))))
+    for i, proc in enumerate(procs):
         for entry in proc.sb:
             a, _, tag = entry
             for j in range(model.nprocs):

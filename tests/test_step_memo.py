@@ -1,13 +1,18 @@
-"""The per-thread step memo of the WMM catalog (`tso`, `pso`, `wmm`,
-`wmm-d`, `wmm-s`).
+"""The per-thread step and drain memos of the WMM catalog (`tso`, `pso`,
+`wmm`, `wmm-d`, `wmm-s`).
 
 A processor-local rule's successor is a pure function of its ProcState
-and at most one global value, so `expand` memoizes it per thread (see
-`models/wmm.py`).  Every check here compares a memoized expansion with
-the unmemoized reference `oracle.cold_expansion`, or makes sure
+and at most one global value, and a buffered processor's side of DeqSb
+a pure function of its ProcState, so `expand` memoizes both per thread
+(see `models/wmm.py`).  The checks here compare a memoized expansion
+with the unmemoized reference `oracle.cold_expansion`, make sure
 `oracle.unreduced` still yields the paper's machine once a model has
-filled its memo from the reduced liveness tables.
+filled its memos from the reduced liveness tables, and make sure the
+memos do not keep their model alive.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -18,8 +23,8 @@ from oracle import cold_expansion, unreduced
 
 @pytest.mark.parametrize("model_id", ["tso", "pso", "wmm", "wmm-d", "wmm-s"])
 def test_memoized_expansion_equals_cold_one(corpus, model_id):
-    """Every state an exploration reaches, expanded from the memo it left
-    filled and then with the memo emptied first."""
+    """Every state an exploration reaches, expanded from the memos it left
+    filled and then with the memos emptied first."""
     for entry in corpus:
         model = build_model(model_id, entry.test)
         states = {model.initial_state(): None}
@@ -43,3 +48,22 @@ def test_unreduced_after_exploring(corpus_by_name, name, model_id):
     assert again.outcomes == fresh.outcomes
     assert ((again.stats.visited, again.stats.edges, again.stats.dedup_hits)
             == (fresh.stats.visited, fresh.stats.edges, fresh.stats.dedup_hits))
+
+
+@pytest.mark.parametrize("model_id", ["tso", "pso", "wmm", "wmm-d", "wmm-s"])
+def test_explored_model_is_freed_without_the_cycle_collector(corpus_by_name, model_id):
+    """With the cycle collector off, an explored model dies with its last
+    reference, and its exploration left no cyclic garbage behind."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        model = build_model(model_id, corpus_by_name["iriw"].test)
+        explore(model)
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
