@@ -34,16 +34,24 @@ The entry also keeps the address the processor's next instruction
 loads (`_next_load`), which reads only its pc and registers.
 
 A copy into processor j is observed only by a load of j that bypasses
-from it; until then it only holds guards back.  So Copy is offered only
+from it; until then it only holds guards back.  So Copy fires only
+together with that load, as one rule (`_copy_load`): it is offered only
 into a processor whose next instruction, decoded against its registers
 (a computed address included), loads the store's address
-(`_next_load`).  No outcome is lost.  The reduced machine only
-declines some Copy firings, so each of its runs is a run of the full
-machine.  Conversely, take a run of the full machine and change its
-copies into each processor j: drop a copy that no load of j bypasses
-from, and move every other one to just before the first load of j that
-bypasses from it, where j's pc sits at that load.  Every other rule
-fires as before, and the outcome is the same:
+(`_next_load`), and its successor is the state once the copy has
+entered j's buffer and j's load has bypassed from it, read from j's
+step memo.  The copy stays in j's buffer.  The fused rule keeps the
+paper's name, WMM-S-Copy, under which the benchmark counts its
+firings, and `describe_rule` shows it as the paper's two steps.
+
+No outcome is lost.  Each firing of the fused rule is the full
+machine's Copy followed by j's LdSb, which bypasses from the youngest
+entry for the address, the copy; so each run of the reduced machine is
+a run of the full machine.  Conversely, take a run of the full machine
+and change its copies into each processor j: drop a copy that no load
+of j bypasses from, and move every other one to just before the first
+load of j that bypasses from it, where j's pc sits at that load.  Every
+other rule fires as before, and the outcome is the same:
 
 * Between the copy and that load, j gains no entry for the address: it
   would be younger, could not drain first, and the load would bypass
@@ -60,6 +68,14 @@ fires as before, and the outcome is the same:
   it bypass.  LdIb reads past them with a higher index, and `ib_take`,
   LdMem, St and Reconcile remove them as before.
 * Memory, the DeqSb order and every loaded value are unchanged.
+
+In the changed run every copy is adjacent to the load it was moved
+before, and that load reads exactly the copy: the copy has just become
+j's youngest entry for the address, and a load bypasses from the
+youngest.  So each Copy and its load are one firing of the fused rule,
+and the changed run is a run of the reduced machine.  The states in
+which j holds a copy it has not loaded yet are never built, so the
+search pays for none of their keys, expansions or dedup lookups.
 
 The state key keeps each store buffer's order per address but not the
 order between addresses.  No rule reads the latter: DeqSb writes the
@@ -124,14 +140,15 @@ class WmmSModel(WmmModel):
     model_id = "wmm-s"
 
     # Loads, fences, and Nm keep the WMM rules; St and DeqSb are replaced
-    # and the background Copy rule is added.
+    # and the background Copy rule is added, fused with the load that
+    # bypasses from the copy.
     ST_RULE = "WMM-S-St"
     DEQ_RULE = "WMM-S-DeqSb"
     COPY_RULE = "WMM-S-Copy"
 
     def _background(self, state: MachineState):
-        """DeqSb once per tag, then Copy once per (tag, target), each fired
-        by the tag's lowest-index holder."""
+        """DeqSb once per tag, then Copy (with the target's load) once per
+        (tag, target), each fired by the tag's lowest-index holder."""
         procs = state.procs
         for proc in procs:
             if proc.sb:
@@ -174,7 +191,7 @@ class WmmSModel(WmmModel):
                 for j in targets:
                     if _copy_keeps_order(lists, tag, j):
                         yield (RuleInstance(self.COPY_RULE, i, (a, tag, j)),
-                               self._copy(state, entry, j))
+                               self._copy_load(state, entry, j))
 
     def _drain_steps(self, i: int, proc: isa.ProcState) -> tuple:
         """Processor i's drain memo entry for proc: WMM's drains, its
@@ -190,15 +207,21 @@ class WmmSModel(WmmModel):
         dins = isa.decode(self.decoded[i], proc)[0]
         return (dins.a,) if type(dins) is isa.Ld else ()
 
-    @staticmethod
-    def _copy(state: MachineState, entry: tuple, j: int) -> MachineState:
+    def _copy_load(self, state: MachineState, entry: tuple, j: int) -> MachineState:
         """state once the tagged store entry is copied into processor j's
-        buffer, which purges j's stale values for its address."""
+        buffer, which purges j's stale values for its address, and j's next
+        instruction, a load of that address, has bypassed from the copy:
+        j's WMM-LdSb, read from j's step memo."""
         target = state.procs[j]
         target = isa.ProcState(target.regs, target.pc, isa.sb_enq(target.sb, entry),
-                               isa.ib_rm_addr(target.ib, entry[0]), target.rts)
-        procs = state.procs[:j] + (target,) + state.procs[j + 1:]
-        return MachineState(state.m, procs, state.gts)
+                               target.ib and isa.ib_rm_addr(target.ib, entry[0]), target.rts)
+        memo = self._steps[j]
+        steps = memo.get(target)
+        if steps is None:
+            steps = memo[target] = self._proc_steps(j, target)
+        (_, loaded), = steps  # the copy is j's youngest entry for the address
+        return MachineState(state.m, state.procs[:j] + (loaded,) + state.procs[j + 1:],
+                            state.gts)
 
     def _store_entry(self, procs: tuple, i: int, sources: tuple, dins: isa.St) -> tuple:
         """The store, tagged one past the largest tag any buffer holds."""
@@ -239,5 +262,6 @@ class WmmSModel(WmmModel):
     def _describe_payload(self, rule: RuleInstance) -> str:
         if rule.rule == self.COPY_RULE:
             a, tag, j = rule.payload
-            return f"{self.addr_name(a)} tag {tag} -> {self.thread_names[j]}"
+            target = self.thread_names[j]
+            return f"{self.addr_name(a)} tag {tag} -> {target}, then {target} LdSb"
         return super()._describe_payload(rule)

@@ -18,9 +18,8 @@ per-pc tables of `isa.compile_thread` are checked.  It uses nothing from
 
 `wmm_s_per_holder_expansion` is the unreduced WMM-S expansion, which
 fires DeqSb and Copy once per processor holding a copy of the tag,
-rather than `expand`'s once-per-tag choice.  Its DeqSb is its own
-transcription of the paper's rule, and its Copy goes through the
-catalog's `_copy`.
+rather than `expand`'s once-per-tag choice.  Its DeqSb and Copy are its
+own transcriptions of the paper's rules.
 
 `cold_expansion` is `expand` with the per-thread step and drain memos
 emptied first, so every processor's steps and DeqSb drains are computed
@@ -35,13 +34,16 @@ and no stale value is dropped when a pc advances.  Every pc also counts
 as one from which a register-addressed load may follow, so `wmm-d`
 keys states with all their clocks.  On `wmm-s` it also offers Copy into
 every processor, whatever its next instruction (`_next_load` answers
-ANY_ADDRESS), and keys states by `age_ordered_key`: each store buffer
-in its global age order, tags renamed by first appearance.  That key
+ANY_ADDRESS), fires it as the paper's Copy alone (`paper_copy`), with
+no load fused to it, and keys states by `age_ordered_key`: each store
+buffer in its global age order, tags renamed by first appearance.  That key
 tells apart two buffers that differ only in the order between
 addresses, which the library's key (each buffer grouped by address)
 merges.  It empties the memos that were filled from the reduced
 liveness tables and Copy guard, so a model that has already explored
-may be turned back too.
+may be turned back too.  `split_copy_loads` turns a witness of the
+library's `wmm-s`, whose Copy also fires the target's load, into one of
+the unreduced machine.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ from i2e_litmus.models.wmm_s import WmmSModel, no_cycle
 
 def unreduced(model: WmmModel) -> WmmModel:
     """The same model with every stale value kept (the paper's DeqSb), on
-    `wmm-d` with every clock in the state key, and on `wmm-s` with Copy
-    into every processor (the paper's Copy) and store buffers keyed in
-    their global age order."""
+    `wmm-d` with every clock in the state key, and on `wmm-s` with the
+    paper's Copy, into every processor and with no load fused to it, and
+    store buffers keyed in their global age order."""
     everywhere = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
     model.stale_live = everywhere
     forget_steps(model)
@@ -69,6 +71,7 @@ def unreduced(model: WmmModel) -> WmmModel:
             memo.clear()
     if isinstance(model, WmmSModel):
         model._next_load = lambda i, proc: ANY_ADDRESS
+        model._copy_load = paper_copy
         model.canonical_key = age_ordered_key
     return model
 
@@ -86,6 +89,29 @@ def cold_expansion(model: WmmModel, state) -> list:
     return list(model.expand(state))
 
 
+def paper_copy(state, entry: tuple, j: int):
+    """state after the paper's WMM-S Copy of the tagged store entry into
+    processor j: the entry becomes j's youngest store, and j's stale
+    values for its address are purged."""
+    a = entry[0]
+    proc = state.procs[j]
+    proc = proc._replace(sb=proc.sb + (entry,), ib=tuple(e for e in proc.ib if e[0] != a))
+    return state._replace(procs=state.procs[:j] + (proc,) + state.procs[j + 1:])
+
+
+def split_copy_loads(witness) -> tuple:
+    """A witness with each `wmm-s` Copy step, which also fires the target
+    j's load, split into the paper's two steps: the Copy, then j's LdSb,
+    which bypasses from the copy.  Other steps, and other models' rules,
+    pass through unchanged."""
+    steps = []
+    for rule in witness:
+        steps.append(rule)
+        if rule.rule == WmmSModel.COPY_RULE:
+            steps.append(RuleInstance(WmmSModel.LDSB_RULE, rule.payload[2]))
+    return tuple(steps)
+
+
 def age_ordered_key(state) -> tuple:
     """A WMM-S state key that keeps each store buffer's global age order."""
     rename: dict[int, int] = {}
@@ -101,13 +127,14 @@ def age_ordered_key(state) -> tuple:
 
 def wmm_s_per_holder_expansion(model: WmmSModel, state) -> list:
     """Every WMM-S rule instance with its successor, DeqSb and Copy once
-    per holder.  DeqSb is the paper's rule, transcribed here: a holder's
-    oldest store for an address drains once every buffer holding it has
-    it as its oldest store for that address; memory takes its value,
-    every copy leaves its buffer, and every other processor without a
-    pending store to the address gets the overwritten value as a stale
-    ib entry (`unreduced` keeps every stale value live, so the model
-    inserts the same ones)."""
+    per holder.  Copy is `paper_copy`, into every processor whose buffer
+    would keep the coherence order acyclic.  DeqSb is the paper's rule,
+    transcribed here: a holder's oldest store for an address drains once
+    every buffer holding it has it as its oldest store for that address;
+    memory takes its value, every copy leaves its buffer, and every other
+    processor without a pending store to the address gets the overwritten
+    value as a stale ib entry (`unreduced` keeps every stale value live,
+    so the model inserts the same ones)."""
     out = [(r, nxt) for r, nxt in model.expand(state)
            if r.rule not in (model.DEQ_RULE, model.COPY_RULE)]
     procs = state.procs
@@ -135,7 +162,7 @@ def wmm_s_per_holder_expansion(model: WmmSModel, state) -> list:
             for j in range(model.nprocs):
                 if no_cycle(state, a, tag, j):
                     out.append((RuleInstance(model.COPY_RULE, i, (a, tag, j)),
-                                model._copy(state, entry, j)))
+                                paper_copy(state, entry, j)))
     return out
 
 

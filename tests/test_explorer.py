@@ -84,11 +84,10 @@ class TestIsTerminal:
             done[2],
         ))
         assert not model.is_terminal(holding)
-        # the drain rule is still offered (copies into the idle processor too:
-        # background rules do not care that every thread has halted)
+        # only the drain rule is offered: a store is copied only into a
+        # processor about to load its address, and every thread has halted
         rules = {r.rule for r in model.enabled(holding)}
-        assert "WMM-S-DeqSb" in rules
-        assert rules <= {"WMM-S-DeqSb", "WMM-S-Copy"}
+        assert rules == {"WMM-S-DeqSb"}
 
 
 class TestSuccessors:

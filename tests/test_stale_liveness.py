@@ -3,12 +3,12 @@
 The reduced `wmm`/`wmm-d`/`wmm-s` machines never insert a stale value that its
 processor cannot load, and drop one once its processor's pc passes the
 last load that could read it; `wmm-s` also copies a store only into a
-processor whose next instruction loads its address, and `wmm-d` drops
-its clocks from the state key once no register-addressed load can
-follow.  Every
-check here compares them with the unreduced reference in
-`oracle.unreduced`, which on `wmm-d` keeps every clock in the key, and
-on `wmm-s` also copies into every processor and keys store buffers in
+processor whose next instruction loads its address, fused with that
+load, and `wmm-d` drops its clocks from the state key once no
+register-addressed load can follow.  Every check here compares them
+with the unreduced reference in `oracle.unreduced`, which on `wmm-d`
+keeps every clock in the key, and on `wmm-s` also copies into every
+processor, with no load fused to the copy, and keys store buffers in
 their age order, so the `wmm-d` and `wmm-s` checks cover every
 reduction of those models.
 """
@@ -16,11 +16,11 @@ reduction of those models.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from i2e_litmus.explorer import explore, replay
+from i2e_litmus.explorer import ExploreLimits, explore, replay
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.wmm import ANY_ADDRESS
-from oracle import unreduced
+from oracle import split_copy_loads, unreduced
 
 
 def liveness(body: str):
@@ -196,12 +196,17 @@ def test_apply_refuses_an_instance_expand_does_not_offer():
         model.apply(state, RuleInstance("WMM-LdIb", 0, (2,)))
 
 
-def assert_same_as_unreduced(test, model_id, reduced_results):
+def assert_same_as_unreduced(test, model_id, reduced_results, max_states):
     """Reduced and unreduced agree on outcomes and completeness; every
-    reduced witness replays on both machines.  The unreduced search runs
-    once: its outcome set does not depend on the search order."""
+    reduced witness replays on the reduced machine, and with each `wmm-s`
+    Copy split from its load (`split_copy_loads`) on the unreduced one.
+    The unreduced search runs once, as its outcome set does not depend on
+    the search order, and must complete within max_states: a budget sized
+    from its known count, so that a bug that leaves copies behind fails
+    at once instead of searching for minutes."""
     reference_model = unreduced(build_model(model_id, test))
-    reference = explore(reference_model)
+    reference = explore(reference_model, ExploreLimits(max_states=max_states))
+    assert reference.complete
     for order, reduced in reduced_results.items():
         assert reduced.outcomes == reference.outcomes, order
         assert reduced.complete == reference.complete, order
@@ -209,15 +214,21 @@ def assert_same_as_unreduced(test, model_id, reduced_results):
         for outcome in reduced.outcomes:
             witness = reduced.witness(outcome)
             assert replay(reduced.model, witness)[1] == outcome
-            assert replay(reference_model, witness)[1] == outcome
+            assert replay(reference_model, split_copy_loads(witness))[1] == outcome
     return reference
+
+
+# above each model's largest unreduced corpus search, iriw-commit's
+# (1,088, 956 and 19,593 states)
+CORPUS_MAX_STATES = {"wmm": 1_200, "wmm-d": 1_100, "wmm-s": 20_000}
 
 
 @pytest.mark.parametrize("model_id", ["wmm", "wmm-s", "wmm-d"])
 def test_corpus_matches_unreduced_reference(corpus, explored, model_id):
     for entry in corpus:
         reduced = {order: explored(entry, model_id, order=order) for order in ("bfs", "dfs")}
-        reference = assert_same_as_unreduced(entry.test, model_id, reduced)
+        reference = assert_same_as_unreduced(entry.test, model_id, reduced,
+                                             CORPUS_MAX_STATES[model_id])
         if entry.name == "iriw":
             assert reduced["bfs"].stats.visited < reference.stats.visited
 
@@ -238,7 +249,7 @@ def test_branches_match_unreduced_reference(name, model_id):
                  "check allowed: r1 = 1 & r2 = 0\n")
     reduced = explore(build_model(model_id, test))
     assert any(o.reg("P2", "r1") == 1 and o.reg("P2", "r2") == 0 for o in reduced.outcomes)
-    assert_same_as_unreduced(test, model_id, {"bfs": reduced})
+    assert_same_as_unreduced(test, model_id, {"bfs": reduced}, 100)  # at most 94
 
 
 FINISHED_READER = """
@@ -326,7 +337,7 @@ check allowed: r1 = 1 & r2 = 1 & r3 = 0
 def test_wrc_matches_unreduced_reference():
     test = parse(WRC)
     reduced = explore(build_model("wmm-s", test))
-    reference = assert_same_as_unreduced(test, "wmm-s", {"bfs": reduced})
+    reference = assert_same_as_unreduced(test, "wmm-s", {"bfs": reduced}, 1_000)
     assert reference.stats.visited == 946
     assert reduced.stats.visited < reference.stats.visited
 
@@ -357,7 +368,7 @@ def test_copy_targets_match_unreduced_reference(name):
     reduced = explore(build_model("wmm-s", test))
     assert any(o.reg("P2", "r1") == 2 and o.reg("P3", "r2") == 1 and o.loc("a") == 2
                for o in reduced.outcomes)
-    assert_same_as_unreduced(test, "wmm-s", {"bfs": reduced})
+    assert_same_as_unreduced(test, "wmm-s", {"bfs": reduced}, 2_500)  # at most 2,456
 
 
 READER = ("ld", "ld", "ld", "st", "Commit", "Reconcile", "branch", "exit")
@@ -429,4 +440,6 @@ def small_programs(draw):
 def test_generated_programs_match_unreduced_reference(text, model_id):
     test = parse(text)
     model = build_model(model_id, test)
-    assert_same_as_unreduced(test, model_id, {"bfs": explore(model)})
+    # the largest unreduced search the generator can make is about 5,100
+    # states (wmm-s, two readers of three loads each)
+    assert_same_as_unreduced(test, model_id, {"bfs": explore(model)}, 10_000)

@@ -16,7 +16,7 @@ import weakref
 
 import pytest
 
-from i2e_litmus.explorer import explore
+from i2e_litmus.explorer import ExploreLimits, explore
 from i2e_litmus.models import build_model
 from oracle import cold_expansion, unreduced
 
@@ -40,10 +40,12 @@ def test_unreduced_after_exploring(corpus_by_name, name, model_id):
     """A model that has explored, then turned into the unreduced machine,
     searches exactly as a fresh unreduced one."""
     test = corpus_by_name[name].test
-    fresh = explore(unreduced(build_model(model_id, test)))
+    limits = ExploreLimits(max_states=400)  # the largest is wmm-s transitive-dep, 316
+    fresh = explore(unreduced(build_model(model_id, test)), limits)
     model = build_model(model_id, test)
     reduced = explore(model)
-    again = explore(unreduced(model))
+    again = explore(unreduced(model), limits)
+    assert fresh.complete and again.complete
     assert reduced.stats.visited < fresh.stats.visited
     assert again.outcomes == fresh.outcomes
     assert ((again.stats.visited, again.stats.edges, again.stats.dedup_hits)

@@ -1,14 +1,16 @@
-"""Tagged stores, the copy rule, and the partial coherence order."""
+"""Tagged stores, the copy rule (fused with the load that bypasses from
+the copy), and the partial coherence order."""
 
 from itertools import permutations, product
 
 import pytest
 
-from i2e_litmus.explorer import explore
+from i2e_litmus import isa
+from i2e_litmus.explorer import ExploreLimits, explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.wmm_s import no_cycle
-from oracle import age_ordered_key, unreduced, wmm_s_per_holder_expansion
+from oracle import age_ordered_key, paper_copy, unreduced, wmm_s_per_holder_expansion
 
 
 def reg_projection(outcomes, *keys):
@@ -127,19 +129,83 @@ class TestEnabled:
         assert deqs == {RuleInstance("WMM-S-DeqSb", 0, (0,))}
 
 
+# P3 loads a twice, so a stale value for a stays live past its first load.
+LOAD_TWICE = """
+i2e-litmus v1
+init:
+  a = 0
+thread P1:
+  St a 1
+thread P2:
+  r0 = Ld b
+thread P3:
+  r1 = Ld a
+  r2 = Ld a
+check allowed: r1 = 0
+"""
+
+
+def load_twice_stored(p3):
+    """A LOAD_TWICE state in which P1 has stored a = 1 under tag 0, memory
+    still holds a = 0, and P3 is p3."""
+    model = build_model("wmm-s", parse(LOAD_TWICE))
+    state = model.initial_state()
+    procs = (state.procs[0]._replace(pc=1, sb=((0, 1, 0),)), state.procs[1], p3)
+    return model, state._replace(procs=procs)
+
+
+class TestCopyLoad:
+    """Copy fires together with the load of the target that bypasses from
+    the copy: one rule whose successor is the paper's Copy, then the
+    target's LdSb."""
+
+    def test_copy_is_the_youngest_entry_its_load_bypasses_from(self):
+        model, state = load_twice_stored(isa.ProcState(sb=((0, 5, 1),)))  # P3's own older store
+        after = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, 0, 2))).procs[2]
+        assert after.regs == (("r1", 1),)
+        assert after.pc == 1
+        assert isa.sb_youngest(after.sb, 0) == (0, 1, 0)
+        assert after.sb == ((0, 5, 1), (0, 1, 0))
+
+    def test_offered_only_into_a_processor_about_to_load_the_address(self):
+        model, state = load_twice_stored(isa.ProcState())
+        targets = {r.payload[2] for r in model.enabled(state) if r.rule == model.COPY_RULE}
+        assert targets == {2}  # P2 is about to load b, not a
+        state = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, 0, 2)))
+        # P3 is at its second load of a, but already holds the tag
+        assert not any(r.rule == model.COPY_RULE for r in model.enabled(state))
+
+    def test_described_as_the_papers_two_steps(self):
+        model = build_model("wmm-s", parse(LOAD_TWICE))
+        assert (model.describe_rule(RuleInstance("WMM-S-Copy", 0, (0, 0, 2)))
+                == "P1: WMM-S-Copy (a tag 0 -> P3, then P3 LdSb)")
+
+    @pytest.mark.parametrize("name", ["wwc", "iriw", "iriw-commit"])
+    def test_successor_is_the_papers_copy_then_the_targets_load(self, corpus_by_name, name):
+        model = build_model("wmm-s", corpus_by_name[name].test)
+        copies = 0
+
+        def audit(state, rule, nxt):
+            nonlocal copies
+            if rule.rule == model.COPY_RULE:
+                copies += 1
+                _, tag, j = rule.payload
+                (entry,) = [e for e in state.procs[rule.proc].sb if e[2] == tag]
+                copied = paper_copy(state, entry, j)
+                assert nxt == model.apply(copied, RuleInstance(model.LDSB_RULE, j))
+
+        explore(model, audit=audit)
+        assert copies > 0
+
+
 class TestRuleActions:
     def test_copy_enqueues_youngest_and_purges_stale(self):
-        model = build_model("wmm-s", parse(THREE_THREADS))
-        state = model.initial_state()
-        procs = (
-            state.procs[0]._replace(sb=((0, 1, 0),)),
-            state.procs[1]._replace(sb=((0, 2, 1),), ib=()),
-            state.procs[2]._replace(ib=((0, 7),)),
-        )
-        state = state._replace(procs=procs)
-        after = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, 0, 2)))
-        assert after.procs[2].sb == ((0, 1, 0),)
-        assert after.procs[2].ib == ()
+        model, state = load_twice_stored(isa.ProcState(ib=((0, 7),)))
+        after = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, 0, 2))).procs[2]
+        assert after.regs == (("r1", 1),)  # the copy's value, not memory's 0 or the stale 7
+        assert after.ib == ()  # P3 loads a again, so only the copy's purge removes it
+        assert after.pc == 1
+        assert after.sb == ((0, 1, 0),)  # the copy stays behind
 
     def test_dequeue_removes_every_copy_and_feeds_nonholders(self):
         model = build_model("wmm-s", parse(THREE_THREADS))
@@ -255,10 +321,11 @@ class TestVerdicts:
         assert (1, 0, 1, 0) not in reg_projection(
             explored(corpus_by_name["iriw-commit"], "wmm-s").outcomes, *keys)
 
-    @pytest.mark.parametrize("name, states", [("iriw", 784), ("iriw-commit", 788)])
+    @pytest.mark.parametrize("name, states", [("iriw", 570), ("iriw-commit", 613)])
     def test_iriw_state_counts(self, corpus_by_name, explored, name, states):
         """Copy only into a processor whose next instruction loads the
-        address: a guard that let more targets through would add states."""
+        address, and fused with that load: a guard that let more targets
+        through, or a copy fired apart from its load, would add states."""
         assert explored(corpus_by_name[name], "wmm-s").stats.visited == states
 
     def test_wmm_outcomes_subset_of_wmm_s(self, corpus_by_name, explored):
@@ -280,7 +347,6 @@ class TestVerdicts:
         assert len(seen_tags) >= 3  # every store execution minted a tag
 
     def test_dequeued_tag_never_survives(self, corpus_by_name):
-        from i2e_litmus import isa
         model = build_model("wmm-s", corpus_by_name["wwc"].test)
 
         def audit(state, rule, nxt):
@@ -313,13 +379,17 @@ class TestOncePerTag:
     """On the unreduced machine, whose Copy targets every processor as the
     per-holder reference does, so only the once-per-tag choice differs."""
 
+    # each unreduced search's state budget, above its count (2,377, 2,146 and 549)
+    MAX_STATES = {"wwc": 2_500, "wwc-commit": 2_500, "multi-holder": 600}
+
     @pytest.mark.parametrize("name", ["wwc", "wwc-commit", "multi-holder"])
     def test_same_successors_as_per_holder_enumeration(self, corpus_by_name, name):
         test = parse(MULTI_HOLDER) if name == "multi-holder" else corpus_by_name[name].test
         model = unreduced(build_model("wmm-s", test))
         states = {}
-        explore(model, audit=lambda state, rule, nxt:
-                states.setdefault(model.canonical_key(state), state))
+        assert explore(model, ExploreLimits(max_states=self.MAX_STATES[name]),
+                       audit=lambda state, rule, nxt:
+                       states.setdefault(model.canonical_key(state), state)).complete
         dropped = 0
         for state in states.values():
             reduced = {r: model.canonical_key(nxt) for r, nxt in model.expand(state)}
