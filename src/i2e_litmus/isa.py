@@ -7,11 +7,12 @@ the registers it read), and `execute` writes a destination register
 and moves the program counter.  None of them touches memory or the
 buffers; those belong to the model rules.
 
-Store buffers keep one global age order (a tuple, oldest first), which
-also induces the per-address order every rule needs.  Invalidation
-buffers keep insertion order.  Both are plain tuples of entry tuples
-whose first element is always the address, so one set of helpers serves
-the untagged, timestamped, and tagged entry shapes.
+Store buffers keep each address's entries in age order, oldest first,
+the order every rule reads: `sb_enq` appends (one global age order),
+and WMM-S's `sb_insert` keeps its buffers in address order.
+Invalidation buffers keep insertion order.  Both are plain tuples of
+entry tuples whose first element is always the address, so one set of
+helpers serves the untagged, timestamped, and tagged entry shapes.
 """
 
 from __future__ import annotations
@@ -220,11 +221,19 @@ def execute(proc: ProcState, dins, value=None) -> ProcState:
 # ---------------------------------------------------------------------------
 # Store buffer
 # ---------------------------------------------------------------------------
-# Entries are (a, v), (a, v, sts) or (a, v, tag); tuple order is global age
-# order, oldest first.
+# Entries are (a, v), (a, v, sts) or (a, v, tag), each address's oldest first.
 
 def sb_enq(sb: tuple, entry: tuple) -> tuple:
     return sb + (entry,)
+
+
+def sb_insert(sb: tuple, entry: tuple) -> tuple:
+    """Enqueue entry behind its address's entries, ahead of larger addresses."""
+    a = entry[0]
+    n = len(sb)
+    while n and sb[n - 1][0] > a:
+        n -= 1
+    return sb[:n] + (entry,) + sb[n:]
 
 
 def sb_exist(sb: tuple, a: int) -> bool:

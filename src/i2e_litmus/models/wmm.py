@@ -39,20 +39,18 @@ search merges those.
 
 Every rule fires instantaneously, and a processor-local rule (Nm, LdSb,
 LdMem, LdIb, St, Commit, Reconcile) reads its own ProcState and at most
-one global value: LdMem the memory cell at its address, Reconcile `gts`,
-and St the entry `_store_entry` returns, whose WMM-S tag depends on
-every buffer.  Its successor ProcState is therefore a pure function of
-that ProcState and that value, and so is the dead-stale-value drop
-above, which reads only the new pc.  `expand` memoizes it per thread:
-the memo maps a ProcState to its (rule instance, successor ProcState)
-pairs, or, for a step that reads a global value, to those pairs keyed by
-the value.  A hit only splices the successor into the state; a miss
-decodes the instruction once and runs the rule.  The timestamp hooks
-take the ProcState and the keyed value, never the state (only
-`_store_entry`, whose result is the key, sees the other processors), so
-no rule can read a global value its key leaves out.  The memo is filled
-from the liveness tables: they must not change once a model has expanded
-a state.
+one global value: LdMem the memory cell at its address, Reconcile `gts`.
+St reads none, WMM-S's tag included.  Its successor ProcState is
+therefore a pure function of that ProcState and that value, and so is
+the dead-stale-value drop above, which reads only the new pc.  `expand`
+memoizes it per thread: the memo maps a ProcState to its (rule
+instance, successor ProcState) pairs, or, for a step that reads a
+global value, to a `_Reads` of those pairs keyed by the value.  A hit
+only splices the successor into the state; a miss decodes the
+instruction once and runs the rule.  The timestamp hooks take the
+ProcState and the keyed value, never the state, so no rule can read a
+global value its key leaves out.  The memo is filled from the liveness
+tables: they must not change once a model has expanded a state.
 
 DeqSb is the one rule that acts on several processors: memory, the
 holder's buffer, and the other processors' ibs.  Its holder side is a
@@ -80,7 +78,8 @@ overwritten value nor offers it; TSO's `_drain_steps` drains only the
 globally oldest store, a DeqSb with no address.  WMM-D's timestamps live
 in hooks that WMM implements without them, at most one per fired rule:
 `_nm_value`, `_load_sb`, `_load_mem`, `_stale_loads`, `_store_entry`
-and `_write_memory`.  WMM-S tags its stores through `_store_entry`.
+and `_write_memory`.  WMM-S tags its stores through `_store_entry` and
+keeps its buffers in address order through `_enqueue`.
 """
 
 from __future__ import annotations
@@ -179,6 +178,8 @@ class WmmModel(BaseModel):
     REC_RULE = "WMM-Rec"
     DEQ_RULE = "WMM-DeqSb"
 
+    _enqueue = staticmethod(isa.sb_enq)  # how St (and WMM-S's Copy) buffers an entry
+
     @cached_property
     def stale_live(self) -> tuple:
         """stale_live[i][pc]: addresses thread i may still load a stale value for."""
@@ -226,12 +227,10 @@ class WmmModel(BaseModel):
             return _Reads(lambda model, state: mem_get(state.m, a, default),
                           lambda model, cell: model._load_steps(i, proc, dins, sources, cell))
         if kind is isa.St:
-            def store(model, entry):
-                nxt = isa.ProcState(proc.regs, proc.pc + 1, isa.sb_enq(proc.sb, entry),
-                                    proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-                return (RuleInstance(model.ST_RULE, i), model._settle(i, nxt)),
-            return _Reads(lambda model, state: model._store_entry(state.procs, i, sources, dins),
-                          store)
+            sb = self._enqueue(proc.sb, self._store_entry(i, proc, sources, dins))
+            nxt = isa.ProcState(proc.regs, proc.pc + 1, sb,
+                                proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
+            return (RuleInstance(self.ST_RULE, i), self._settle(i, nxt)),
         if kind is isa.Nm:
             nxt = isa.execute(proc, dins, self._nm_value(proc, sources, dins))
             return (RuleInstance(self.NM_RULE, i), self._settle(i, nxt)),
@@ -340,9 +339,8 @@ class WmmModel(BaseModel):
             entry, rest = isa.ib_take(proc.ib, a, k)
             yield k, entry[1], rest
 
-    def _store_entry(self, procs: tuple, i: int, sources: tuple, dins: isa.St) -> tuple:
-        """The entry processor i's store enqueues.  St is memoized by this
-        entry, so it alone may read the other processors (`procs`)."""
+    def _store_entry(self, i: int, proc: isa.ProcState, sources: tuple, dins: isa.St) -> tuple:
+        """The entry processor i's store enqueues."""
         return dins.a, dins.v
 
     def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:

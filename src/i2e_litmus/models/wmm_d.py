@@ -117,8 +117,8 @@ class WmmDModel(WmmModel):
                 yield (k, (v, load_value_timestamp(ats, proc.rts, ts_lower)),
                        isa.ib_rm_older(proc.ib, a, ts_upper))
 
-    def _store_entry(self, procs: tuple, i: int, sources: tuple, dins: isa.St) -> tuple:
-        return dins.a, dins.v, _ats(procs[i], sources)
+    def _store_entry(self, i: int, proc: isa.ProcState, sources: tuple, dins: isa.St) -> tuple:
+        return dins.a, dins.v, _ats(proc, sources)
 
     def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:
         a, v, sts = entry

@@ -2,11 +2,8 @@
 
 Stores become visible to different processors at different times here:
 a background rule may copy a buffered store into another processor's
-store buffer, and every copy shares the store's tag, one past the
-largest tag any buffer held when the store executed.  A tag need only
-be unique among buffered entries, because DeqSb removes every copy at
-once, and the state key renames tags anyway.  The per-address orders
-of all store buffers, glued together by tags, must stay a strict
+store buffer, and every copy shares the store's tag.  The per-address
+orders of all store buffers, glued together by tags, must stay a strict
 partial order (the partial coherence order); `no_cycle` rejects any
 copy that would close a cycle, which also covers copying into a buffer
 that already holds the tag.
@@ -32,6 +29,31 @@ those processors, each taking its memoized successor; and the
 lowest-index one fires, the first to list the tag among its drains.
 The entry also keeps the address the processor's next instruction
 loads (`_next_load`), which reads only its pc and registers.
+
+Each state is built in canonical form, so the search keys it by itself:
+
+* A tag names its store: (thread, pc, k), with k the smallest value no
+  entry of the storing thread's own buffer carries for that (thread,
+  pc); a loop-free thread always gets k = 0.  That k is free in every
+  buffer: DeqSb removes every copy at once, so a store's own entry stays
+  buffered until every copy has drained.  So St reads only its own
+  ProcState, and with `no_cycle` no two buffered entries share a tag.
+* Each buffer is in address order: St and Copy enqueue an entry behind
+  the buffer's last entry for its address (`isa.sb_insert`), keeping
+  each address's age order, as does DeqSb's `sb_rm_oldest`.  No rule
+  reads the order between addresses: DeqSb writes the oldest store for
+  an address, LdSb bypasses from the youngest, Copy enqueues behind the
+  target's stores to the address, `no_cycle` compares per-address tag
+  lists, and Commit and termination ask only whether a buffer is empty.
+  So the paper's buffers in any interleaving of their addresses have the
+  same rule instances, and successors that differ in the same way.
+
+Renaming tags by first appearance would also merge states that differ
+only by a permutation of tags; identity tags keep them apart only where
+two stores leave equal (address, value) entries in the same positions,
+as two instances of one looped store may.  That only merges less, so
+it is sound; the test suite keeps the paper's machine (appended
+buffers, tags renamed by first appearance) as a reference.
 
 A copy into processor j is observed only by a load of j that bypasses
 from it; until then it only holds guards back.  So Copy fires only
@@ -60,8 +82,8 @@ other rule fires as before, and the outcome is the same:
   copy still the youngest entry.  Hence `no_cycle` holds (its orders
   are a subset of an acyclic one), as do DeqSb's every-copy-oldest
   guard and Commit's empty-buffer test, and LdSb and LdMem pick the
-  same source.  Copies never change which tags are buffered, so St
-  mints the same tags.
+  same source.  St reads only its own thread's stores, which no moved
+  copy is, so it mints the same tags.
 * Without the copy's ib purge and the holder's skipped insert, j's ib
   holds extra stale values for the address, all older than the ones of
   the original run: while j holds an entry for an address, its loads of
@@ -76,56 +98,42 @@ youngest.  So each Copy and its load are one firing of the fused rule,
 and the changed run is a run of the reduced machine.  The states in
 which j holds a copy it has not loaded yet are never built, so the
 search pays for none of their keys, expansions or dedup lookups.
-
-The state key keeps each store buffer's order per address but not the
-order between addresses.  No rule reads the latter: DeqSb writes the
-oldest store for an address, LdSb bypasses from the youngest, Copy
-appends behind the target's stores to the address and `no_cycle`
-compares per-address tag lists, and Commit and termination only ask
-whether a buffer is empty.  Two states whose buffers differ only in how
-stores to different addresses interleave therefore have the same
-successors up to that order, and the search merges them; the test suite
-keeps the age-ordered key as a reference.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .. import isa
 from .base import MachineState, RuleInstance
 from .wmm import WmmModel
 
-_address = itemgetter(0)  # of a store-buffer entry
 
-
-def no_cycle(state: MachineState, a: int, tag: int, target: int) -> bool:
+def no_cycle(state: MachineState, a: int, tag: tuple, target: int) -> bool:
     """Would copying the tagged store for a into target keep the
     per-address coherence order acyclic?"""
     return _copy_keeps_order(_tag_lists(state, a), tag, target)
 
 
-def _tag_lists(state: MachineState, a: int) -> list[list[int]]:
+def _tag_lists(state: MachineState, a: int) -> list[list[tuple]]:
     """Each buffer's tags for address a, oldest first."""
     return [[e[2] for e in proc.sb if e[0] == a] for proc in state.procs]
 
 
-def _copy_keeps_order(lists: list[list[int]], tag: int, target: int) -> bool:
+def _copy_keeps_order(lists: list[list[tuple]], tag: tuple, target: int) -> bool:
     if tag in lists[target]:
         return False  # the copy would order the store before itself
     return _acyclic(lists[:target] + [lists[target] + [tag]] + lists[target + 1:])
 
 
-def _acyclic(lists: list[list[int]]) -> bool:
-    edges: dict[int, set[int]] = {}
+def _acyclic(lists: list[list[tuple]]) -> bool:
+    edges: dict[tuple, set[tuple]] = {}
     for order in lists:
         for n, older in enumerate(order):
             edges.setdefault(older, set()).update(order[n + 1:])
-    marks: dict[int, int] = {}  # 1 = on stack, 2 = done
+    marks: dict[tuple, int] = {}  # 1 = on stack, 2 = done
     return all(marks.get(node) == 2 or _visit(node, edges, marks) for node in list(edges))
 
 
-def _visit(node: int, edges: dict, marks: dict) -> bool:
+def _visit(node: tuple, edges: dict, marks: dict) -> bool:
     """Depth first from node: False if it reaches a node still on the stack."""
     marks[node] = 1
     for succ in edges.get(node, ()):
@@ -145,6 +153,8 @@ class WmmSModel(WmmModel):
     ST_RULE = "WMM-S-St"
     DEQ_RULE = "WMM-S-DeqSb"
     COPY_RULE = "WMM-S-Copy"
+
+    _enqueue = staticmethod(isa.sb_insert)  # buffers stay in address order
 
     def _background(self, state: MachineState):
         """DeqSb once per tag, then Copy (with the target's load) once per
@@ -213,7 +223,7 @@ class WmmSModel(WmmModel):
         instruction, a load of that address, has bypassed from the copy:
         j's WMM-LdSb, read from j's step memo."""
         target = state.procs[j]
-        target = isa.ProcState(target.regs, target.pc, isa.sb_enq(target.sb, entry),
+        target = isa.ProcState(target.regs, target.pc, self._enqueue(target.sb, entry),
                                target.ib and isa.ib_rm_addr(target.ib, entry[0]), target.rts)
         memo = self._steps[j]
         steps = memo.get(target)
@@ -223,45 +233,25 @@ class WmmSModel(WmmModel):
         return MachineState(state.m, state.procs[:j] + (loaded,) + state.procs[j + 1:],
                             state.gts)
 
-    def _store_entry(self, procs: tuple, i: int, sources: tuple, dins: isa.St) -> tuple:
-        """The store, tagged one past the largest tag any buffer holds."""
-        tag = 0
-        for proc in procs:
-            for entry in proc.sb:
-                if entry[2] >= tag:
-                    tag = entry[2] + 1
-        return dins.a, dins.v, tag
-
-    def canonical_key(self, state: MachineState):
-        """Each buffer in address order (stable, so each address keeps its
-        own age order), with tags renamed by first appearance so that
-        allocation history cannot split otherwise-identical states."""
-        rename: dict[int, int] = {}
-        procs = []
-        for proc in state.procs:
-            sb = []
-            # a buffer of one entry is already in address order
-            for a, v, tag in (sorted(proc.sb, key=_address) if len(proc.sb) > 1
-                              else proc.sb):
-                n = rename.get(tag)
-                if n is None:
-                    n = rename[tag] = len(rename)
-                sb.append((a, v, n))
-            procs.append((proc.regs, proc.pc, tuple(sb), proc.ib))
-        return (state.m, tuple(procs))
+    def _store_entry(self, i: int, proc: isa.ProcState, sources: tuple, dins: isa.St) -> tuple:
+        """The store, tagged (i, pc, k) with the smallest k that no entry of
+        i's buffer carries for (i, pc)."""
+        taken = {tag[2] for _, _, tag in proc.sb if tag[:2] == (i, proc.pc)}
+        return dins.a, dins.v, (i, proc.pc, min(set(range(len(taken) + 1)) - taken))
 
     def check_invariants(self, state: MachineState) -> None:
         super().check_invariants(state)
-        addresses = {e[0] for proc in state.procs for e in proc.sb}
-        for a in addresses:
-            lists = _tag_lists(state, a)
-            for order in lists:
-                assert len(order) == len(set(order)), "tag repeated in one buffer"
-            assert _acyclic(lists), f"coherence cycle among stores to {a}"
+        held = [{e[2] for e in proc.sb} for proc in state.procs]
+        for proc, tags in zip(state.procs, held):
+            assert len(tags) == len(proc.sb), "tag repeated in one buffer"
+            assert all(tag in held[tag[0]] for tag in tags), "a copy outlived its owner's entry"
+        for a in {e[0] for proc in state.procs for e in proc.sb}:
+            assert _acyclic(_tag_lists(state, a)), f"coherence cycle among stores to {a}"
 
     def _describe_payload(self, rule: RuleInstance) -> str:
         if rule.rule == self.COPY_RULE:
-            a, tag, j = rule.payload
+            a, (owner, pc, k), j = rule.payload
+            origin = f"{self.thread_names[owner]} pc {pc}" + (f" #{k}" if k else "")
             target = self.thread_names[j]
-            return f"{self.addr_name(a)} tag {tag} -> {target}, then {target} LdSb"
+            return f"{self.addr_name(a)} ({origin}) -> {target}, then {target} LdSb"
         return super()._describe_payload(rule)

@@ -35,15 +35,17 @@ as one from which a register-addressed load may follow, so `wmm-d`
 keys states with all their clocks.  On `wmm-s` it also offers Copy into
 every processor, whatever its next instruction (`_next_load` answers
 ANY_ADDRESS), fires it as the paper's Copy alone (`paper_copy`), with
-no load fused to it, and keys states by `age_ordered_key`: each store
-buffer in its global age order, tags renamed by first appearance.  That key
-tells apart two buffers that differ only in the order between
-addresses, which the library's key (each buffer grouped by address)
-merges.  It empties the memos that were filled from the reduced
-liveness tables and Copy guard, so a model that has already explored
-may be turned back too.  `split_copy_loads` turns a witness of the
-library's `wmm-s`, whose Copy also fires the target's load, into one of
-the unreduced machine.
+no load fused to it, has St append to the buffer as the paper's does,
+and keys states by `age_ordered_key`: each store buffer in its global
+age order, tags renamed by first appearance.  That key tells apart two
+buffers that differ only in the order between addresses, which the
+library's states (each buffer kept in address order) merge.  It empties
+the memos that were filled from the reduced liveness tables, Copy guard
+and enqueue, so a model that has already explored may be turned back
+too.  `split_copy_loads` turns a witness of the library's `wmm-s`,
+whose Copy also fires the target's load, into one of the unreduced
+machine, and `address_ordered` puts a state of the paper's machine into
+the library's address-ordered form.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def unreduced(model: WmmModel) -> WmmModel:
     """The same model with every stale value kept (the paper's DeqSb), on
     `wmm-d` with every clock in the state key, and on `wmm-s` with the
     paper's Copy, into every processor and with no load fused to it, and
-    store buffers keyed in their global age order."""
+    store buffers appended to and keyed in their global age order."""
     everywhere = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
     model.stale_live = everywhere
     forget_steps(model)
@@ -72,6 +74,7 @@ def unreduced(model: WmmModel) -> WmmModel:
     if isinstance(model, WmmSModel):
         model._next_load = lambda i, proc: ANY_ADDRESS
         model._copy_load = paper_copy
+        model._enqueue = isa.sb_enq
         model.canonical_key = age_ordered_key
     return model
 
@@ -112,9 +115,16 @@ def split_copy_loads(witness) -> tuple:
     return tuple(steps)
 
 
+def address_ordered(state):
+    """state with each store buffer in address order, each address's
+    entries still in their age order."""
+    return state._replace(procs=tuple(
+        proc._replace(sb=tuple(sorted(proc.sb, key=lambda e: e[0]))) for proc in state.procs))
+
+
 def age_ordered_key(state) -> tuple:
     """A WMM-S state key that keeps each store buffer's global age order."""
-    rename: dict[int, int] = {}
+    rename: dict[tuple, int] = {}
     procs = []
     for proc in state.procs:
         sb = []

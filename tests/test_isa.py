@@ -249,6 +249,15 @@ class TestStoreBuffer:
         assert entry == (0, 1)
         assert sb == ((0, 2),)
 
+    def test_insert_keeps_address_order_and_each_address_in_age_order(self):
+        sb = ()
+        for entry in ((1024, 1), (0, 2), (1024, 3), (0, 4), (2048, 5), (0, 6)):
+            sb = isa.sb_insert(sb, entry)
+        assert sb == ((0, 2), (0, 4), (0, 6), (1024, 1), (1024, 3), (2048, 5))
+        assert isa.sb_youngest(sb, 0) == (0, 6)
+        assert isa.sb_rm_oldest(sb, 1024) == ((1024, 1), ((0, 2), (0, 4), (0, 6), (1024, 3),
+                                                           (2048, 5)))
+
     def test_any_addr_on_empty_buffer(self):
         assert isa.sb_addrs(()) == ()
 

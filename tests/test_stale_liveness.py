@@ -350,6 +350,40 @@ def test_wrc_matches_unreduced_reference():
         assert not wrc(explore(build_model(model_id, test)).outcomes), model_id
 
 
+# P3 holds the stale a = 0 once P1's store reaches memory, and P2's store
+# is then copied into P3 by its first load: the copy purges the stale
+# value, so P3's second load cannot read 0 after the first read 2.
+COPY_OVER_STALE = """
+i2e-litmus v1
+thread P1:
+  St a 1
+thread P2:
+  St a 2
+thread P3:
+  r1 = Ld a
+  r2 = Ld a
+check allowed: r1 = 2 & r2 = 0
+"""
+
+
+def test_copy_purge_matches_unreduced_reference():
+    test = parse(COPY_OVER_STALE)
+    model = build_model("wmm-s", test)
+    over_stale = 0
+
+    def audit(state, rule, nxt):
+        nonlocal over_stale
+        if rule.rule == model.COPY_RULE:
+            a, _, j = rule.payload
+            over_stale += any(e[0] == a for e in state.procs[j].ib)
+
+    reduced = {order: explore(model, order=order, audit=audit) for order in ("bfs", "dfs")}
+    assert over_stale > 0  # a copy met a live stale value for its address
+    assert not any(o.reg("P3", "r1") == 2 and o.reg("P3", "r2") == 0
+                   for o in reduced["bfs"].outcomes)
+    assert_same_as_unreduced(test, "wmm-s", reduced, 500)  # 412 states
+
+
 # wwc, whose allowed outcome needs P1's store copied into P2 before it
 # reaches memory; P2 reaches its load of a only through a taken branch,
 # or loads it through a register-computed address.

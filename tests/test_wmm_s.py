@@ -10,7 +10,8 @@ from i2e_litmus.explorer import ExploreLimits, explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.wmm_s import no_cycle
-from oracle import age_ordered_key, paper_copy, unreduced, wmm_s_per_holder_expansion
+from oracle import address_ordered, paper_copy, unreduced, wmm_s_per_holder_expansion
+from test_stale_liveness import assert_same_as_unreduced
 
 
 def reg_projection(outcomes, *keys):
@@ -49,7 +50,9 @@ thread P3:
 check allowed: r1 = 0
 """
 
-T_A, T_B, T_C, T_D = 0, 1, 2, 3
+# a tag names its store, (thread, pc, k): here each thread's store at pc 0
+P1_STORE, P2_STORE, P3_STORE = (0, 0, 0), (1, 0, 0), (2, 0, 0)
+T_A, T_B, T_C, T_D = P1_STORE, (1, 1, 0), P3_STORE, P2_STORE
 
 
 @pytest.fixture()
@@ -58,7 +61,7 @@ def copied_state():
 
     P1 holds [A]; P2 holds [D, B, A'] (oldest first); P3 holds [C, B'].
     Primes are copies, so the live order already relates
-    D < B < A and C < B.
+    D < B < A and C < B.  P1 stored A, P2 stored D and B, P3 stored C.
     """
     model = build_model("wmm-s", parse(THREE_THREADS))
     state = model.initial_state()
@@ -90,9 +93,9 @@ class TestNoCycle:
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
         state = model.apply(state, RuleInstance("WMM-S-St", 0))
-        assert no_cycle(state, 0, 0, 1) is True
-        assert no_cycle(state, 0, 0, 2) is True
-        assert no_cycle(state, 0, 0, 0) is False  # its own buffer holds it
+        assert no_cycle(state, 0, P1_STORE, 1) is True
+        assert no_cycle(state, 0, P1_STORE, 2) is True
+        assert no_cycle(state, 0, P1_STORE, 0) is False  # its own buffer holds it
 
     def test_invariant_checker_accepts_the_state(self, copied_state):
         model, state = copied_state
@@ -109,14 +112,15 @@ class TestEnabled:
         model = build_model("wmm-s", corpus_by_name["wwc"].test)
         state = model.apply(model.initial_state(), RuleInstance("WMM-S-St", 0))
         copies = {r for r in model.enabled(state) if r.rule == "WMM-S-Copy"}
-        assert RuleInstance("WMM-S-Copy", 0, (0, 0, 1)) in copies  # into P2
+        assert RuleInstance("WMM-S-Copy", 0, (0, P1_STORE, 1)) in copies  # into P2
 
     def test_dequeue_blocked_while_a_copy_is_not_oldest(self):
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
         procs = (
-            state.procs[0]._replace(sb=((0, 1, 0),)),            # the original
-            state.procs[1]._replace(sb=((0, 2, 1), (0, 1, 0))),  # copy behind t1
+            state.procs[0]._replace(sb=((0, 1, P1_STORE),)),  # the original
+            # a copy behind P2's own store
+            state.procs[1]._replace(sb=((0, 2, P2_STORE), (0, 1, P1_STORE))),
             state.procs[2],
         )
         state = state._replace(procs=procs)
@@ -146,11 +150,11 @@ check allowed: r1 = 0
 
 
 def load_twice_stored(p3):
-    """A LOAD_TWICE state in which P1 has stored a = 1 under tag 0, memory
-    still holds a = 0, and P3 is p3."""
+    """A LOAD_TWICE state in which P1 has stored a = 1, memory still holds
+    a = 0, and P3 is p3."""
     model = build_model("wmm-s", parse(LOAD_TWICE))
     state = model.initial_state()
-    procs = (state.procs[0]._replace(pc=1, sb=((0, 1, 0),)), state.procs[1], p3)
+    procs = (state.procs[0]._replace(pc=1, sb=((0, 1, P1_STORE),)), state.procs[1], p3)
     return model, state._replace(procs=procs)
 
 
@@ -160,25 +164,30 @@ class TestCopyLoad:
     target's LdSb."""
 
     def test_copy_is_the_youngest_entry_its_load_bypasses_from(self):
-        model, state = load_twice_stored(isa.ProcState(sb=((0, 5, 1),)))  # P3's own older store
-        after = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, 0, 2))).procs[2]
+        # P3's own older store
+        model, state = load_twice_stored(isa.ProcState(sb=((0, 5, P3_STORE),)))
+        after = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, P1_STORE, 2))).procs[2]
         assert after.regs == (("r1", 1),)
         assert after.pc == 1
-        assert isa.sb_youngest(after.sb, 0) == (0, 1, 0)
-        assert after.sb == ((0, 5, 1), (0, 1, 0))
+        assert isa.sb_youngest(after.sb, 0) == (0, 1, P1_STORE)
+        assert after.sb == ((0, 5, P3_STORE), (0, 1, P1_STORE))
 
     def test_offered_only_into_a_processor_about_to_load_the_address(self):
         model, state = load_twice_stored(isa.ProcState())
         targets = {r.payload[2] for r in model.enabled(state) if r.rule == model.COPY_RULE}
         assert targets == {2}  # P2 is about to load b, not a
-        state = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, 0, 2)))
+        state = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, P1_STORE, 2)))
         # P3 is at its second load of a, but already holds the tag
         assert not any(r.rule == model.COPY_RULE for r in model.enabled(state))
 
     def test_described_as_the_papers_two_steps(self):
+        """The copied store is shown by its origin, thread and pc, and by
+        its k when a looped store has several instances buffered."""
         model = build_model("wmm-s", parse(LOAD_TWICE))
-        assert (model.describe_rule(RuleInstance("WMM-S-Copy", 0, (0, 0, 2)))
-                == "P1: WMM-S-Copy (a tag 0 -> P3, then P3 LdSb)")
+        assert (model.describe_rule(RuleInstance("WMM-S-Copy", 0, (0, P1_STORE, 2)))
+                == "P1: WMM-S-Copy (a (P1 pc 0) -> P3, then P3 LdSb)")
+        assert (model.describe_rule(RuleInstance("WMM-S-Copy", 1, (0, (0, 3, 1), 2)))
+                == "P2: WMM-S-Copy (a (P1 pc 3 #1) -> P3, then P3 LdSb)")
 
     @pytest.mark.parametrize("name", ["wwc", "iriw", "iriw-commit"])
     def test_successor_is_the_papers_copy_then_the_targets_load(self, corpus_by_name, name):
@@ -191,7 +200,8 @@ class TestCopyLoad:
                 copies += 1
                 _, tag, j = rule.payload
                 (entry,) = [e for e in state.procs[rule.proc].sb if e[2] == tag]
-                copied = paper_copy(state, entry, j)
+                # the paper's Copy appends; the library keeps j's buffer in address order
+                copied = address_ordered(paper_copy(state, entry, j))
                 assert nxt == model.apply(copied, RuleInstance(model.LDSB_RULE, j))
 
         explore(model, audit=audit)
@@ -201,102 +211,52 @@ class TestCopyLoad:
 class TestRuleActions:
     def test_copy_enqueues_youngest_and_purges_stale(self):
         model, state = load_twice_stored(isa.ProcState(ib=((0, 7),)))
-        after = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, 0, 2))).procs[2]
+        after = model.apply(state, RuleInstance("WMM-S-Copy", 0, (0, P1_STORE, 2))).procs[2]
         assert after.regs == (("r1", 1),)  # the copy's value, not memory's 0 or the stale 7
         assert after.ib == ()  # P3 loads a again, so only the copy's purge removes it
         assert after.pc == 1
-        assert after.sb == ((0, 1, 0),)  # the copy stays behind
+        assert after.sb == ((0, 1, P1_STORE),)  # the copy stays behind
 
     def test_dequeue_removes_every_copy_and_feeds_nonholders(self):
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
         procs = (
-            state.procs[0]._replace(sb=((0, 1, 0),)),
-            state.procs[1]._replace(sb=((0, 1, 0), (0, 2, 1))),  # copy + own store
+            state.procs[0]._replace(sb=((0, 1, P1_STORE),)),
+            state.procs[1]._replace(sb=((0, 1, P1_STORE), (0, 2, P2_STORE))),  # copy + own store
             state.procs[2],
         )
         state = state._replace(procs=procs)
         after = model.apply(state, RuleInstance("WMM-S-DeqSb", 0, (0,)))
         assert after.m == ((0, 1),)
         assert after.procs[0].sb == ()
-        assert after.procs[1].sb == ((0, 2, 1),)
+        assert after.procs[1].sb == ((0, 2, P2_STORE),)
         # holders get no stale value; P3 held nothing for the address
         assert after.procs[0].ib == ()
         assert after.procs[1].ib == ()
         assert after.procs[2].ib == ((0, 0),)
 
     def test_store_allocates_fresh_tags(self):
+        """A tag names its store by thread and pc, whichever thread stores first."""
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
         state = model.apply(state, RuleInstance("WMM-S-St", 0))
         state = model.apply(state, RuleInstance("WMM-S-St", 1))
-        assert state.procs[0].sb == ((0, 1, 0),)
-        assert state.procs[1].sb == ((0, 2, 1),)
+        assert state.procs[0].sb == ((0, 1, (0, 0, 0)),)
+        assert state.procs[1].sb == ((0, 2, (1, 0, 0)),)
 
     def test_hand_built_state_gets_a_tag_no_buffer_holds(self):
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
         # P1 has executed its store; the state records its tag only in P1's buffer
-        state = state._replace(procs=(state.procs[0]._replace(pc=1, sb=((0, 1, 0),)),)
+        state = state._replace(procs=(state.procs[0]._replace(pc=1, sb=((0, 1, P1_STORE),)),)
                                + state.procs[1:])
         state = model.apply(state, RuleInstance("WMM-S-St", 1))
         (tag,) = [e[2] for e in state.procs[1].sb]
-        assert tag != 0
+        assert tag != P1_STORE
         offered = set(model.enabled(state))
         assert {r for r in offered if r.rule == "WMM-S-DeqSb"} == {
             RuleInstance("WMM-S-DeqSb", 0, (0,)), RuleInstance("WMM-S-DeqSb", 1, (0,))}
         assert RuleInstance("WMM-S-Copy", 1, (0, tag, 2)) in offered
-
-
-class TestCanonicalKey:
-    @staticmethod
-    def with_buffers(model, *sbs):
-        state = model.initial_state()
-        procs = tuple(proc._replace(sb=sb) for proc, sb in zip(state.procs, sbs))
-        return state._replace(procs=procs)
-
-    def test_tag_numbering_is_ignored(self):
-        model = build_model("wmm-s", parse(THREE_THREADS))
-        state = model.initial_state()
-
-        def with_tags(t1, t2):
-            procs = (
-                state.procs[0]._replace(sb=((0, 1, t1),)),
-                state.procs[1]._replace(sb=((0, 2, t2),)),
-                state.procs[2],
-            )
-            return state._replace(procs=procs)
-
-        assert model.canonical_key(with_tags(0, 1)) == model.canonical_key(with_tags(1, 0))
-        assert model.canonical_key(with_tags(0, 1)) != model.canonical_key(with_tags(0, 0))
-
-    def test_order_between_addresses_is_ignored(self):
-        model = build_model("wmm-s", parse(CROSS_COPIES))
-        a, b = model.addr_map["a"], model.addr_map["b"]
-        keys = {model.canonical_key(self.with_buffers(
-                    model, ((a, 1, 0),), ((b, 1, 1),), sb))
-                for sb in (((b, 2, 2), (b, 1, 1), (a, 1, 0)),
-                           ((b, 2, 2), (a, 1, 0), (b, 1, 1)),
-                           ((a, 1, 0), (b, 2, 2), (b, 1, 1)))}
-        assert len(keys) == 1
-
-    def test_order_within_an_address_is_kept(self):
-        model = build_model("wmm-s", parse(THREE_THREADS))
-        one = self.with_buffers(model, ((0, 1, 0),), ((0, 2, 1),), ((0, 1, 0), (0, 2, 1)))
-        two = self.with_buffers(model, ((0, 1, 0),), ((0, 2, 1),), ((0, 2, 1), (0, 1, 0)))
-        assert model.canonical_key(one) != model.canonical_key(two)
-
-    def test_tags_are_renamed_after_grouping(self):
-        model = build_model("wmm-s", parse(CROSS_COPIES))
-        a, b = model.addr_map["a"], model.addr_map["b"]
-        # P1's buffer in two cross-address orders and tag numberings; P3
-        # holds a copy of P1's store to b in both
-        one = self.with_buffers(model, ((b, 1, 7), (a, 1, 5)), (), ((b, 1, 7),))
-        two = self.with_buffers(model, ((a, 1, 3), (b, 1, 2)), (), ((b, 1, 2),))
-        assert model.canonical_key(one) == model.canonical_key(two)
-        # the same buffers, but the third holds a different store to b
-        three = self.with_buffers(model, ((a, 1, 3), (b, 1, 2)), (), ((b, 1, 4),))
-        assert model.canonical_key(one) != model.canonical_key(three)
 
 
 class TestVerdicts:
@@ -387,9 +347,13 @@ class TestOncePerTag:
         test = parse(MULTI_HOLDER) if name == "multi-holder" else corpus_by_name[name].test
         model = unreduced(build_model("wmm-s", test))
         states = {}
+
+        def audit(state, rule, nxt):
+            model.check_invariants(nxt)  # the paper's machine mints unique tags too
+            states.setdefault(model.canonical_key(state), state)
+
         assert explore(model, ExploreLimits(max_states=self.MAX_STATES[name]),
-                       audit=lambda state, rule, nxt:
-                       states.setdefault(model.canonical_key(state), state)).complete
+                       audit=audit).complete
         dropped = 0
         for state in states.values():
             reduced = {r: model.canonical_key(nxt) for r, nxt in model.expand(state)}
@@ -411,34 +375,143 @@ def cross_address_reorderings(sb: tuple) -> set[tuple]:
                    for a, order in by_address.items())}
 
 
-class TestKeyIgnoresOrderBetweenAddresses:
-    """Buffers that differ only in the order between addresses get one key,
-    and the key merges only bisimilar states: states with one key agree on
-    being terminal and on their successors' keys.  Every rule reads a
-    buffer per address or through its emptiness, which is why the order
-    between addresses may be dropped."""
+def reached_states(model) -> list:
+    """Every state a complete search of model reaches."""
+    states = {model.initial_state(): None}
+    assert explore(model, audit=lambda state, rule, nxt: states.setdefault(nxt)).complete
+    return list(states)
 
-    @pytest.mark.parametrize("name", ["wwc", "wwc-commit", "cross-copies"])
-    def test_reordered_buffers_are_bisimilar(self, corpus_by_name, name):
-        test = parse(CROSS_COPIES) if name == "cross-copies" else corpus_by_name[name].test
-        model = build_model("wmm-s", test)
+
+def canonical_check_programs(name: str, corpus) -> list:
+    if name == "corpus":
+        return [entry.test for entry in corpus]
+    return [parse({"cross-copies": CROSS_COPIES, "multi-holder": MULTI_HOLDER}[name])]
+
+
+class TestCanonicalByConstruction:
+    """States are built canonical, so the search keys them by themselves:
+    each buffer is in address order, no buffer repeats a tag, and each
+    tag's owner thread holds it, so a tag names one buffered store.  No
+    rule reads the order between addresses, so a state stands for every
+    reordering of its buffers between addresses, as the paper's machine
+    may hold them: each has the same rule instances, and successors that
+    equal the state's own once re-sorted.  The paper's machine, which
+    `unreduced` keeps, appends to its buffers, so address order is checked
+    here rather than in `check_invariants`, which both machines share."""
+
+    NAMES = ["corpus", "cross-copies", "multi-holder"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_reached_states_are_canonical(self, corpus, name):
+        mixed = copied = 0
+        for test in canonical_check_programs(name, corpus):
+            model = build_model("wmm-s", test)
+            for state in reached_states(model):
+                model.check_invariants(state)  # tags: unique per buffer, held by their owner
+                for i, proc in enumerate(state.procs):
+                    addresses = [e[0] for e in proc.sb]
+                    assert addresses == sorted(addresses), "buffer out of address order"
+                    mixed += len(set(addresses)) > 1
+                    copied += any(e[2][0] != i for e in proc.sb)
+        assert mixed > 0 and copied > 0  # the checks met both
+
+    @pytest.mark.parametrize("sbs, message", [
+        ((((0, 1, (0, 0, 0)), (0, 1, (0, 0, 0))), (), ()), "tag repeated"),
+        (((), (), ((0, 1, (0, 0, 0)),)), "outlived its owner"),
+    ], ids=["repeated-tag", "copy-without-owner"])
+    def test_invariant_checker_rejects_unowned_or_repeated_tags(self, sbs, message):
+        model = build_model("wmm-s", parse(CROSS_COPIES))
+        state = model.initial_state()
+        state = state._replace(procs=tuple(
+            proc._replace(sb=sb) for proc, sb in zip(state.procs, sbs)))
+        with pytest.raises(AssertionError, match=message):
+            model.check_invariants(state)
+
+    def test_store_order_does_not_change_tags(self):
+        """A tag names its store, not when it was minted: two stores in
+        either order reach one state."""
+        model = build_model("wmm-s", parse(THREE_THREADS))
         init = model.initial_state()
-        states = {age_ordered_key(init): init}
-        explore(model, audit=lambda state, rule, nxt:
-                states.setdefault(age_ordered_key(nxt), nxt))
+        one, two = (model.apply(model.apply(init, RuleInstance("WMM-S-St", first)),
+                                RuleInstance("WMM-S-St", 1 - first))
+                    for first in (0, 1))
+        assert one == two
+        assert model.canonical_key(one) == model.canonical_key(two)
 
-        behaviours: dict = {}  # key -> {(terminal, successor keys)}
+    @pytest.mark.parametrize("name", NAMES)
+    def test_reordered_buffers_are_bisimilar(self, corpus, name):
         reordered = 0
-        for state in states.values():
-            key = model.canonical_key(state)
-            for sbs in product(*(cross_address_reorderings(p.sb) for p in state.procs)):
-                variant = state._replace(procs=tuple(
-                    p._replace(sb=sb) for p, sb in zip(state.procs, sbs)))
-                reordered += variant != state
-                assert model.canonical_key(variant) == key
-                behaviours.setdefault(key, set()).add((
-                    model.is_terminal(variant),
-                    frozenset(model.canonical_key(model.apply(variant, r))
-                              for r in model.enabled(variant))))
-        assert all(len(seen) == 1 for seen in behaviours.values())
-        assert reordered > 0  # copies of different addresses met in one buffer
+        for test in canonical_check_programs(name, corpus):
+            model = build_model("wmm-s", test)
+            for state in reached_states(model):
+                successors = set(model.expand(state))
+                terminal = model.is_terminal(state)
+                for sbs in product(*(cross_address_reorderings(p.sb) for p in state.procs)):
+                    variant = state._replace(procs=tuple(
+                        p._replace(sb=sb) for p, sb in zip(state.procs, sbs)))
+                    if variant == state:
+                        continue
+                    reordered += 1
+                    assert model.is_terminal(variant) == terminal
+                    assert {(r, address_ordered(nxt))
+                            for r, nxt in model.expand(variant)} == successors
+        assert reordered > 0  # stores to different addresses met in one buffer
+
+
+# P1 runs one store twice (a = 1, then a = 2), and P2 loads a twice, so
+# P1's second instance can be minted while its first is buffered and
+# copied into P2: the second one's tag needs k = 1.
+LOOPED_STORE = """
+i2e-litmus v1
+init:
+  a = 0
+thread P1:
+  top:
+  St a (r1 + 1)
+  r1 = r1 + 1
+  r2 = 2 - r1
+  bnez r2 top
+thread P2:
+  r3 = Ld a
+  r4 = Ld a
+check allowed: r3 = 2 & r4 = 1
+"""
+
+
+class TestLoopedStore:
+    def test_second_instance_gets_the_next_free_k(self):
+        model = build_model("wmm-s", parse(LOOPED_STORE))
+        state = model.initial_state()
+        first, second = (0, 0, 0), (0, 0, 1)  # P1's store at pc 0, twice
+        for rule in (RuleInstance("WMM-S-St", 0),
+                     RuleInstance("WMM-S-Copy", 0, (0, first, 1)),
+                     RuleInstance("WMM-Nm", 0), RuleInstance("WMM-Nm", 0),
+                     RuleInstance("WMM-Nm", 0), RuleInstance("WMM-S-St", 0)):
+            state = model.apply(state, rule)
+        assert state.procs[0].sb == ((0, 1, first), (0, 2, second))
+        assert state.procs[1].sb == ((0, 1, first),)
+        model.check_invariants(state)
+
+    def test_k_is_the_smallest_free_one(self):
+        """Once an earlier instance has drained, its k is free again."""
+        model = build_model("wmm-s", parse(LOOPED_STORE))
+        state = model.initial_state()
+        p1 = state.procs[0]._replace(regs=(("r1", 1),), sb=((0, 2, (0, 0, 1)),))
+        state = model.apply(state._replace(procs=(p1,) + state.procs[1:]),
+                            RuleInstance("WMM-S-St", 0))
+        assert state.procs[0].sb == ((0, 2, (0, 0, 1)), (0, 2, (0, 0, 0)))
+
+    def test_matches_unreduced_reference(self):
+        test = parse(LOOPED_STORE)
+        model = build_model("wmm-s", test)
+        twice = 0
+
+        def audit(state, rule, nxt):
+            nonlocal twice
+            model.check_invariants(nxt)  # among others: no buffer repeats a tag
+            p1, p2 = ({e[2] for e in proc.sb} for proc in nxt.procs)
+            twice += (0, 0, 1) in p1 and (0, 0, 0) in p1 & p2
+
+        reduced = {order: explore(model, order=order, audit=audit) for order in ("bfs", "dfs")}
+        assert twice > 0  # the second instance met the first, buffered and copied
+        assert_same_as_unreduced(test, "wmm-s", reduced, 400)  # 327 states
