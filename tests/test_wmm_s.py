@@ -382,6 +382,28 @@ def reached_states(model) -> list:
     return list(states)
 
 
+def count_bisimilar_reorderings(test) -> int:
+    """Check that every reordering between addresses of the buffers of
+    every state reached in test agrees with the state on being terminal
+    and, once its successors are re-sorted, on its successors; return how
+    many reorderings differed from their state."""
+    model = build_model("wmm-s", test)
+    reordered = 0
+    for state in reached_states(model):
+        successors = set(model.expand(state))
+        terminal = model.is_terminal(state)
+        for sbs in product(*(cross_address_reorderings(p.sb) for p in state.procs)):
+            variant = state._replace(procs=tuple(
+                p._replace(sb=sb) for p, sb in zip(state.procs, sbs)))
+            if variant == state:
+                continue
+            reordered += 1
+            assert model.is_terminal(variant) == terminal
+            assert {(r, address_ordered(nxt))
+                    for r, nxt in model.expand(variant)} == successors
+    return reordered
+
+
 def canonical_check_programs(name: str, corpus) -> list:
     if name == "corpus":
         return [entry.test for entry in corpus]
@@ -438,24 +460,23 @@ class TestCanonicalByConstruction:
         assert one == two
         assert model.canonical_key(one) == model.canonical_key(two)
 
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("name", ["corpus", "multi-holder"])
     def test_reordered_buffers_are_bisimilar(self, corpus, name):
-        reordered = 0
-        for test in canonical_check_programs(name, corpus):
-            model = build_model("wmm-s", test)
-            for state in reached_states(model):
-                successors = set(model.expand(state))
-                terminal = model.is_terminal(state)
-                for sbs in product(*(cross_address_reorderings(p.sb) for p in state.procs)):
-                    variant = state._replace(procs=tuple(
-                        p._replace(sb=sb) for p, sb in zip(state.procs, sbs)))
-                    if variant == state:
-                        continue
-                    reordered += 1
-                    assert model.is_terminal(variant) == terminal
-                    assert {(r, address_ordered(nxt))
-                            for r, nxt in model.expand(variant)} == successors
+        reordered = sum(count_bisimilar_reorderings(test)
+                        for test in canonical_check_programs(name, corpus))
         assert reordered > 0  # stores to different addresses met in one buffer
+
+
+class TestKeyIgnoresOrderBetweenAddresses:
+    """The search keys a state by itself, and its buffers are in address
+    order, so every reordering between addresses is one key.  That key
+    merges only bisimilar states: each reordering agrees with the state on
+    being terminal, and its successors, re-sorted, are the state's own."""
+
+    @pytest.mark.parametrize("name", ["wwc", "wwc-commit", "cross-copies"])
+    def test_reordered_buffers_are_bisimilar(self, corpus_by_name, name):
+        test = parse(CROSS_COPIES) if name == "cross-copies" else corpus_by_name[name].test
+        assert count_bisimilar_reorderings(test) > 0  # copies of different addresses met
 
 
 # P1 runs one store twice (a = 1, then a = 2), and P2 loads a twice, so
