@@ -9,7 +9,7 @@ from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
 from .strong import PsoModel, ScModel, TsoModel
 from .wmm import WmmModel
 from .wmm_d import WmmDModel, load_value_timestamp
-from .wmm_s import WmmSModel, no_cycle
+from .wmm_s import WmmSModel
 
 MODEL_CLASSES: dict[str, type[BaseModel]] = {
     cls.model_id: cls
@@ -31,6 +31,6 @@ def build_model(model_id: str, test: Union[LitmusTest, BoundTest]) -> BaseModel:
 
 __all__ = [
     "BaseModel", "MachineState", "RuleInstance", "MODEL_CLASSES", "MODEL_IDS",
-    "build_model", "mem_get", "mem_set", "load_value_timestamp", "no_cycle",
+    "build_model", "mem_get", "mem_set", "load_value_timestamp",
     "ScModel", "TsoModel", "PsoModel", "WmmModel", "WmmDModel", "WmmSModel",
 ]

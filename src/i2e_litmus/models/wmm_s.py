@@ -4,9 +4,10 @@ Stores become visible to different processors at different times here:
 a background rule may copy a buffered store into another processor's
 store buffer, and every copy shares the store's tag.  The per-address
 orders of all store buffers, glued together by tags, must stay a strict
-partial order (the partial coherence order); `no_cycle` rejects any
-copy that would close a cycle, which also covers copying into a buffer
-that already holds the tag.
+partial order (the partial coherence order); Copy's guard,
+`WmmSModel._copy_keeps_order`, rejects any copy that would close a
+cycle, which also covers copying into a buffer that already holds the
+tag.
 
 Writing a store to memory requires every copy to be the oldest store
 for its address in its buffer; the write then removes all copies at
@@ -16,19 +17,21 @@ load the address (see `wmm.liveness`).  Commit keeps its local
 definition but now implicitly waits on every buffer holding a copy,
 which is what makes it cumulative.
 
-Because every copy of a tag is the same store, DeqSb is offered once
-per tag and Copy once per (tag, target), with the lowest-index holder
-as the instance's `proc`; firing either rule from another holder would
-produce exactly the same successor.
+Every copy of a tag is the same store, and the store's owner, the
+processor tag[0] that stored it, holds it until every copy has drained
+(below).  So DeqSb and Copy fire from the owner, which is the
+instance's `proc`: DeqSb once per tag, Copy once per (tag, target).
+Firing either rule from another holder would produce exactly the same
+successor.
 
 DeqSb reads WMM's per-thread drain memo (see `wmm.py`), whose WMM-S
-entry adds, per ProcState, its oldest entries' successors by tag and
-the set of tags its buffer holds.  A tag drains iff every processor
-holding it has it among its oldest entries; its holders are exactly
-those processors, each taking its memoized successor; and the
-lowest-index one fires, the first to list the tag among its drains.
-The entry also keeps the address the processor's next instruction
-loads (`_next_load`), which reads only its pc and registers.
+entry keeps, per ProcState, only the drains of the stores the processor
+owns, its oldest entries' successors by tag, and the set of tags its
+buffer holds.  A tag drains iff every processor holding it has it among
+its oldest entries; its holders are exactly those processors, each
+taking its memoized successor.  The entry also keeps the address the
+processor's next instruction loads (`_next_load`), which reads only its
+pc and registers.
 
 Each state is built in canonical form, so the search keys it by itself:
 
@@ -37,13 +40,13 @@ Each state is built in canonical form, so the search keys it by itself:
   pc); a loop-free thread always gets k = 0.  That k is free in every
   buffer: DeqSb removes every copy at once, so a store's own entry stays
   buffered until every copy has drained.  So St reads only its own
-  ProcState, and with `no_cycle` no two buffered entries share a tag.
+  ProcState, and with Copy's guard no two buffered entries share a tag.
 * Each buffer is in address order: St and Copy enqueue an entry behind
   the buffer's last entry for its address (`isa.sb_insert`), keeping
   each address's age order, as does DeqSb's `sb_rm_oldest`.  No rule
   reads the order between addresses: DeqSb writes the oldest store for
   an address, LdSb bypasses from the youngest, Copy enqueues behind the
-  target's stores to the address, `no_cycle` compares per-address tag
+  target's stores to the address, Copy's guard compares per-address tag
   lists, and Commit and termination ask only whether a buffer is empty.
   So the paper's buffers in any interleaving of their addresses have the
   same rule instances, and successors that differ in the same way.
@@ -79,7 +82,7 @@ other rule fires as before, and the outcome is the same:
   would be younger, could not drain first, and the load would bypass
   from it instead.  So each buffer's per-address list in the changed
   run is a subsequence, in order, of the original one, with a moved
-  copy still the youngest entry.  Hence `no_cycle` holds (its orders
+  copy still the youngest entry.  Hence Copy's guard holds (its orders
   are a subset of an acyclic one), as do DeqSb's every-copy-oldest
   guard and Commit's empty-buffer test, and LdSb and LdMem pick the
   same source.  St reads only its own thread's stores, which no moved
@@ -107,41 +110,24 @@ from .base import MachineState, RuleInstance
 from .wmm import WmmModel
 
 
-def no_cycle(state: MachineState, a: int, tag: tuple, target: int) -> bool:
-    """Would copying the tagged store for a into target keep the
-    per-address coherence order acyclic?"""
-    return _copy_keeps_order(_tag_lists(state, a), tag, target)
-
-
-def _tag_lists(state: MachineState, a: int) -> list[list[tuple]]:
+def _tag_lists(procs: tuple, a: int) -> list[list[tuple]]:
     """Each buffer's tags for address a, oldest first."""
-    return [[e[2] for e in proc.sb if e[0] == a] for proc in state.procs]
+    return [[e[2] for e in proc.sb if e[0] == a] for proc in procs]
 
 
-def _copy_keeps_order(lists: list[list[tuple]], tag: tuple, target: int) -> bool:
-    if tag in lists[target]:
-        return False  # the copy would order the store before itself
-    return _acyclic(lists[:target] + [lists[target] + [tag]] + lists[target + 1:])
-
-
-def _acyclic(lists: list[list[tuple]]) -> bool:
-    edges: dict[tuple, set[tuple]] = {}
-    for order in lists:
-        for n, older in enumerate(order):
-            edges.setdefault(older, set()).update(order[n + 1:])
-    marks: dict[tuple, int] = {}  # 1 = on stack, 2 = done
-    return all(marks.get(node) == 2 or _visit(node, edges, marks) for node in list(edges))
-
-
-def _visit(node: tuple, edges: dict, marks: dict) -> bool:
-    """Depth first from node: False if it reaches a node still on the stack."""
-    marks[node] = 1
-    for succ in edges.get(node, ()):
-        mark = marks.get(succ)
-        if mark == 1 or (mark is None and not _visit(succ, edges, marks)):
-            return False
-    marks[node] = 2
-    return True
+def _later(lists: list[list[tuple]], tag: tuple) -> set:
+    """The tags that follow tag in the order the lists spell: those reached
+    from it through each list's next entry."""
+    later = set()
+    walk = [tag]
+    for t in walk:
+        for order in lists:
+            if t in order:
+                n = order.index(t) + 1
+                if n < len(order) and order[n] not in later:
+                    later.add(order[n])
+                    walk.append(order[n])
+    return later
 
 
 class WmmSModel(WmmModel):
@@ -156,9 +142,21 @@ class WmmSModel(WmmModel):
 
     _enqueue = staticmethod(isa.sb_insert)  # buffers stay in address order
 
+    @staticmethod
+    def _copy_keeps_order(lists: list[list[tuple]], tag: tuple, target: int) -> bool:
+        """Whether copying the tagged store into processor target keeps the
+        order of the per-address tag lists acyclic.  The order is acyclic
+        before the copy: St adds a fresh tag behind its buffer's entries for
+        the address, DeqSb only removes, and every Copy passes this guard.
+        The copy becomes target's youngest entry for the address, adding only
+        the edges from target's entries to tag, so it closes a cycle iff tag
+        already is one of target's entries or already precedes one."""
+        own = lists[target]
+        return not own or (tag not in own and _later(lists, tag).isdisjoint(own))
+
     def _background(self, state: MachineState):
         """DeqSb once per tag, then Copy (with the target's load) once per
-        (tag, target), each fired by the tag's lowest-index holder."""
+        (tag, target), each fired by the store's owner, tag[0]."""
         procs = state.procs
         for proc in procs:
             if proc.sb:
@@ -166,13 +164,9 @@ class WmmSModel(WmmModel):
         else:
             return  # nothing buffered: nothing to drain or copy
         drains = [self._drains_of(i, proc) for i, proc in enumerate(procs)]
-        seen = set()
-        for i, (steps, _, _, _) in enumerate(drains):
-            for rule, entry, _ in steps:
+        for i, (owned, _, _, _) in enumerate(drains):
+            for rule, entry, _ in owned:
                 tag = entry[2]
-                if tag in seen:
-                    continue
-                seen.add(tag)
                 # every copy of the tag must be the oldest store for its
                 # address in its buffer, and every copy leaves at once
                 holders = {}
@@ -187,28 +181,28 @@ class WmmSModel(WmmModel):
         loads = [drain[3] for drain in drains]
         if not any(loads):
             return  # no processor is about to load
-        seen = set()
         for i, proc in enumerate(procs):
             for entry in proc.sb:
                 a, _, tag = entry
-                if tag in seen:
-                    continue
-                seen.add(tag)
+                if tag[0] != i:
+                    continue  # a copy: its owner fires it
                 targets = [j for j, next_load in enumerate(loads) if a in next_load]
                 if not targets:
                     continue
-                lists = _tag_lists(state, a)
+                lists = _tag_lists(procs, a)
                 for j in targets:
-                    if _copy_keeps_order(lists, tag, j):
+                    if self._copy_keeps_order(lists, tag, j):
                         yield (RuleInstance(self.COPY_RULE, i, (a, tag, j)),
                                self._copy_load(state, entry, j))
 
     def _drain_steps(self, i: int, proc: isa.ProcState) -> tuple:
-        """Processor i's drain memo entry for proc: WMM's drains, its
-        oldest entries' successors by tag, the tags its buffer holds, and
-        `_next_load`.  Unbuffered processors get one too, for the last."""
+        """Processor i's drain memo entry for proc: WMM's drains of the
+        stores i owns, its oldest entries' successors by tag, the tags its
+        buffer holds, and `_next_load`.  Unbuffered processors get one too,
+        for the last."""
         steps = super()._drain_steps(i, proc)
-        return (steps, {entry[2]: nxt for _, entry, nxt in steps},
+        return (tuple((rule, entry, nxt) for rule, entry, nxt in steps if entry[2][0] == i),
+                {entry[2]: nxt for _, entry, nxt in steps},
                 frozenset([entry[2] for entry in proc.sb]), self._next_load(i, proc))
 
     def _next_load(self, i: int, proc: isa.ProcState) -> tuple:
@@ -244,9 +238,14 @@ class WmmSModel(WmmModel):
         held = [{e[2] for e in proc.sb} for proc in state.procs]
         for proc, tags in zip(state.procs, held):
             assert len(tags) == len(proc.sb), "tag repeated in one buffer"
-            assert all(tag in held[tag[0]] for tag in tags), "a copy outlived its owner's entry"
+            for tag in tags:
+                assert (type(tag) is tuple and len(tag) == 3
+                        and tag[0] in range(self.nprocs)), f"{tag!r} is no (thread, pc, k) tag"
+                assert tag in held[tag[0]], "a copy outlived its owner's entry"
         for a in {e[0] for proc in state.procs for e in proc.sb}:
-            assert _acyclic(_tag_lists(state, a)), f"coherence cycle among stores to {a}"
+            lists = _tag_lists(state.procs, a)
+            for tag in {tag for order in lists for tag in order}:
+                assert tag not in _later(lists, tag), f"coherence cycle among stores to {a}"
 
     def _describe_payload(self, rule: RuleInstance) -> str:
         if rule.rule == self.COPY_RULE:

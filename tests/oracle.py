@@ -18,8 +18,11 @@ per-pc tables of `isa.compile_thread` are checked.  It uses nothing from
 
 `wmm_s_per_holder_expansion` is the unreduced WMM-S expansion, which
 fires DeqSb and Copy once per processor holding a copy of the tag,
-rather than `expand`'s once-per-tag choice.  Its DeqSb and Copy are its
-own transcriptions of the paper's rules.
+rather than from the store's owner alone as `expand` does.  Its DeqSb
+and Copy are its own transcriptions of the paper's rules, and its Copy
+guard is `no_cycle`, which builds the whole partial coherence order of
+the address, copy included, and searches it for a cycle: the reference
+for the library's reachability guard.
 
 `cold_expansion` is `expand` with the per-thread step and drain memos
 emptied first, so every processor's steps and DeqSb drains are computed
@@ -31,21 +34,24 @@ paper's machine: every address counts as live at every pc, so DeqSb
 inserts each overwritten value (with its [tsL, tsU] interval under
 `wmm-d`) into every processor without a pending store to the address,
 and no stale value is dropped when a pc advances.  Every pc also counts
-as one from which a register-addressed load may follow, so `wmm-d`
-keys states with all their clocks.  On `wmm-s` it also offers Copy into
-every processor, whatever its next instruction (`_next_load` answers
-ANY_ADDRESS), fires it as the paper's Copy alone (`paper_copy`), with
-no load fused to it, has St append to the buffer as the paper's does,
-and keys states by `age_ordered_key`: each store buffer in its global
-age order, tags renamed by first appearance.  That key tells apart two
-buffers that differ only in the order between addresses, which the
-library's states (each buffer kept in address order) merge.  It empties
-the memos that were filled from the reduced liveness tables, Copy guard
-and enqueue, so a model that has already explored may be turned back
-too.  `split_copy_loads` turns a witness of the library's `wmm-s`,
-whose Copy also fires the target's load, into one of the unreduced
-machine, and `address_ordered` puts a state of the paper's machine into
-the library's address-ordered form.
+as one from which a register-addressed load may follow, so `wmm-d` keys
+states with all their clocks.  On `wmm-s` it also offers Copy into every
+processor, whatever its next instruction (`_next_load` answers
+ANY_ADDRESS), guards it with the whole-graph `no_cycle`, fires it as the
+paper's Copy alone (`paper_copy`), with no load fused to it, has St
+append to the buffer as the paper's does, tagging the store by a rule of
+its own (`paper_store_entry`: k one past the largest the storing buffer
+holds, where the library takes the smallest free one), and keys states
+by `age_ordered_key`: each store buffer in its global age order, tags
+renamed by first appearance.  That key tells apart two buffers that
+differ only in the order between addresses, which the library's states
+(each buffer kept in address order) merge.  It empties the memos that
+were filled from the reduced liveness tables, Copy guard, enqueue and
+tags, so a model that has already explored may be turned back too.
+`split_copy_loads` turns a witness of the library's `wmm-s`, whose Copy
+also fires the target's load, into one of the unreduced machine, and
+`address_ordered` puts a state of the paper's machine into the library's
+address-ordered form.
 """
 
 from __future__ import annotations
@@ -56,14 +62,15 @@ from i2e_litmus.litmus import (Assign, Branch, BoundTest, Exit, Fence, Load,
 from i2e_litmus.models import RuleInstance
 from i2e_litmus.models.wmm import ANY_ADDRESS, WmmModel
 from i2e_litmus.models.wmm_d import WmmDModel
-from i2e_litmus.models.wmm_s import WmmSModel, no_cycle
+from i2e_litmus.models.wmm_s import WmmSModel
 
 
 def unreduced(model: WmmModel) -> WmmModel:
     """The same model with every stale value kept (the paper's DeqSb), on
     `wmm-d` with every clock in the state key, and on `wmm-s` with the
-    paper's Copy, into every processor and with no load fused to it, and
-    store buffers appended to and keyed in their global age order."""
+    paper's Copy, into every processor, guarded by `no_cycle` and with no
+    load fused to it, and store buffers appended to, tagged by
+    `paper_store_entry` and keyed in their global age order."""
     everywhere = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
     model.stale_live = everywhere
     forget_steps(model)
@@ -75,6 +82,8 @@ def unreduced(model: WmmModel) -> WmmModel:
         model._next_load = lambda i, proc: ANY_ADDRESS
         model._copy_load = paper_copy
         model._enqueue = isa.sb_enq
+        model._store_entry = paper_store_entry
+        model._copy_keeps_order = no_cycle
         model.canonical_key = age_ordered_key
     return model
 
@@ -100,6 +109,46 @@ def paper_copy(state, entry: tuple, j: int):
     proc = state.procs[j]
     proc = proc._replace(sb=proc.sb + (entry,), ib=tuple(e for e in proc.ib if e[0] != a))
     return state._replace(procs=state.procs[:j] + (proc,) + state.procs[j + 1:])
+
+
+def paper_store_entry(i: int, proc, sources: tuple, dins) -> tuple:
+    """The entry of processor i's store, tagged (i, pc, k) with k one past
+    the largest that i's buffer holds for (i, pc).  The storing thread's
+    own entry outlives every copy of it, so no buffer holds that tag."""
+    ks = [tag[2] for _, _, tag in proc.sb if tag[:2] == (i, proc.pc)]
+    return dins.a, dins.v, (i, proc.pc, max(ks, default=-1) + 1)
+
+
+def tag_lists(state, a: int) -> list[list[tuple]]:
+    """Each buffer's tags for address a, oldest first."""
+    return [[e[2] for e in proc.sb if e[0] == a] for proc in state.procs]
+
+
+def no_cycle(lists: list[list[tuple]], tag: tuple, target: int) -> bool:
+    """Would copying the tagged store into target keep the paper's partial
+    coherence order acyclic?  lists holds every buffer's tags for the
+    store's address, oldest first; the order is their union with the copy
+    appended to target's, and its whole graph is searched for a cycle."""
+    if tag in lists[target]:
+        return False  # the copy would order the store before itself
+    lists = lists[:target] + [lists[target] + [tag]] + lists[target + 1:]
+    edges: dict[tuple, set[tuple]] = {}
+    for order in lists:
+        for n, older in enumerate(order):
+            edges.setdefault(older, set()).update(order[n + 1:])
+    marks: dict[tuple, int] = {}  # 1 = on stack, 2 = done
+    return all(marks.get(node) == 2 or _visit(node, edges, marks) for node in list(edges))
+
+
+def _visit(node: tuple, edges: dict, marks: dict) -> bool:
+    """Depth first from node: False if it reaches a node still on the stack."""
+    marks[node] = 1
+    for succ in edges.get(node, ()):
+        mark = marks.get(succ)
+        if mark == 1 or (mark is None and not _visit(succ, edges, marks)):
+            return False
+    marks[node] = 2
+    return True
 
 
 def split_copy_loads(witness) -> tuple:
@@ -170,7 +219,7 @@ def wmm_s_per_holder_expansion(model: WmmSModel, state) -> list:
         for entry in proc.sb:
             a, _, tag = entry
             for j in range(model.nprocs):
-                if no_cycle(state, a, tag, j):
+                if no_cycle(tag_lists(state, a), tag, j):
                     out.append((RuleInstance(model.COPY_RULE, i, (a, tag, j)),
                                 paper_copy(state, entry, j)))
     return out

@@ -79,8 +79,8 @@ class TestIsTerminal:
         state = state._replace(procs=done)
         assert model.is_terminal(state)
         holding = state._replace(procs=(
-            done[0]._replace(sb=((0, 2, 0),)),
-            done[1]._replace(sb=((0, 2, 0), )),
+            done[0]._replace(sb=((0, 2, (0, 0, 0)),)),  # P1's store at pc 0, and a copy
+            done[1]._replace(sb=((0, 2, (0, 0, 0)),)),
             done[2],
         ))
         assert not model.is_terminal(holding)

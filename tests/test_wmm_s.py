@@ -8,9 +8,9 @@ import pytest
 from i2e_litmus import isa
 from i2e_litmus.explorer import ExploreLimits, explore
 from i2e_litmus.litmus import parse
-from i2e_litmus.models import RuleInstance, build_model
-from i2e_litmus.models.wmm_s import no_cycle
-from oracle import address_ordered, paper_copy, unreduced, wmm_s_per_holder_expansion
+from i2e_litmus.models import RuleInstance, WmmSModel, build_model
+from oracle import (address_ordered, no_cycle, paper_copy, tag_lists, unreduced,
+                    wmm_s_per_holder_expansion)
 from test_stale_liveness import assert_same_as_unreduced
 
 
@@ -73,33 +73,67 @@ def copied_state():
     return model, state._replace(procs=procs)
 
 
+def copy_allowed(state, a, tag, target) -> bool:
+    """The library's Copy guard, which walks the order from tag, after
+    checking that it agrees with the oracle's whole-graph `no_cycle`."""
+    lists = tag_lists(state, a)
+    allowed = WmmSModel._copy_keeps_order(lists, tag, target)
+    assert allowed == no_cycle(lists, tag, target), (lists, tag, target)
+    return allowed
+
+
 class TestNoCycle:
     def test_copy_closing_a_cycle_is_rejected(self, copied_state):
         _, state = copied_state
         # A < C in P1 would join C < B < A into a cycle
-        assert no_cycle(state, 0, T_C, 0) is False
+        assert copy_allowed(state, 0, T_C, 0) is False
 
     def test_copy_into_a_holder_is_rejected(self, copied_state):
         _, state = copied_state
-        assert no_cycle(state, 0, T_A, 0) is False
-        assert no_cycle(state, 0, T_A, 1) is False
+        assert copy_allowed(state, 0, T_A, 0) is False
+        assert copy_allowed(state, 0, T_A, 1) is False
 
     def test_consistent_copy_is_accepted(self, copied_state):
         _, state = copied_state
         # P3 would become [C, B, A], consistent with P2's order
-        assert no_cycle(state, 0, T_A, 2) is True
+        assert copy_allowed(state, 0, T_A, 2) is True
 
     def test_copy_into_empty_buffer(self):
         model = build_model("wmm-s", parse(THREE_THREADS))
         state = model.initial_state()
         state = model.apply(state, RuleInstance("WMM-S-St", 0))
-        assert no_cycle(state, 0, P1_STORE, 1) is True
-        assert no_cycle(state, 0, P1_STORE, 2) is True
-        assert no_cycle(state, 0, P1_STORE, 0) is False  # its own buffer holds it
+        assert copy_allowed(state, 0, P1_STORE, 1) is True
+        assert copy_allowed(state, 0, P1_STORE, 2) is True
+        assert copy_allowed(state, 0, P1_STORE, 0) is False  # its own buffer holds it
 
     def test_invariant_checker_accepts_the_state(self, copied_state):
         model, state = copied_state
         model.check_invariants(state)
+
+    @pytest.mark.parametrize("name, cycles", [
+        ("wwc", True), ("iriw", False), ("cross-copies", True), ("multi-holder", False)],
+        ids=["wwc", "iriw", "cross-copies", "multi-holder"])
+    def test_guard_matches_whole_graph_check_on_reached_states(self, corpus_by_name, name,
+                                                                cycles):
+        """Every (tag, target) of every state the paper's machine reaches,
+        each distinct set of tag lists checked once."""
+        test = {"cross-copies": CROSS_COPIES, "multi-holder": MULTI_HOLDER}.get(name)
+        model = unreduced(build_model("wmm-s", parse(test) if test
+                                      else corpus_by_name[name].test))
+        checked, verdicts = set(), set()
+        for state in reached_states(model):
+            for a in {e[0] for proc in state.procs for e in proc.sb}:
+                lists = tag_lists(state, a)
+                key = tuple(map(tuple, lists))
+                if key in checked:
+                    continue
+                checked.add(key)
+                for tag in {tag for order in lists for tag in order}:
+                    for j, order in enumerate(lists):
+                        verdicts.add((tag in order, copy_allowed(state, a, tag, j)))
+        # copies into a holder and copies allowed, and where two stores
+        # meet at one address, copies that would close a cycle
+        assert verdicts == {(True, False), (False, True)} | ({(False, False)} if cycles else set())
 
 
 class TestEnabled:
@@ -128,7 +162,7 @@ class TestEnabled:
         assert deqs == {RuleInstance("WMM-S-DeqSb", 1, (0,))}
         # after P2's own store commits, the copy becomes oldest everywhere
         state = model.apply(state, RuleInstance("WMM-S-DeqSb", 1, (0,)))
-        # offered once for the tag, from its lowest-index holder
+        # offered once for the tag, from its owner, P1
         deqs = {r for r in model.enabled(state) if r.rule == "WMM-S-DeqSb"}
         assert deqs == {RuleInstance("WMM-S-DeqSb", 0, (0,))}
 
@@ -337,7 +371,8 @@ check allowed: r1 = 0
 
 class TestOncePerTag:
     """On the unreduced machine, whose Copy targets every processor as the
-    per-holder reference does, so only the once-per-tag choice differs."""
+    per-holder reference does, so only firing from the store's owner
+    rather than from every holder differs."""
 
     # each unreduced search's state budget, above its count (2,377, 2,146 and 549)
     MAX_STATES = {"wwc": 2_500, "wwc-commit": 2_500, "multi-holder": 600}
@@ -365,6 +400,61 @@ class TestOncePerTag:
             assert len(set(background)) == len(background), "two instances, one successor"
             dropped += len(reference) - len(reduced)
         assert dropped > 0  # some tag really had several holders
+
+
+# P3 stores a; P1 loads a twice and P2 once.
+OWNER_LAST = """
+i2e-litmus v1
+init:
+  a = 0
+thread P1:
+  r1 = Ld a
+  r2 = Ld a
+thread P2:
+  r3 = Ld a
+thread P3:
+  St a 1
+check allowed: r1 = 0
+"""
+
+
+class TestOwnerFires:
+    """DeqSb and Copy fire from the store's owner, tag[0], whichever
+    other processors hold a copy."""
+
+    def test_copy_held_by_a_lower_index_processor(self):
+        model = build_model("wmm-s", parse(OWNER_LAST))
+        state = model.initial_state()
+        p1, p2, p3 = state.procs
+        # P3 has stored a = 1, and P1 has loaded it through a copy
+        state = state._replace(procs=(
+            p1._replace(regs=(("r1", 1),), pc=1, sb=((0, 1, P3_STORE),)),
+            p2, p3._replace(pc=1, sb=((0, 1, P3_STORE),))))
+        model.check_invariants(state)
+        background = [r for r in model.enabled(state)
+                      if r.rule in (model.DEQ_RULE, model.COPY_RULE)]
+        assert background == [RuleInstance(model.DEQ_RULE, 2, (0,)),
+                              RuleInstance(model.COPY_RULE, 2, (0, P3_STORE, 1))]
+        assert [model.describe_rule(r)[:3] for r in background] == ["P3:", "P3:"]
+
+    @pytest.mark.parametrize("name", ["corpus", "cross-copies", "multi-holder"])
+    def test_every_instance_names_the_owner(self, corpus, name):
+        fired = {WmmSModel.DEQ_RULE: 0, WmmSModel.COPY_RULE: 0}
+        for test in canonical_check_programs(name, corpus):
+            model = build_model("wmm-s", test)
+
+            def audit(state, rule, nxt):
+                if rule.rule == model.DEQ_RULE:
+                    tag = isa.sb_oldest(state.procs[rule.proc].sb, rule.payload[0])[2]
+                elif rule.rule == model.COPY_RULE:
+                    tag = rule.payload[1]
+                else:
+                    return
+                fired[rule.rule] += 1
+                assert tag[0] == rule.proc, (rule, tag)
+
+            explore(model, order="dfs", audit=audit)
+        assert all(fired.values())
 
 
 def cross_address_reorderings(sb: tuple) -> set[tuple]:
@@ -440,7 +530,9 @@ class TestCanonicalByConstruction:
     @pytest.mark.parametrize("sbs, message", [
         ((((0, 1, (0, 0, 0)), (0, 1, (0, 0, 0))), (), ()), "tag repeated"),
         (((), (), ((0, 1, (0, 0, 0)),)), "outlived its owner"),
-    ], ids=["repeated-tag", "copy-without-owner"])
+        ((((0, 1, 0),), ((0, 1, 0),), ()), "no .thread, pc, k. tag"),
+        ((((0, 1, (3, 0, 0)),), (), ()), "no .thread, pc, k. tag"),
+    ], ids=["repeated-tag", "copy-without-owner", "integer-tag", "no-such-thread"])
     def test_invariant_checker_rejects_unowned_or_repeated_tags(self, sbs, message):
         model = build_model("wmm-s", parse(CROSS_COPIES))
         state = model.initial_state()
@@ -534,5 +626,7 @@ class TestLoopedStore:
             twice += (0, 0, 1) in p1 and (0, 0, 0) in p1 & p2
 
         reduced = {order: explore(model, order=order, audit=audit) for order in ("bfs", "dfs")}
-        assert twice > 0  # the second instance met the first, buffered and copied
+        # the reference mints its own tags: two instances sharing one would
+        # drain the copy of the second with the first, and let P2 read 2, then 1
         assert_same_as_unreduced(test, "wmm-s", reduced, 400)  # 327 states
+        assert twice > 0  # the second instance met the first, buffered and copied
