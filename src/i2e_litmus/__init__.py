@@ -14,8 +14,7 @@ from .corpus import corpus_test, load_corpus
 from .explorer import (CheckReport, ExploreLimits, ExploreResult, Verdict,
                        check, explore, outcome_subset, replay)
 from .litmus import (LitmusError, LitmusParseError, LitmusTest, Outcome,
-                     bind, bind_addresses, eval_condition, format_test,
-                     parse, parse_file)
+                     bind, eval_condition, format_test, parse, parse_file)
 from .models import MODEL_IDS, build_model
 
 __version__ = "0.1.0"
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport", "ExploreLimits", "ExploreResult", "Verdict",
     "LitmusError", "LitmusParseError", "LitmusTest", "Outcome",
-    "MODEL_IDS", "__version__", "bind", "bind_addresses", "build_model",
+    "MODEL_IDS", "__version__", "bind", "build_model",
     "check", "corpus_test", "eval_condition", "explore", "format_test",
     "load_corpus", "outcome_subset", "parse", "parse_file", "replay",
 ]

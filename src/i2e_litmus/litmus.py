@@ -573,7 +573,6 @@ class _PendingThread:
         self.instrs: list[SurfaceInstr] = []
         self.instr_lines: list[int] = []
         self.labels: dict[str, int] = {}
-        self.label_lines: dict[str, int] = {}
 
     def finish(self) -> Thread:
         resolved = []

@@ -8,7 +8,7 @@ from ..litmus import BoundTest, LitmusTest, bind
 from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
 from .strong import PsoModel, ScModel, TsoModel
 from .wmm import WmmModel
-from .wmm_d import WmmDModel, load_value_timestamp
+from .wmm_d import WmmDModel
 from .wmm_s import WmmSModel
 
 MODEL_CLASSES: dict[str, type[BaseModel]] = {
@@ -31,6 +31,6 @@ def build_model(model_id: str, test: Union[LitmusTest, BoundTest]) -> BaseModel:
 
 __all__ = [
     "BaseModel", "MachineState", "RuleInstance", "MODEL_CLASSES", "MODEL_IDS",
-    "build_model", "mem_get", "mem_set", "load_value_timestamp",
+    "build_model", "mem_get", "mem_set",
     "ScModel", "TsoModel", "PsoModel", "WmmModel", "WmmDModel", "WmmSModel",
 ]

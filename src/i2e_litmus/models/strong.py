@@ -1,8 +1,4 @@
-"""SC as its own rule catalog; PSO and TSO as deltas on WMM's.
-
-SC executes loads and stores directly against the monolithic memory.
-Commit and Reconcile are no-ops there, since there is no buffer, so one
-litmus file runs unchanged under every model.
+"""PSO, TSO and SC as deltas on WMM's rule catalog.
 
 PSO is WMM with no live stale value: its `stale_live` table is empty at
 every pc, so DeqSb never inserts a stale value, LdIb is never
@@ -22,6 +18,13 @@ The paper's TSO table has one load rule, whose effect depends on the
 buffer, so `TSO-Ld` names both of WMM's LdSb and LdMem effects:
 `WmmModel.expand` picks the effect from whether the buffer holds the
 address, the guard it checked, not from the rule name.
+
+SC is TSO whose store reaches memory in the step that executes it:
+`SC-St` is TSO's St followed by the DeqSb of the store it has just
+buffered, read from the drain memo (`_drains_of`) and written by
+`_dequeue`.  So no reached SC state holds a store, SC's background
+offers nothing, every load reads memory, and Commit and Reconcile are
+no-ops, which lets one litmus file run unchanged under every model.
 """
 
 from __future__ import annotations
@@ -29,31 +32,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .. import isa
-from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
+from .base import MachineState, RuleInstance, mem_set
 from .wmm import WmmModel
-
-
-class ScModel(BaseModel):
-    model_id = "sc"
-
-    _RULES = {isa.Nm: "SC-Nm", isa.Ld: "SC-Ld", isa.St: "SC-St",
-              isa.Commit: "SC-Com", isa.Reconcile: "SC-Rec"}
-
-    def expand(self, state: MachineState):
-        for i, proc in enumerate(state.procs):
-            if self.halted[i][proc.pc]:
-                continue
-            dins = isa.decode(self.decoded[i], proc)[0]
-            kind = type(dins)
-            m = state.m
-            if kind is isa.Ld:
-                nxt = isa.execute(proc, dins, mem_get(m, dins.a, 0))
-            else:
-                nxt = isa.execute(proc, dins)
-                if kind is isa.St:
-                    m = mem_set(m, dins.a, dins.v)
-            procs = state.procs[:i] + (nxt,) + state.procs[i + 1:]
-            yield RuleInstance(self._RULES[kind], i), MachineState(m, procs)
 
 
 class PsoModel(WmmModel):
@@ -90,3 +70,28 @@ class TsoModel(PsoModel):
         """One DeqSb, for the buffer's globally oldest store."""
         return (RuleInstance(self.DEQ_RULE, i), proc.sb[0],
                 isa.ProcState(proc.regs, proc.pc, proc.sb[1:], proc.ib, proc.rts)),
+
+
+class ScModel(TsoModel):
+    model_id = "sc"
+
+    NM_RULE = "SC-Nm"
+    LDSB_RULE = LDMEM_RULE = LDIB_RULE = "SC-Ld"
+    ST_RULE = "SC-St"
+    COM_RULE = "SC-Com"
+    REC_RULE = "SC-Rec"
+
+    def expand(self, state: MachineState):
+        """TSO's steps, each St fused with the DeqSb of the store it has
+        just buffered, so every reached buffer is empty."""
+        st = self.ST_RULE
+        for rule, nxt in super().expand(state):
+            if rule.rule == st:
+                i = rule.proc
+                (_, entry, drained), = self._drains_of(i, nxt.procs[i])
+                nxt = self._dequeue(nxt, i, entry, {i: drained})
+            yield rule, nxt
+
+    def _background(self, state: MachineState):
+        """Nothing: no reached state holds a store."""
+        return ()

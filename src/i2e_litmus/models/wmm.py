@@ -70,12 +70,13 @@ The guard that picks a load's rule also fixes its effect, whatever the
 rule's name: a buffered address bypasses, anything else reads memory,
 and each stale choice reads the ib.
 
-WMM-D, WMM-S, PSO and TSO subclass this catalog and rename its rules
-through the class attributes `NM_RULE` ... `DEQ_RULE`.  PSO and TSO
-(`strong.py`) keep no live stale value, so one name, `TSO-Ld`, covers
-both LdSb and LdMem, and their DeqSb (`_dequeue`) neither reads the
-overwritten value nor offers it; TSO's `_drain_steps` drains only the
-globally oldest store, a DeqSb with no address.  WMM-D's timestamps live
+WMM-D, WMM-S, PSO, TSO and SC subclass this catalog and rename its
+rules through the class attributes `NM_RULE` ... `DEQ_RULE`.  PSO and
+TSO (`strong.py`) keep no live stale value, so one name, `TSO-Ld`,
+covers both LdSb and LdMem, and their DeqSb (`_dequeue`) neither reads
+the overwritten value nor offers it; TSO's `_drain_steps` drains only
+the globally oldest store, a DeqSb with no address.  SC is TSO whose St
+drains its store in the same step.  WMM-D's timestamps live
 in hooks that WMM implements without them, at most one per fired rule:
 `_nm_value`, `_load_sb`, `_load_mem`, `_stale_loads`, `_store_entry`
 and `_write_memory`.  WMM-S tags its stores through `_store_entry` and

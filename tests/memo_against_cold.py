@@ -1,7 +1,7 @@
 """The step and drain memos against cold expansion beyond the Tier-1 suite.
 
 Explores the `random-weak` benchmark programs of the given seeds under
-`tso`, `pso`, `wmm` and `wmm-d`, and the `random-wmms` programs of the
+`sc`, `tso`, `pso`, `wmm` and `wmm-d`, and the `random-wmms` programs of the
 same seeds under `wmm-s` (default seed 2; programs built by
 `perfbench/gen.py`).  Every state each exploration reaches is expanded
 once from the memos the exploration left filled and once through
@@ -28,7 +28,7 @@ from i2e_litmus.litmus import parse
 from i2e_litmus.models import build_model
 from oracle import cold_expansion
 
-MODELS = {"random-weak": ("tso", "pso", "wmm", "wmm-d"), "random-wmms": ("wmm-s",)}
+MODELS = {"random-weak": ("sc", "tso", "pso", "wmm", "wmm-d"), "random-wmms": ("wmm-s",)}
 
 
 def differing_states(model) -> tuple[int, int]:

@@ -2,9 +2,10 @@
 checked against.
 
 `interleaving_outcomes` is buffer-free reference semantics: direct
-recursive interleaving, used as an independent oracle for the SC engine.
-It interprets the surface instructions straight off the parsed test - no
-decoded instructions, no rule catalog, no explorer - enumerating every
+recursive interleaving, used as an independent oracle for SC, which
+runs the rule catalog the other models share.  It interprets the
+surface instructions straight off the parsed test - no decoded
+instructions, no rule catalog, no explorer - enumerating every
 interleaving of atomic instruction executions with memoization.
 `buffered_outcomes` does the same with an explicit store buffer per
 thread and dequeues interleaved with the instructions, as the

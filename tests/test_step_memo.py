@@ -1,5 +1,5 @@
-"""The per-thread step and drain memos of the WMM catalog (`tso`, `pso`,
-`wmm`, `wmm-d`, `wmm-s`).
+"""The per-thread step and drain memos of the WMM catalog, which all six
+models expand through (`sc`, `tso`, `pso`, `wmm`, `wmm-d`, `wmm-s`).
 
 A processor-local rule's successor is a pure function of its ProcState
 and at most one global value, and a buffered processor's side of DeqSb
@@ -21,7 +21,7 @@ from i2e_litmus.models import build_model
 from oracle import cold_expansion, unreduced
 
 
-@pytest.mark.parametrize("model_id", ["tso", "pso", "wmm", "wmm-d", "wmm-s"])
+@pytest.mark.parametrize("model_id", ["sc", "tso", "pso", "wmm", "wmm-d", "wmm-s"])
 def test_memoized_expansion_equals_cold_one(corpus, model_id):
     """Every state an exploration reaches, expanded from the memos it left
     filled and then with the memos emptied first."""
@@ -52,7 +52,7 @@ def test_unreduced_after_exploring(corpus_by_name, name, model_id):
             == (fresh.stats.visited, fresh.stats.edges, fresh.stats.dedup_hits))
 
 
-@pytest.mark.parametrize("model_id", ["tso", "pso", "wmm", "wmm-d", "wmm-s"])
+@pytest.mark.parametrize("model_id", ["sc", "tso", "pso", "wmm", "wmm-d", "wmm-s"])
 def test_explored_model_is_freed_without_the_cycle_collector(corpus_by_name, model_id):
     """With the cycle collector off, an explored model dies with its last
     reference, and its exploration left no cyclic garbage behind."""

@@ -136,6 +136,58 @@ class TestNoCycle:
         assert verdicts == {(True, False), (False, True)} | ({(False, False)} if cycles else set())
 
 
+# Each processor stores to a and loads it back, so each may read another's
+# store from a copy: r1 = 3 & r2 = 1 & r3 = 2 orders 1 < 3 < 2 < 1.
+THREE_WRITERS = """
+i2e-litmus v1
+thread P1:
+  St a 1
+  r1 = Ld a
+thread P2:
+  St a 2
+  r2 = Ld a
+thread P3:
+  St a 3
+  r3 = Ld a
+check forbidden: r1 = 3 & r2 = 1 & r3 = 2
+"""
+
+
+def one_step_keeps_order(lists, tag, target) -> bool:
+    """A Copy guard that looks only at the stores directly behind tag."""
+    own = lists[target]
+    behind = {order[order.index(tag) + 1] for order in lists if tag in order[:-1]}
+    return not own or (tag not in own and behind.isdisjoint(own))
+
+
+class TestThreeWriters:
+    """Copies that chain: once P1 holds [1, 3'] and P2 holds [2, 1'],
+    copying 2 into P3, which holds [3], closes the cycle 3 < 2 < 1 < 3
+    only through 1, two steps behind 2."""
+
+    def test_matches_unreduced_reference(self):
+        test = parse(THREE_WRITERS)
+        reduced = {order: explore(build_model("wmm-s", test), order=order)
+                   for order in ("bfs", "dfs")}
+        assert_same_as_unreduced(test, "wmm-s", reduced, 9_000)  # 8,157 states
+        for order, result in reduced.items():
+            assert result.deadlocked == 0, order
+            assert (3, 1, 2) not in reg_projection(
+                result.outcomes, ("P1", "r1"), ("P2", "r2"), ("P3", "r3")), order
+
+    def test_a_reached_state_offers_a_copy_only_the_chain_refuses(self):
+        model = build_model("wmm-s", parse(THREE_WRITERS))
+        chained = 0
+        for state in reached_states(model):
+            for j, proc in enumerate(state.procs):
+                for a in model._next_load(j, proc):  # the copies offered into j
+                    lists = tag_lists(state, a)
+                    for tag in {tag for order in lists for tag in order}:
+                        if one_step_keeps_order(lists, tag, j):
+                            chained += not copy_allowed(state, a, tag, j)
+        assert chained
+
+
 class TestEnabled:
     def test_no_stores_no_copies(self):
         model = build_model("wmm-s", parse(THREE_THREADS))
