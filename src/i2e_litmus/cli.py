@@ -63,9 +63,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--witness", action="store_true",
                     help="include a witness trace for each satisfiable condition")
-    ap.add_argument("--max-states", type=_positive_int, default=ExploreLimits.max_states,
+    ap.add_argument("--max-states", type=_positive_int, default=ExploreLimits().max_states,
                     metavar="N", help="state budget per (test, model)")
-    ap.add_argument("--timeout", type=_positive_seconds, default=ExploreLimits.timeout,
+    ap.add_argument("--timeout", type=_positive_seconds, default=ExploreLimits().timeout,
                     metavar="SECS", help="time budget per (test, model)")
     ap.add_argument("--compare", action="store_true",
                     help="report outcome-set inclusion for each ordered model pair")
@@ -97,7 +97,7 @@ def _collect_inputs(paths: list[str]) -> tuple[list[tuple[str, str, object]], li
             continue
         name = test.name or path.stem
         if not test.name:
-            test = type(test)(name, test.model_hint, test.init, test.threads, test.checks)
+            test = test._replace(name=name)
         jobs.append((name, str(path), test))
     return jobs, errors
 
@@ -141,16 +141,12 @@ def _result_record(report: CheckReport, source: str, expected, want_witness: boo
         "deadlocks": report.result.deadlocked,
     }
     for v in report.verdicts:
-        entry = {
-            "polarity": v.polarity,
-            "condition": v.condition,
-            "satisfiable": v.satisfiable,
-            "passed": v.passed,
-            "inconclusive": v.inconclusive,
-        }
+        entry = v._asdict()
         if want_witness:
             entry["witness"] = (_witness_lines(report, v.witness)
                                 if v.witness is not None else None)
+        else:
+            del entry["witness"]
         record["verdicts"].append(entry)
     return record
 

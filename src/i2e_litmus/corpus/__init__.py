@@ -14,14 +14,14 @@ does not bind to base 0, which the initial memory value would alias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib.resources import files
+from typing import NamedTuple
 
-from ..litmus import LitmusError, LitmusTest, parse
+from ..litmus import LitmusError, LitmusTest, parse, record
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+@record
+class CorpusEntry(NamedTuple):
     name: str
     text: str
     expected: dict[str, bool]  # model id -> condition satisfiable

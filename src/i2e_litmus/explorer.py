@@ -14,52 +14,58 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
-from .litmus import BoundTest, Check, LitmusTest, Outcome, bind, eval_condition, render_condition
+from .litmus import (BoundTest, Check, LitmusTest, Outcome, bind, eval_condition, record,
+                     render_condition)
 from .models import BaseModel, MachineState, RuleInstance, build_model
 
 ORDERS = ("bfs", "dfs", "random")
 
 
-@dataclass
-class ExploreLimits:
+@record
+class ExploreLimits(NamedTuple):
     max_states: int = 5_000_000
     timeout: float = 60.0
 
 
-@dataclass
-class ExploreStats:
+@record
+class ExploreStats(NamedTuple):
     """`edges` counts every rule firing from an expanded state: each one
-    either found a new state or was a dedup hit."""
+    either found a new state or was a dedup hit.  Built once, when
+    `explore` returns."""
 
-    visited: int = 0
-    dedup_hits: int = 0
-    edges: int = 0
-    max_frontier: int = 0
-    wall_time: float = 0.0
+    visited: int
+    dedup_hits: int
+    edges: int
+    max_frontier: int
+    wall_time: float
 
 
-@dataclass
-class ExploreResult:
+@record
+class ExploreResult(NamedTuple):
     """All reachable terminal outcomes, plus enough bookkeeping to
-    reconstruct one witness trace per outcome on demand."""
+    reconstruct one witness trace per outcome on demand: `parents` maps
+    each state's key to its (parent key, rule) and `terminal_keys` each
+    outcome to the key of the first state that reached it."""
 
     outcomes: frozenset[Outcome]
     complete: bool
     stats: ExploreStats
     deadlocked: int
     model: BaseModel
-    _parents: dict = field(repr=False, default_factory=dict)
-    _terminal_keys: dict = field(repr=False, default_factory=dict)
+    parents: dict
+    terminal_keys: dict
+
+    def __repr__(self) -> str:  # without the two maps, which grow with the state count
+        return "ExploreResult(%s)" % ", ".join("%s=%r" % fv for fv in zip(self._fields[:5], self))
 
     def witness(self, outcome: Outcome) -> tuple[RuleInstance, ...]:
         """The rule firing sequence of the first path that reached outcome."""
-        key = self._terminal_keys[outcome]
+        key = self.terminal_keys[outcome]
         rules = []
         while True:
-            parent, rule = self._parents[key]
+            parent, rule = self.parents[key]
             if rule is None:
                 break
             rules.append(rule)
@@ -81,20 +87,19 @@ def explore(model: BaseModel,
     if order not in ORDERS:
         raise ValueError(f"unknown exploration order {order!r}")
     limits = limits or ExploreLimits()
-    rng = random.Random(seed)
+    rng = random.Random(seed) if order == "random" else None
     started = time.monotonic()
-    stats = ExploreStats()
+    visited = dedup_hits = max_frontier = deadlocked = 0
 
     init = model.initial_state()
     init_key = model.canonical_key(init)
     parents = {init_key: (None, None)}
     frontier = deque([(init, init_key)])
     outcomes: dict[Outcome, object] = {}
-    deadlocked = 0
     complete = True
 
     while frontier:
-        if stats.visited >= limits.max_states or time.monotonic() - started > limits.timeout:
+        if visited >= limits.max_states or time.monotonic() - started > limits.timeout:
             complete = False
             break
         if order == "bfs":
@@ -105,7 +110,7 @@ def explore(model: BaseModel,
             pick = rng.randrange(len(frontier))
             frontier[pick], frontier[-1] = frontier[-1], frontier[pick]
             state, key = frontier.pop()
-        stats.visited += 1
+        visited += 1
 
         if model.is_terminal(state):
             found = model.outcome(state)
@@ -118,7 +123,7 @@ def explore(model: BaseModel,
                 audit(state, rule, nxt)
             nxt_key = model.canonical_key(nxt)
             if nxt_key in parents:
-                stats.dedup_hits += 1
+                dedup_hits += 1
                 continue
             parents[nxt_key] = (key, rule)
             frontier.append((nxt, nxt_key))
@@ -126,19 +131,18 @@ def explore(model: BaseModel,
             # Should be unreachable for these models; reported, not raised.
             deadlocked += 1
             continue
-        if len(frontier) > stats.max_frontier:
-            stats.max_frontier = len(frontier)
+        if len(frontier) > max_frontier:
+            max_frontier = len(frontier)
 
-    stats.edges = len(parents) - 1 + stats.dedup_hits
-    stats.wall_time = time.monotonic() - started
     return ExploreResult(
         outcomes=frozenset(outcomes),
         complete=complete,
-        stats=stats,
+        stats=ExploreStats(visited, dedup_hits, len(parents) - 1 + dedup_hits, max_frontier,
+                           time.monotonic() - started),
         deadlocked=deadlocked,
         model=model,
-        _parents=parents,
-        _terminal_keys=outcomes,
+        parents=parents,
+        terminal_keys=outcomes,
     )
 
 
@@ -161,8 +165,8 @@ def replay(model: BaseModel, rules) -> tuple[MachineState, Outcome]:
 # Checking a test against its conditions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Verdict:
+@record
+class Verdict(NamedTuple):
     polarity: str
     condition: str
     satisfiable: bool
@@ -171,8 +175,8 @@ class Verdict:
     witness: Optional[tuple[RuleInstance, ...]] = None
 
 
-@dataclass
-class CheckReport:
+@record
+class CheckReport(NamedTuple):
     test_name: str
     model_id: str
     verdicts: list[Verdict]

@@ -17,10 +17,9 @@ helpers serves the untagged, timestamped, and tagged entry shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .litmus import Assign, Branch, Exit, Fence, Load, LitmusError, Store, wrap64
+from .litmus import Assign, Branch, Exit, Fence, Load, LitmusError, Store, Unit, record, wrap64
 
 
 class MachineError(LitmusError):
@@ -31,8 +30,8 @@ class MachineError(LitmusError):
 # Decoded instruction set
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Nm:
+@record
+class Nm(NamedTuple):
     """Anything that does not touch memory: arithmetic and branches."""
 
     dst: Optional[str]
@@ -40,31 +39,30 @@ class Nm:
     next_pc: int
 
 
-@dataclass(frozen=True, slots=True)
-class Ld:
+@record
+class Ld(NamedTuple):
     a: int
     dst: str
 
 
-@dataclass(frozen=True, slots=True)
-class St:
+@record
+class St(NamedTuple):
     a: int
     v: int
 
 
-@dataclass(frozen=True, slots=True)
-class Commit:
-    pass
+class Commit(Unit):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Reconcile:
-    pass
+class Reconcile(Unit):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Halt:
+class Halt(Unit):
     """The thread is past its last instruction (or hit exit)."""
+
+    __slots__ = ()
 
 
 COMMIT = Commit()

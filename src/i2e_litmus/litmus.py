@@ -44,8 +44,7 @@ also be an address name; `bind` resolves it to the bound location.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 FORMAT_HEADER = "i2e-litmus v1"
 
@@ -93,11 +92,44 @@ def is_register(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+def _same_record(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def record(cls):
+    """Give a NamedTuple class value equality within the class only: a
+    record never equals a plain tuple, nor a record of another class
+    whose fields are equal (a `Load` is no `Assign`).  `object.__ne__`
+    negates `__eq__`; tuple's own would compare the bare fields."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _same_record, object.__ne__, tuple.__hash__
+    return cls
+
+
+class Unit:
+    """Base of the records with no fields: all instances of one class are
+    equal and truthy, and equal nothing else."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
+@record
+class Expr(NamedTuple):
     """A sum of signed terms; each term is a literal, register, or address name."""
 
     terms: tuple[tuple[int, str, object], ...]  # (sign, kind, payload); kind in const/reg/sym
@@ -134,47 +166,46 @@ class Expr:
 # Surface instructions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Assign:
+@record
+class Assign(NamedTuple):
     dst: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class Load:
+@record
+class Load(NamedTuple):
     dst: str
     addr: Expr
 
 
-@dataclass(frozen=True)
-class Store:
+@record
+class Store(NamedTuple):
     addr: Expr
     value: Expr
 
 
-@dataclass(frozen=True)
-class Fence:
+@record
+class Fence(NamedTuple):
     kind: str  # "Commit" or "Reconcile"
 
 
-@dataclass(frozen=True)
-class Branch:
+@record
+class Branch(NamedTuple):
     cond: str  # "eqz" or "nez"
     reg: str
     target: str
     target_index: int = -1  # resolved when the thread is finalized
 
 
-@dataclass(frozen=True)
-class Exit:
-    pass
+class Exit(Unit):
+    __slots__ = ()
 
 
 SurfaceInstr = Union[Assign, Load, Store, Fence, Branch, Exit]
 
 
-@dataclass(frozen=True)
-class Thread:
+@record
+class Thread(NamedTuple):
     name: str
     instrs: tuple[SurfaceInstr, ...]
     labels: tuple[tuple[str, int], ...] = ()
@@ -200,39 +231,39 @@ class Thread:
 # Final-state conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegEquals:
+@record
+class RegEquals(NamedTuple):
     reg: str
     value: object  # int, or a symbolic address name until bound
     thread: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class MemEquals:
+@record
+class MemEquals(NamedTuple):
     loc: str
     value: object
 
 
-@dataclass(frozen=True)
-class Not:
+@record
+class Not(NamedTuple):
     item: "Condition"
 
 
-@dataclass(frozen=True)
-class And:
+@record
+class And(NamedTuple):
     items: tuple["Condition", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+@record
+class Or(NamedTuple):
     items: tuple["Condition", ...]
 
 
 Condition = Union[RegEquals, MemEquals, Not, And, Or]
 
 
-@dataclass(frozen=True)
-class Check:
+@record
+class Check(NamedTuple):
     polarity: str  # "allowed" or "forbidden"
     cond: Condition
 
@@ -274,8 +305,8 @@ def render_condition(cond: Condition) -> str:
 # Outcomes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Outcome:
+@record
+class Outcome(NamedTuple):
     """A terminal snapshot: observed registers plus named memory locations."""
 
     regs: tuple[tuple[tuple[str, str], int], ...]  # ((thread, reg), value), sorted
@@ -323,8 +354,8 @@ def eval_condition(cond: Condition, outcome: Outcome) -> bool:
 # The test itself
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LitmusTest:
+@record
+class LitmusTest(NamedTuple):
     name: str
     model_hint: Optional[str]
     init: tuple[tuple[str, int], ...]
@@ -510,8 +541,8 @@ _FENCES = ("Commit", "Reconcile")
 _BRANCHES = {"beqz": "eqz", "bnez": "nez"}
 
 
-def _parse_instr_line(toks: _Tokens) -> Union[SurfaceInstr, tuple[str, str]]:
-    """Parse one thread-body line: an instruction or a ("label", name) marker."""
+def _parse_instr_line(toks: _Tokens) -> Union[SurfaceInstr, str]:
+    """Parse one thread-body line: an instruction, or a label's name."""
     tok = toks.take()
     if tok[0] != "name":
         raise LitmusParseError(f"expected an instruction, got {tok[1]!r}", toks.lineno, tok[2])
@@ -536,7 +567,7 @@ def _parse_instr_line(toks: _Tokens) -> Union[SurfaceInstr, tuple[str, str]]:
         return Exit()
     if toks.accept(":"):
         toks.expect_done()
-        return ("label", word)
+        return word
     if is_register(word):
         toks.expect("=")
         nxt = toks.peek()
@@ -580,7 +611,7 @@ class _PendingThread:
             if isinstance(ins, Branch):
                 if ins.target not in self.labels:
                     raise LitmusParseError(f"unknown label {ins.target!r}", lineno)
-                ins = replace(ins, target_index=self.labels[ins.target])
+                ins = ins._replace(target_index=self.labels[ins.target])
             resolved.append(ins)
         labels = tuple(sorted(self.labels.items(), key=lambda kv: (kv[1], kv[0])))
         return Thread(self.name, tuple(resolved), labels)
@@ -653,11 +684,10 @@ def parse(text: str) -> LitmusTest:
             pending = threads[-1]
             toks = _Tokens(_tokenize(line, lineno), lineno)
             parsed = _parse_instr_line(toks)
-            if isinstance(parsed, tuple):
-                label = parsed[1]
-                if label in pending.labels:
-                    raise LitmusParseError(f"duplicate label {label!r}", lineno)
-                pending.labels[label] = len(pending.instrs)
+            if isinstance(parsed, str):
+                if parsed in pending.labels:
+                    raise LitmusParseError(f"duplicate label {parsed!r}", lineno)
+                pending.labels[parsed] = len(pending.instrs)
             else:
                 pending.instrs.append(parsed)
                 pending.instr_lines.append(lineno)
@@ -780,8 +810,8 @@ def bind_addresses(test: LitmusTest) -> dict[str, int]:
 # Binding the whole test
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundTest:
+@record
+class BoundTest(NamedTuple):
     """A parsed test with addresses, check threads, and atom values resolved."""
 
     test: LitmusTest
@@ -791,10 +821,6 @@ class BoundTest:
 
     def amap(self) -> dict[str, int]:
         return dict(self.addr_map)
-
-    @property
-    def name(self) -> str:
-        return self.test.name
 
 
 def _owning_thread(test: LitmusTest, reg: str) -> str:

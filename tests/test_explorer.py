@@ -1,12 +1,11 @@
 """Search, deduplication, witnesses, limits, and verdicts."""
 
-from dataclasses import replace
-
 import pytest
 
 from i2e_litmus.explorer import ExploreLimits, check, explore, outcome_subset, replay
 from i2e_litmus.litmus import Check, parse
-from i2e_litmus.models import RuleInstance, build_model, mem_get
+from i2e_litmus.models import RuleInstance, build_model
+from i2e_litmus.models.base import mem_get
 
 
 def reg_projection(outcomes, *keys):
@@ -266,7 +265,7 @@ check allowed: r1 = 1
         assert verdict.passed is True          # allowed + witnessed
         assert not verdict.inconclusive
         # the same partial witness definitively fails a forbidden check
-        flipped = replace(test, checks=(Check("forbidden", test.checks[0].cond),))
+        flipped = test._replace(checks=(Check("forbidden", test.checks[0].cond),))
         report = check(flipped, "wmm-s", limits=limits)
         assert report.verdicts[0].passed is False
         assert report.passed is False

@@ -1,7 +1,5 @@
 """Decode/execute, against plain and timed registers, and the buffer algebra."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,8 +87,8 @@ class TestCompiledDecode:
         test = parse("i2e-litmus v1\nthread P1:\n  beqz r1 out\n  St a 1\n"
                      "  out:\ncheck allowed: m[a] = 0\n")
         thread = test.threads[0]
-        branch = replace(thread.instrs[0], target_index=target_index)
-        test = replace(test, threads=(replace(thread, instrs=(branch,) + thread.instrs[1:]),))
+        branch = thread.instrs[0]._replace(target_index=target_index)
+        test = test._replace(threads=(thread._replace(instrs=(branch,) + thread.instrs[1:]),))
         with pytest.raises(MachineError, match="no target"):
             build_model("sc", test)
 

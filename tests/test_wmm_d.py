@@ -4,7 +4,8 @@ import pytest
 
 from i2e_litmus.explorer import explore
 from i2e_litmus.litmus import parse
-from i2e_litmus.models import RuleInstance, build_model, mem_get
+from i2e_litmus.models import RuleInstance, build_model
+from i2e_litmus.models.base import mem_get
 from i2e_litmus.models.wmm import ANY_ADDRESS
 from i2e_litmus.models.wmm_d import load_value_timestamp
 from oracle import unreduced
