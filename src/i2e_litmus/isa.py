@@ -248,13 +248,6 @@ def sb_youngest(sb: tuple, a: int) -> Optional[tuple]:
     return None
 
 
-def sb_oldest(sb: tuple, a: int) -> Optional[tuple]:
-    for entry in sb:
-        if entry[0] == a:
-            return entry
-    return None
-
-
 def sb_rm_oldest(sb: tuple, a: int) -> tuple[tuple, tuple]:
     """Remove the oldest entry for one address."""
     for n, entry in enumerate(sb):

@@ -81,6 +81,8 @@ class ScModel(TsoModel):
     COM_RULE = "SC-Com"
     REC_RULE = "SC-Rec"
 
+    _local_kinds = (isa.Nm, isa.Commit)  # SC-St writes memory: it is no local step
+
     def expand(self, state: MachineState):
         """TSO's steps, each St fused with the DeqSb of the store it has
         just buffered, so every reached buffer is empty."""

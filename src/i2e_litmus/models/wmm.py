@@ -52,6 +52,62 @@ ProcState and the keyed value, never the state, so no rule can read a
 global value its key leaves out.  The memo is filled from the liveness
 tables: they must not change once a model has expanded a state.
 
+Three steps are processor-local: Nm, St, and Commit once the buffer is
+empty.  Each reads and writes its own ProcState and nothing else, so
+where it falls among the other processors' steps changes no outcome.
+`_proc_steps` marks such a step `_Local` when it fills the memo
+(`_local_kinds`; SC's St, which also writes memory, is not one), and
+where some processor's step is local, `expand` offers only the first
+such processor's step: no other processor's step and no background
+rule.  That is a one-step persistent set (Godefroid, *Partial-Order
+Methods for the Verification of Concurrent Systems*, LNCS 1032, 1996).
+Let t be processor i's local step.
+
+* t stays enabled, with the same rule instance, until i fires it.  No
+  other rule writes i's registers or pc, so i's next instruction stays
+  the same.  Other rules only remove from i's buffer (DeqSb) or add to
+  its ib (DeqSb's stale offer); WMM-S's Copy adds to a buffer only when
+  its processor's next instruction is a load.  So Commit's empty buffer
+  stays empty.
+* t commutes with every other rule instance u enabled beside it: u stays
+  enabled after t, and both orders reach the same state.
+  - Another processor's step reads at most a memory cell or `gts`,
+    which t does not write, and writes only its own ProcState.
+  - i's own DeqSb: St enqueues behind its address's entries, so the
+    oldest entry per address, and TSO's `sb[0]`, stay the oldest, in
+    i's buffer and in every buffer holding a WMM-S copy.
+  - A DeqSb that offers a stale value for address a to i: the offer
+    needs a live at i's pc and no store to a in i's buffer.  t moves
+    the pc to pc'.  The addresses live at pc are those live at pc',
+    plus, at a branch, those live at its other target, less, at a
+    constant store, its own address.  So a value offered before t that
+    is dead at pc' is dropped when t settles; a value for St's address
+    is not offered before a constant store and is purged by a computed
+    one; and after St, the pending store refuses it.  Either order
+    leaves the same ib.
+  - WMM-S's Copy guard reads per-address tag lists.  St's fresh tag is
+    the last entry of i's list and in no other, and the copy's target
+    is not i, so no guard changes.
+  - WMM-D: St stamps its entry from i's own registers (`ats`), and
+    DeqSb's stale intervals read only memory and the clock.
+* So any run from a state where t is enabled to a terminal state, in
+  which every processor has halted, fires t, and t moved to its front
+  gives a run as long that reaches the same final state.  By induction
+  on the length of the shortest such run, the reduced search reaches
+  every terminal outcome.  Terminal states are those in which nothing is
+  enabled, so no cycle proviso is needed: a thread that loops through
+  local steps forever halts in no run of either machine.  Each reduced
+  run is a run of the full machine, so no outcome is added.
+* WMM-S's St picks its tag's k from its own buffer.  If i's own DeqSb
+  drains an earlier instance of the same (thread, pc) store, the two
+  orders differ only by k.  Such states are equal up to a renaming of
+  tags that keeps each tag's thread and pc; the rules read tags only by
+  equality and by their thread, and St's fresh tag is fresh under either
+  name, so they reach the same outcomes (see `wmm_s.py`).
+
+Reconcile is not local: it clears the ib, which DeqSb fills.  The test
+suite switches the reduction off (`oracle.every_step`) as its reference.
+
 DeqSb is the one rule that acts on several processors: memory, the
 holder's buffer, and the other processors' ibs.  Its holder side is a
 pure function of the holder's ProcState: which addresses it drains, in
@@ -108,6 +164,14 @@ class _AnyAddress:
 
 
 ANY_ADDRESS = _AnyAddress()
+
+
+class _Local(tuple):
+    """A memoized step that reads and writes only its processor's own
+    ProcState, its one (rule instance, successor ProcState) pair: `expand`
+    fires it alone (see the module docstring)."""
+
+    __slots__ = ()
 
 
 class _Reads(dict):
@@ -180,6 +244,8 @@ class WmmModel(BaseModel):
     DEQ_RULE = "WMM-DeqSb"
 
     _enqueue = staticmethod(isa.sb_enq)  # how St (and WMM-S's Copy) buffers an entry
+    # the decoded instructions whose step `_proc_steps` marks `_Local`
+    _local_kinds = (isa.Nm, isa.St, isa.Commit)
 
     @cached_property
     def stale_live(self) -> tuple:
@@ -197,6 +263,7 @@ class WmmModel(BaseModel):
     def expand(self, state: MachineState):
         m, procs, gts = state
         halted, memos = self.halted, self._steps
+        waiting = []
         for i, proc in enumerate(procs):
             if halted[i][proc.pc]:
                 continue
@@ -204,6 +271,12 @@ class WmmModel(BaseModel):
             steps = memo.get(proc)
             if steps is None:
                 steps = memo[proc] = self._proc_steps(i, proc)
+            if type(steps) is _Local:  # fired alone (the module docstring)
+                (rule, nxt), = steps
+                yield rule, MachineState(m, procs[:i] + (nxt,) + procs[i + 1:], gts)
+                return
+            waiting.append((i, steps))
+        for i, steps in waiting:
             if type(steps) is _Reads:
                 value = steps.read(self, state)
                 pairs = steps.get(value)
@@ -216,7 +289,8 @@ class WmmModel(BaseModel):
 
     def _proc_steps(self, i: int, proc: isa.ProcState):
         """Processor i's (rule instance, successor ProcState) pairs from
-        proc, or a `_Reads` for a step that also reads one global value."""
+        proc, as a `_Local` for a processor-local step, or a `_Reads` for a
+        step that also reads one global value."""
         dins, sources = isa.decode(self.decoded[i], proc)
         kind = type(dins)
         if kind is isa.Ld:
@@ -231,18 +305,22 @@ class WmmModel(BaseModel):
             sb = self._enqueue(proc.sb, self._store_entry(i, proc, sources, dins))
             nxt = isa.ProcState(proc.regs, proc.pc + 1, sb,
                                 proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
-            return (RuleInstance(self.ST_RULE, i), self._settle(i, nxt)),
-        if kind is isa.Nm:
+            rule = self.ST_RULE
+        elif kind is isa.Nm:
             nxt = isa.execute(proc, dins, self._nm_value(proc, sources, dins))
-            return (RuleInstance(self.NM_RULE, i), self._settle(i, nxt)),
-        if kind is isa.Commit:
-            return () if proc.sb else (
-                (RuleInstance(self.COM_RULE, i), self._settle(i, isa.execute(proc, dins))),)
-
-        def reconcile(model, gts):  # rts = gts; only the timestamped machine's clock ever moves
-            return (RuleInstance(model.REC_RULE, i),
-                    isa.ProcState(proc.regs, proc.pc + 1, proc.sb, (), gts)),
-        return _Reads(_gts, reconcile)
+            rule = self.NM_RULE
+        elif kind is isa.Commit:
+            if proc.sb:
+                return ()
+            nxt = isa.execute(proc, dins)
+            rule = self.COM_RULE
+        else:
+            def reconcile(model, gts):  # rts = gts; only the timestamped machine's clock moves
+                return (RuleInstance(model.REC_RULE, i),
+                        isa.ProcState(proc.regs, proc.pc + 1, proc.sb, (), gts)),
+            return _Reads(_gts, reconcile)
+        step = (RuleInstance(rule, i), self._settle(i, nxt)),
+        return _Local(step) if kind in self._local_kinds else step
 
     def _load_steps(self, i: int, proc: isa.ProcState, dins: isa.Ld, sources: tuple,
                     cell) -> tuple:

@@ -1,18 +1,20 @@
-"""WMM-S against the paper's machine beyond the Tier-1 suite.
+"""The I²E models against the paper's machine beyond the Tier-1 suite.
 
-Explores the `random-wmms` benchmark programs of the given seeds
-(default 2 and 3, 120 programs each, built by `perfbench/gen.py`) under
-`wmm-s`, once reduced and once through `oracle.unreduced`, and exits 1
-if any outcome set or `complete` flag differs, if a reduced search
-visits more states than the unreduced one, or if a reduced witness does
-not reach its outcome, replayed on the reduced model and, with each Copy
-split from its load (`oracle.split_copy_loads`), on the unreduced one.
-The witnesses come from a BFS and a DFS search of the reduced model:
-BFS finds the shortest, which on these two-thread programs never copy
-a store, while many DFS ones do.
+Explores the benchmark programs of the given seeds (default 2 and 3,
+built by `perfbench/gen.py`) once reduced and once through
+`oracle.unreduced`: the 120 `random-wmms` programs per seed under
+`wmm-s`, and the 60 `random-weak` programs per seed under `wmm` and
+`wmm-d`.  It exits 1 if any outcome set or `complete` flag differs, if
+a reduced search visits more states than the unreduced one, or if a
+reduced witness does not reach its outcome, replayed on the reduced
+model and, with each `wmm-s` Copy split from its load
+(`oracle.split_copy_loads`), on the unreduced one.  The witnesses come
+from a BFS and a DFS search of the reduced model: BFS finds the
+shortest in the reduced graph, which on the two-thread `random-wmms`
+programs never copy a store, while many DFS ones do.
 Pytest does not collect this file; run it from the root of a checkout:
 
-    PYTHONPATH=src python3 tests/wmm_s_against_unreduced.py [SEED ...]
+    PYTHONPATH=src python3 tests/against_unreduced.py [SEED ...]
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from i2e_litmus.litmus import parse
 from i2e_litmus.models import build_model
 from oracle import split_copy_loads, unreduced
 
+CHECKS = (("random-wmms", "wmm-s"), ("random-weak", "wmm"), ("random-weak", "wmm-d"))
+
 
 def replays(model, witness, outcome) -> bool:
     """Whether model offers every step of witness and ends in outcome."""
@@ -40,24 +44,25 @@ def replays(model, witness, outcome) -> bool:
         return False
 
 
-def main(argv: list[str]) -> int:
-    seeds = [int(s) for s in argv] or [2, 3]
-    shape = WORKLOADS["random-wmms"].shape
+def check(workload: str, model_id: str, seeds: list[int]) -> int:
+    """Compare one model's reduced and unreduced searches on the workload's
+    programs; print a summary line and return the number that differ."""
+    shape = WORKLOADS[workload].shape
     differences = programs = witnesses = copying = 0
     visited = {"reduced": 0, "unreduced": 0}
     seconds = {"reduced": 0.0, "unreduced": 0.0}
     for seed in seeds:
-        for program in gen.generate("random-wmms", shape, seed):
+        for program in gen.generate(workload, shape, seed):
             test = parse(program.text)
             results = {}
-            for side, model in (("reduced", build_model("wmm-s", test)),
-                                ("unreduced", unreduced(build_model("wmm-s", test)))):
+            for side, model in (("reduced", build_model(model_id, test)),
+                                ("unreduced", unreduced(build_model(model_id, test)))):
                 start = time.perf_counter()
                 results[side] = explore(model)
                 seconds[side] += time.perf_counter() - start
                 visited[side] += results[side].stats.visited
             reduced, reference = results["reduced"], results["unreduced"]
-            dfs = explore(build_model("wmm-s", test), order="dfs")
+            dfs = explore(build_model(model_id, test), order="dfs")
             programs += 1
             unreplayed = 0
             for result in (reduced, dfs):
@@ -74,15 +79,21 @@ def main(argv: list[str]) -> int:
                     or reduced.stats.visited > reference.stats.visited
                     or unreplayed):
                 differences += 1
-                print(f"{program.name}: reduced {len(reduced.outcomes)} outcomes, "
-                      f"complete={reduced.complete}, {reduced.stats.visited} states, "
+                print(f"{program.name} under {model_id}: reduced {len(reduced.outcomes)} "
+                      f"outcomes, complete={reduced.complete}, {reduced.stats.visited} states, "
                       f"{unreplayed} witnesses not replayed; "
                       f"unreduced {len(reference.outcomes)} outcomes, "
                       f"complete={reference.complete}, {reference.stats.visited} states")
-    print(f"{programs} programs (seeds {seeds}), {witnesses} witnesses ({copying} with "
-          f"a Copy), {differences} differing; states "
+    print(f"{model_id}: {programs} {workload} programs (seeds {seeds}), {witnesses} witnesses "
+          f"({copying} with a Copy), {differences} differing; states "
           f"{visited['reduced']} reduced in {seconds['reduced']:.1f} s, "
           f"{visited['unreduced']} unreduced in {seconds['unreduced']:.1f} s")
+    return differences
+
+
+def main(argv: list[str]) -> int:
+    seeds = [int(s) for s in argv] or [2, 3]
+    differences = sum(check(workload, model_id, seeds) for workload, model_id in CHECKS)
     return 1 if differences else 0
 
 

@@ -30,13 +30,21 @@ emptied first, so every processor's steps and DeqSb drains are computed
 afresh from the state: the unmemoized reference that memoized
 expansions are checked against.
 
+`every_step` switches off the one-step persistent set of `wmm.py`, on
+any of the six models: `expand` then offers every processor's steps and
+the background rules in every state, as the paper's rule tables do.
+The hand-built rule-table tests run on it.  `sb_oldest` reads a store
+buffer's oldest entry for an address, which the library never needs
+apart from removing it.
+
 `unreduced` turns a `wmm`, `wmm-d` or `wmm-s` model back into the
-paper's machine: every address counts as live at every pc, so DeqSb
-inserts each overwritten value (with its [tsL, tsU] interval under
-`wmm-d`) into every processor without a pending store to the address,
-and no stale value is dropped when a pc advances.  Every pc also counts
-as one from which a register-addressed load may follow, so `wmm-d` keys
-states with all their clocks.  On `wmm-s` it also offers Copy into every
+paper's machine: no step is fired eagerly (`every_step`), and every
+address counts as live at every pc, so DeqSb inserts each overwritten
+value (with its [tsL, tsU] interval under `wmm-d`) into every processor
+without a pending store to the address, and no stale value is dropped
+when a pc advances.  Every pc also counts as one from which a
+register-addressed load may follow, so `wmm-d` keys states with all
+their clocks.  On `wmm-s` it also offers Copy into every
 processor, whatever its next instruction (`_next_load` answers
 ANY_ADDRESS), guards it with the whole-graph `no_cycle`, fires it as the
 paper's Copy alone (`paper_copy`), with no load fused to it, has St
@@ -67,14 +75,15 @@ from i2e_litmus.models.wmm_s import WmmSModel
 
 
 def unreduced(model: WmmModel) -> WmmModel:
-    """The same model with every stale value kept (the paper's DeqSb), on
-    `wmm-d` with every clock in the state key, and on `wmm-s` with the
-    paper's Copy, into every processor, guarded by `no_cycle` and with no
-    load fused to it, and store buffers appended to, tagged by
-    `paper_store_entry` and keyed in their global age order."""
+    """The same model with no step fired eagerly and every stale value
+    kept (the paper's DeqSb), on `wmm-d` with every clock in the state
+    key, and on `wmm-s` with the paper's Copy, into every processor,
+    guarded by `no_cycle` and with no load fused to it, and store buffers
+    appended to, tagged by `paper_store_entry` and keyed in their global
+    age order."""
     everywhere = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
     model.stale_live = everywhere
-    forget_steps(model)
+    every_step(model)
     if isinstance(model, WmmDModel):
         model.load_live = everywhere
         for memo in model._plain_procs:  # the clock-free keys
@@ -86,6 +95,15 @@ def unreduced(model: WmmModel) -> WmmModel:
         model._store_entry = paper_store_entry
         model._copy_keeps_order = no_cycle
         model.canonical_key = age_ordered_key
+    return model
+
+
+def every_step(model: WmmModel) -> WmmModel:
+    """The same model with no step fired eagerly: `expand` offers every
+    processor's steps and the background rules in every state, the
+    machine before the one-step persistent set (see `wmm.py`)."""
+    model._local_kinds = ()
+    forget_steps(model)
     return model
 
 
@@ -118,6 +136,14 @@ def paper_store_entry(i: int, proc, sources: tuple, dins) -> tuple:
     own entry outlives every copy of it, so no buffer holds that tag."""
     ks = [tag[2] for _, _, tag in proc.sb if tag[:2] == (i, proc.pc)]
     return dins.a, dins.v, (i, proc.pc, max(ks, default=-1) + 1)
+
+
+def sb_oldest(sb: tuple, a: int):
+    """The oldest entry for address a in store buffer sb, or None."""
+    for entry in sb:
+        if entry[0] == a:
+            return entry
+    return None
 
 
 def tag_lists(state, a: int) -> list[list[tuple]]:
@@ -200,9 +226,9 @@ def wmm_s_per_holder_expansion(model: WmmSModel, state) -> list:
     procs = state.procs
     for i, proc in enumerate(procs):
         for a in isa.sb_addrs(proc.sb):
-            entry = isa.sb_oldest(proc.sb, a)
+            entry = sb_oldest(proc.sb, a)
             holders = [j for j, other in enumerate(procs) if entry in other.sb]
-            if any(isa.sb_oldest(procs[j].sb, a) != entry for j in holders):
+            if any(sb_oldest(procs[j].sb, a) != entry for j in holders):
                 continue
             old = isa.reg_get(state.m, a, 0)
             after = []

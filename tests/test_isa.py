@@ -8,7 +8,7 @@ from i2e_litmus.isa import (COMMIT, HALT, RECONCILE, Ld, MachineError, Nm,
                             ProcState, St, compile_thread, decode, execute)
 from i2e_litmus.litmus import bind, parse
 from i2e_litmus.models import build_model
-from oracle import interpreted_decode
+from oracle import interpreted_decode, sb_oldest
 from test_stale_liveness import small_programs
 
 AMAP = {"a": 0, "b": 1024, "c": 2048}
@@ -265,8 +265,8 @@ class TestStoreBuffer:
 
     def test_oldest_and_tags(self):
         sb = ((0, 1, 10), (0, 2, 11), (1024, 3, 12))
-        assert isa.sb_oldest(sb, 0) == (0, 1, 10)
-        assert isa.sb_oldest(sb, 1024) == (1024, 3, 12)
+        assert sb_oldest(sb, 0) == (0, 1, 10)
+        assert sb_oldest(sb, 1024) == (1024, 3, 12)
 
     def test_contract_violations(self):
         with pytest.raises(MachineError):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from i2e_litmus.explorer import explore, replay
 from i2e_litmus.litmus import bind, parse
 from i2e_litmus.models import RuleInstance, build_model
-from oracle import buffered_outcomes, interleaving_outcomes
+from oracle import buffered_outcomes, every_step, interleaving_outcomes
 from test_stale_liveness import small_programs
 
 
@@ -103,7 +103,7 @@ thread P2:
   St a 2
 check allowed: r1 = 1
 """
-        model = build_model("tso", parse(text))
+        model = every_step(build_model("tso", parse(text)))
         state = model.initial_state()
         state = model.apply(state, RuleInstance("TSO-St", 1))
         state = model.apply(state, RuleInstance("TSO-DeqSb", 1))

@@ -5,6 +5,7 @@ import pytest
 from i2e_litmus.explorer import explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
+from oracle import every_step
 
 
 def reg_projection(outcomes, *keys):
@@ -40,14 +41,14 @@ def load_rules(model, state):
 
 class TestEnabled:
     def test_buffered_store_forces_bypass(self):
-        model = build_model("wmm", parse(LD_TEST))
+        model = every_step(build_model("wmm", parse(LD_TEST)))
         state = model.initial_state()
         p1 = state.procs[0]._replace(sb=((0, 7),))
         state = state._replace(procs=(p1,) + state.procs[1:])
         assert load_rules(model, state) == [RuleInstance("WMM-LdSb", 0)]
 
     def test_memory_and_stale_choices_enumerated(self):
-        model = build_model("wmm", parse(LD_TEST))
+        model = every_step(build_model("wmm", parse(LD_TEST)))
         state = model.initial_state()
         p1 = state.procs[0]._replace(ib=((0, 5),))
         state = state._replace(procs=(p1,) + state.procs[1:])
@@ -60,7 +61,7 @@ class TestEnabled:
     ], ids=["address-live", "address-dead"])
     def test_every_stale_value_is_a_choice(self, program, ib):
         # even a choice whose successor LdMem or an earlier choice also gives
-        model = build_model("wmm", parse(program))
+        model = every_step(build_model("wmm", parse(program)))
         state = model.initial_state()
         state = state._replace(procs=(state.procs[0]._replace(ib=ib),) + state.procs[1:])
         assert load_rules(model, state) == [RuleInstance("WMM-LdMem", 0)] + [
@@ -105,7 +106,7 @@ check allowed: m[a] = 1
 class TestRuleActions:
     @pytest.fixture()
     def model(self):
-        return build_model("wmm", parse(LD_TEST))
+        return every_step(build_model("wmm", parse(LD_TEST)))
 
     def test_dequeue_feeds_other_invalidation_buffers(self, model):
         state = model.initial_state()
@@ -135,7 +136,7 @@ class TestRuleActions:
         assert after.procs[1].ib == ((1024, 3),)
 
     def test_memory_read_purges_the_address(self):
-        model = build_model("wmm", parse(PURGE_TEST))
+        model = every_step(build_model("wmm", parse(PURGE_TEST)))
         state = model.initial_state()
         p1 = state.procs[0]._replace(ib=((0, 0), (1024, 3)))
         state = state._replace(procs=(p1, state.procs[1]))

@@ -8,7 +8,7 @@ from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.base import mem_get
 from i2e_litmus.models.wmm import ANY_ADDRESS
 from i2e_litmus.models.wmm_d import load_value_timestamp
-from oracle import unreduced
+from oracle import every_step, unreduced
 
 
 def reg_projection(outcomes, *keys):
@@ -62,7 +62,7 @@ check allowed: r1 = 0
 """
 
     def test_clock_and_cell_updates(self):
-        model = build_model("wmm-d", parse(self.THREE))
+        model = every_step(build_model("wmm-d", parse(self.THREE)))
         state = model.apply(model.initial_state(), RuleInstance("WMM-D-St", 0))
         assert state.procs[0].sb == ((0, 1, 0),)
         state = model.apply(state, RuleInstance("WMM-D-DeqSb", 0, (0,)))
@@ -87,7 +87,7 @@ check allowed: r1 = 0
         # P3 only since it reached memory (1).  Overwrite time is 1 for both.
         assert state.procs[0].ib == ((0, 1, 0, 1),)
         assert state.procs[2].ib == ((0, 0, 0, 0), (0, 1, 1, 1))
-        reduced = build_model("wmm-d", parse(self.THREE))
+        reduced = every_step(build_model("wmm-d", parse(self.THREE)))
         state = reduced.initial_state()
         for rule in (RuleInstance("WMM-D-St", 0), RuleInstance("WMM-D-DeqSb", 0, (0,)),
                      RuleInstance("WMM-D-St", 1), RuleInstance("WMM-D-DeqSb", 1, (0,))):
@@ -159,7 +159,7 @@ class TestMemoryDependencyPrediction:
 
 class TestEnabled:
     def test_empty_ib_offers_no_stale_reads(self, corpus_by_name):
-        model = build_model("wmm-d", corpus_by_name["load-value-prediction"].test)
+        model = every_step(build_model("wmm-d", corpus_by_name["load-value-prediction"].test))
         state = model.initial_state()
         p2 = [r for r in model.enabled(state) if r.proc == 1]
         assert p2 == [RuleInstance("WMM-D-LdMem", 1)]
