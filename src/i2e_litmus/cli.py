@@ -204,8 +204,9 @@ def main(argv=None) -> int:
     out = sys.stdout
 
     selected: tuple[str, ...] = ()
-    if args.models:
-        selected = tuple(m.strip() for m in args.models.split(",") if m.strip())
+    if args.models is not None:  # an empty list is an error, not the default
+        # a repeated id runs once, where it first appears
+        selected = tuple(dict.fromkeys(m.strip() for m in args.models.split(",") if m.strip()))
         unknown = [m for m in selected if m not in MODEL_IDS]
         if not selected or unknown:
             print(f"error: unknown model(s): {', '.join(unknown) or '(none given)'};"

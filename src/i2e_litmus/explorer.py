@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .litmus import (BoundTest, Check, LitmusTest, Outcome, bind, eval_condition, record,
                      render_condition)
-from .models import BaseModel, MachineState, RuleInstance, build_model
+from .models import MachineState, RuleInstance, WmmModel, build_model
 
 ORDERS = ("bfs", "dfs", "random")
 
@@ -53,7 +53,7 @@ class ExploreResult(NamedTuple):
     complete: bool
     stats: ExploreStats
     deadlocked: int
-    model: BaseModel
+    model: WmmModel
     parents: dict
     terminal_keys: dict
 
@@ -74,16 +74,11 @@ class ExploreResult(NamedTuple):
         return tuple(rules)
 
 
-def explore(model: BaseModel,
+def explore(model: WmmModel,
             limits: Optional[ExploreLimits] = None,
             order: str = "bfs",
-            seed: Optional[int] = None,
-            audit: Optional[Callable] = None) -> ExploreResult:
-    """Enumerate all reachable terminal outcomes of one model run.
-
-    `audit`, when given, is called as audit(state, rule, successor) for
-    every expansion, including edges into already-visited states.
-    """
+            seed: Optional[int] = None) -> ExploreResult:
+    """Enumerate all reachable terminal outcomes of one model run."""
     if order not in ORDERS:
         raise ValueError(f"unknown exploration order {order!r}")
     limits = limits or ExploreLimits()
@@ -119,8 +114,6 @@ def explore(model: BaseModel,
             continue
         rule = None
         for rule, nxt in model.expand(state):
-            if audit is not None:
-                audit(state, rule, nxt)
             nxt_key = model.canonical_key(nxt)
             if nxt_key in parents:
                 dedup_hits += 1
@@ -146,7 +139,7 @@ def explore(model: BaseModel,
     )
 
 
-def replay(model: BaseModel, rules) -> tuple[MachineState, Outcome]:
+def replay(model: WmmModel, rules) -> tuple[MachineState, Outcome]:
     """Re-run a witness, checking each rule is offered where it fires."""
     state = model.initial_state()
     for rule in rules:

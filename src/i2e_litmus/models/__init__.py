@@ -1,17 +1,16 @@
-"""Model registry: six operational memory models behind one interface."""
+"""Model registry: six operational memory models, each a `WmmModel`."""
 
 from __future__ import annotations
 
 from typing import Union
 
 from ..litmus import BoundTest, LitmusTest, bind
-from .base import BaseModel, MachineState, RuleInstance
 from .strong import PsoModel, ScModel, TsoModel
-from .wmm import WmmModel
+from .wmm import MachineState, RuleInstance, WmmModel
 from .wmm_d import WmmDModel
 from .wmm_s import WmmSModel
 
-_MODEL_CLASSES: dict[str, type[BaseModel]] = {
+_MODEL_CLASSES: dict[str, type[WmmModel]] = {
     cls.model_id: cls
     for cls in (ScModel, TsoModel, PsoModel, WmmModel, WmmDModel, WmmSModel)
 }
@@ -19,7 +18,7 @@ _MODEL_CLASSES: dict[str, type[BaseModel]] = {
 MODEL_IDS = tuple(_MODEL_CLASSES)
 
 
-def build_model(model_id: str, test: Union[LitmusTest, BoundTest]) -> BaseModel:
+def build_model(model_id: str, test: Union[LitmusTest, BoundTest]) -> WmmModel:
     """Instantiate a model for one (already parsed) litmus test."""
     try:
         cls = _MODEL_CLASSES[model_id]
@@ -30,6 +29,6 @@ def build_model(model_id: str, test: Union[LitmusTest, BoundTest]) -> BaseModel:
 
 
 __all__ = [
-    "BaseModel", "MachineState", "RuleInstance", "MODEL_IDS", "build_model",
+    "MachineState", "RuleInstance", "MODEL_IDS", "build_model",
     "ScModel", "TsoModel", "PsoModel", "WmmModel", "WmmDModel", "WmmSModel",
 ]

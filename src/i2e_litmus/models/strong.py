@@ -32,8 +32,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .. import isa
-from .base import MachineState, RuleInstance, mem_set
-from .wmm import WmmModel
+from .wmm import MachineState, RuleInstance, WmmModel, mem_set
 
 
 class PsoModel(WmmModel):

@@ -1,5 +1,11 @@
 """The WMM rule catalog: store buffers plus invalidation buffers.
 
+Every model is this catalog of guarded rules over an immutable
+`MachineState`, and `expand` is the catalog: a lazy generator of (rule
+instance, successor) pairs, one per instance whose guard holds
+(nondeterministic choices are separate instances), each guard and
+decode computed once.  The explorer and `replay` drive it.
+
 On top of PSO-style store buffering, each processor gets an
 invalidation buffer (ib) of stale memory values it may still observe;
 reading from it is what lets loads appear to overtake older
@@ -142,10 +148,36 @@ keeps its buffers in address order through `_enqueue`.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 from .. import isa
-from ..litmus import Branch, Exit, Fence, Load, Store
-from .base import BaseModel, MachineState, RuleInstance, mem_get, mem_set
+from ..litmus import BoundTest, Branch, Exit, Fence, Load, Outcome, Store
+
+
+class RuleInstance(NamedTuple):
+    """One enabled rule firing: rule id, acting processor, and the
+    nondeterministic choice payload (ib entry index, store address, ...)."""
+
+    rule: str
+    proc: int
+    payload: tuple = ()
+
+
+class MachineState(NamedTuple):
+    """Monolithic memory plus one ProcState per thread.
+
+    `gts` is the global memory-write clock (timestamped machine only);
+    it stays 0 elsewhere.
+    """
+
+    m: tuple
+    procs: tuple
+    gts: int = 0
+
+
+# Memory has the register file's shape: a sorted tuple of (address, value) pairs.
+mem_get = isa.reg_get
+mem_set = isa.reg_set
 
 
 class _AnyAddress:
@@ -231,8 +263,9 @@ def liveness(instrs: tuple, amap, purges_kill: bool) -> tuple:
     return tuple(live)
 
 
-class WmmModel(BaseModel):
+class WmmModel:
     model_id = "wmm"
+    timed = False  # registers hold (value, timestamp) pairs
 
     NM_RULE = "WMM-Nm"
     LDSB_RULE = "WMM-LdSb"
@@ -253,12 +286,81 @@ class WmmModel(BaseModel):
         return tuple(liveness(instrs, self.addr_map, purges_kill=True)
                      for instrs in self.programs)
 
-    def __init__(self, bound):
-        super().__init__(bound)
+    def __init__(self, bound: BoundTest):
+        self.bound = bound
+        self.programs = tuple(th.instrs for th in bound.test.threads)
+        self.thread_names = tuple(th.name for th in bound.test.threads)
+        self.nprocs = len(self.programs)
+        self.addr_map = bound.amap()
+        # decoded[i][pc]: thread i's instruction at pc, decoded once (isa.decode);
+        # halted[i][pc]: it decodes to Halt (exit, or past the end)
+        self.decoded = tuple(isa.compile_thread(instrs, self.addr_map, self.timed)
+                             for instrs in self.programs)
+        self.halted = tuple(tuple(entry == (isa.HALT, ()) for entry in table)
+                            for table in self.decoded)
+        self.locations = tuple(sorted(self.addr_map))
+        self._addr_names = {a: n for n, a in self.addr_map.items()}
+        self._proc_of = {name: i for i, name in enumerate(self.thread_names)}
+        # (proc index, thread name, register) for each observed register
+        self._observed = tuple((self._proc_of[t], t, r) for t, r in bound.observed)
         # _steps[i] and _drains[i]: thread i's step and drain memos (see
         # the module docstring)
         self._steps = tuple({} for _ in self.programs)
         self._drains = tuple({} for _ in self.programs)
+
+    # -- state construction ------------------------------------------------
+
+    def _initial_cell(self, value: int):
+        return value
+
+    def _initial_memory(self) -> tuple:
+        values = {name: 0 for name in self.locations}
+        values.update(dict(self.bound.test.init))
+        return tuple(sorted((self.addr_map[name], self._initial_cell(value))
+                            for name, value in values.items()))
+
+    def initial_state(self) -> MachineState:
+        procs = tuple(isa.ProcState() for _ in range(self.nprocs))
+        return MachineState(self._initial_memory(), procs)
+
+    # -- termination and outcomes -------------------------------------------
+
+    def is_terminal(self, state: MachineState) -> bool:
+        """All threads are halted and every store buffer has drained."""
+        for halted, proc in zip(self.halted, state.procs):
+            if proc.sb or not halted[proc.pc]:
+                return False
+        return True
+
+    def reg_value(self, state: MachineState, i: int, name: str) -> int:
+        return isa.reg_get(state.procs[i].regs, name, 0)
+
+    def mem_value(self, state: MachineState, name: str) -> int:
+        return mem_get(state.m, self.addr_map[name], 0)
+
+    def outcome(self, state: MachineState) -> Outcome:
+        regs = tuple(((t, r), self.reg_value(state, i, r)) for i, t, r in self._observed)
+        mem = tuple((name, self.mem_value(state, name)) for name in self.locations)
+        return Outcome(regs, mem)
+
+    # -- exploration ---------------------------------------------------------
+
+    def canonical_key(self, state: MachineState):
+        """Dedup fingerprint; states compare equal iff they behave alike."""
+        return state
+
+    # `enabled` and `apply` wrap `expand`; the library never calls them, but
+    # the benchmark's tracer (perfbench/tracing.py) times them on the instance.
+    def enabled(self, state: MachineState) -> list[RuleInstance]:
+        """The rule instances `expand` offers in state."""
+        return [rule for rule, _ in self.expand(state)]
+
+    def apply(self, state: MachineState, rule: RuleInstance) -> MachineState:
+        """The successor of firing rule; ValueError if `expand` does not offer it."""
+        for offered, nxt in self.expand(state):
+            if offered == rule:
+                return nxt
+        raise ValueError(f"rule not enabled: {rule}")
 
     def expand(self, state: MachineState):
         m, procs, gts = state
@@ -429,20 +531,22 @@ class WmmModel(BaseModel):
         stale = (a, mem_get(state.m, a, 0))
         return mem_set(state.m, a, entry[1]), state.gts, (stale,) * self.nprocs
 
-    def check_invariants(self, state: MachineState) -> None:
-        for i, proc in enumerate(state.procs):
-            pending = {e[0] for e in proc.sb}
-            stale = {e[0] for e in proc.ib}
-            overlap = pending & stale
-            assert not overlap, (
-                f"store buffer and invalidation buffer share addresses {overlap}")
-            live = self.stale_live[i][proc.pc]
-            dead = {a for a in stale if a not in live}
-            assert not dead, f"{self.thread_names[i]} keeps dead stale values for {dead}"
+    # -- presentation --------------------------------------------------------
+
+    def addr_name(self, a: int) -> str:
+        return self._addr_names.get(a, str(a))
+
+    def describe_rule(self, rule: RuleInstance) -> str:
+        text = f"{self.thread_names[rule.proc]}: {rule.rule}"
+        if rule.payload:
+            detail = self._describe_payload(rule)
+            if detail:
+                text += f" ({detail})"
+        return text
 
     def _describe_payload(self, rule: RuleInstance) -> str:
         if rule.rule == self.DEQ_RULE:
             return self.addr_name(rule.payload[0])
         if rule.rule == self.LDIB_RULE:
             return f"stale entry {rule.payload[0]}"
-        return super()._describe_payload(rule)
+        return ", ".join(str(p) for p in rule.payload)

@@ -47,8 +47,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .. import isa
-from .base import MachineState, mem_get, mem_set
-from .wmm import ANY_ADDRESS, WmmModel, liveness
+from .wmm import ANY_ADDRESS, MachineState, WmmModel, liveness, mem_get, mem_set
 
 _INIT_CELL = (0, None, 0, 0)  # value, writer, creation time, memory time
 
@@ -148,18 +147,3 @@ class WmmDModel(WmmModel):
         if m is None:
             m = self._plain_m[state.m] = tuple([(a, cell[0]) for a, cell in state.m])
         return m, tuple(procs)
-
-    def check_invariants(self, state: MachineState) -> None:
-        super().check_invariants(state)
-        bound = state.gts + 1
-        for _, (_, _, sts, mts) in state.m:
-            assert sts <= bound and mts <= bound
-        for proc in state.procs:
-            assert proc.rts <= state.gts
-            for _, (_, ts) in proc.regs:
-                assert ts <= bound
-            for _, _, sts in proc.sb:
-                assert sts <= bound
-            for _, _, ts_lower, ts_upper in proc.ib:
-                assert ts_lower <= ts_upper, "ib interval inverted"
-                assert ts_upper <= state.gts

@@ -106,8 +106,7 @@ search pays for none of their keys, expansions or dedup lookups.
 from __future__ import annotations
 
 from .. import isa
-from .base import MachineState, RuleInstance
-from .wmm import WmmModel
+from .wmm import MachineState, RuleInstance, WmmModel
 
 
 def _tag_lists(procs: tuple, a: int) -> list[list[tuple]]:
@@ -232,20 +231,6 @@ class WmmSModel(WmmModel):
         i's buffer carries for (i, pc)."""
         taken = {tag[2] for _, _, tag in proc.sb if tag[:2] == (i, proc.pc)}
         return dins.a, dins.v, (i, proc.pc, min(set(range(len(taken) + 1)) - taken))
-
-    def check_invariants(self, state: MachineState) -> None:
-        super().check_invariants(state)
-        held = [{e[2] for e in proc.sb} for proc in state.procs]
-        for proc, tags in zip(state.procs, held):
-            assert len(tags) == len(proc.sb), "tag repeated in one buffer"
-            for tag in tags:
-                assert (type(tag) is tuple and len(tag) == 3
-                        and tag[0] in range(self.nprocs)), f"{tag!r} is no (thread, pc, k) tag"
-                assert tag in held[tag[0]], "a copy outlived its owner's entry"
-        for a in {e[0] for proc in state.procs for e in proc.sb}:
-            lists = _tag_lists(state.procs, a)
-            for tag in {tag for order in lists for tag in order}:
-                assert tag not in _later(lists, tag), f"coherence cycle among stores to {a}"
 
     def _describe_payload(self, rule: RuleInstance) -> str:
         if rule.rule == self.COPY_RULE:

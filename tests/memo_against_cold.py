@@ -23,10 +23,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen
 from run import WORKLOADS
 
-from i2e_litmus.explorer import explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import build_model
-from oracle import cold_expansion
+from oracle import cold_expansion, explore_audited
 
 MODELS = {"random-weak": ("sc", "tso", "pso", "wmm", "wmm-d"), "random-wmms": ("wmm-s",)}
 
@@ -35,7 +34,7 @@ def differing_states(model) -> tuple[int, int]:
     """How many states an exploration of model reaches, and how many of
     them expand differently from the memos than cold."""
     states = {model.initial_state(): None}
-    explore(model, audit=lambda state, rule, nxt: states.setdefault(nxt))
+    explore_audited(model, audit=lambda state, rule, nxt: states.setdefault(nxt))
     warm = [list(model.expand(state)) for state in states]
     return len(states), sum(pairs != cold_expansion(model, state)
                             for state, pairs in zip(states, warm))

@@ -61,17 +61,86 @@ tags, so a model that has already explored may be turned back too.
 also fires the target's load, into one of the unreduced machine, and
 `address_ordered` puts a state of the paper's machine into the library's
 address-ordered form.
+
+`check_invariants(model, state)` raises AssertionError where a state
+breaks a structural invariant of its model: an address both buffered and
+stale in one processor, or a stale value its processor can no longer
+load; under `wmm-d`, a timestamp past the clock or an inverted [tsL,
+tsU]; under `wmm-s`, a tag that is no (thread, pc, k), is repeated in a
+buffer or outlives its owner's entry, or a cycle in the partial
+coherence order (`acyclic`).  `explore_audited` is `explore` that calls
+an audit on every rule firing, and requires the search to complete.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from i2e_litmus import isa
+from i2e_litmus.explorer import ExploreLimits, ExploreResult, explore
 from i2e_litmus.litmus import (Assign, Branch, BoundTest, Exit, Fence, Load,
                                Outcome, Store)
 from i2e_litmus.models import RuleInstance
 from i2e_litmus.models.wmm import ANY_ADDRESS, WmmModel
 from i2e_litmus.models.wmm_d import WmmDModel
 from i2e_litmus.models.wmm_s import WmmSModel
+
+
+def explore_audited(model: WmmModel, limits: Optional[ExploreLimits] = None, *args,
+                    audit: Callable, **kwargs) -> ExploreResult:
+    """`explore(model, limits, ...)` that calls audit(state, rule, successor)
+    for every rule firing, edges into already-visited states included.
+    For this one call an instance attribute shadows `model.expand`, so an
+    audit that expands through model is audited too.  The search runs
+    under limits, else a 100,000-state budget, and must complete."""
+    expand = model.expand
+
+    def audited(state):
+        for rule, nxt in expand(state):
+            audit(state, rule, nxt)
+            yield rule, nxt
+
+    model.expand = audited
+    try:
+        result = explore(model, limits or ExploreLimits(max_states=100_000), *args, **kwargs)
+    finally:
+        del model.expand
+    assert result.complete, f"audited search cut short after {result.stats.visited} states"
+    return result
+
+
+def check_invariants(model: WmmModel, state) -> None:
+    """Raise AssertionError if state breaks a structural invariant of model
+    (see the module docstring)."""
+    for i, proc in enumerate(state.procs):
+        overlap = {e[0] for e in proc.sb} & {e[0] for e in proc.ib}
+        assert not overlap, f"store buffer and invalidation buffer share addresses {overlap}"
+        live = model.stale_live[i][proc.pc]
+        dead = {e[0] for e in proc.ib if e[0] not in live}
+        assert not dead, f"{model.thread_names[i]} keeps dead stale values for {dead}"
+    if isinstance(model, WmmDModel):
+        bound = state.gts + 1
+        for _, (_, _, sts, mts) in state.m:
+            assert sts <= bound and mts <= bound, "memory stamp later than gts + 1"
+        for proc in state.procs:
+            assert proc.rts <= state.gts, "Reconcile time ahead of the clock"
+            for _, (_, ts) in proc.regs:
+                assert ts <= bound, "register stamp later than gts + 1"
+            for _, _, sts in proc.sb:
+                assert sts <= bound, "store stamp later than gts + 1"
+            for _, _, ts_lower, ts_upper in proc.ib:
+                assert ts_lower <= ts_upper, "ib interval inverted"
+                assert ts_upper <= state.gts, "ib interval ends after the clock"
+    if isinstance(model, WmmSModel):
+        held = [{e[2] for e in proc.sb} for proc in state.procs]
+        for proc, tags in zip(state.procs, held):
+            assert len(tags) == len(proc.sb), "tag repeated in one buffer"
+            for tag in tags:
+                assert (type(tag) is tuple and len(tag) == 3
+                        and tag[0] in range(model.nprocs)), f"{tag!r} is no (thread, pc, k) tag"
+                assert tag in held[tag[0]], "a copy outlived its owner's entry"
+        for a in {e[0] for proc in state.procs for e in proc.sb}:
+            assert acyclic(tag_lists(state, a)), f"coherence cycle among stores to {a}"
 
 
 def unreduced(model: WmmModel) -> WmmModel:
@@ -158,7 +227,12 @@ def no_cycle(lists: list[list[tuple]], tag: tuple, target: int) -> bool:
     appended to target's, and its whole graph is searched for a cycle."""
     if tag in lists[target]:
         return False  # the copy would order the store before itself
-    lists = lists[:target] + [lists[target] + [tag]] + lists[target + 1:]
+    return acyclic(lists[:target] + [lists[target] + [tag]] + lists[target + 1:])
+
+
+def acyclic(lists: list[list[tuple]]) -> bool:
+    """Whether the union of the orders that lists spell, each oldest first,
+    is acyclic: its whole graph is searched for a cycle."""
     edges: dict[tuple, set[tuple]] = {}
     for order in lists:
         for n, older in enumerate(order):

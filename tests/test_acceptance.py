@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from i2e_litmus import isa
-from i2e_litmus.explorer import explore, replay
+from i2e_litmus.explorer import replay
 from i2e_litmus.litmus import bind, eval_condition
 from i2e_litmus.models import MODEL_IDS, RuleInstance, build_model
-from oracle import buffered_outcomes, interleaving_outcomes
+from oracle import buffered_outcomes, check_invariants, explore_audited, interleaving_outcomes
 
 WMM_FAMILY = ("wmm", "wmm-d", "wmm-s")
 
@@ -167,7 +167,7 @@ def test_criterion_14_per_location_sc(corpus, explored):
 
 def _timestamp_audit(model):
     def audit(state, rule, nxt):
-        model.check_invariants(nxt)
+        check_invariants(model, nxt)
         assert nxt.gts - state.gts == (1 if rule.rule == "WMM-D-DeqSb" else 0)
         if rule.rule in ("WMM-D-LdSb", "WMM-D-LdMem", "WMM-D-LdIb"):
             proc_before = state.procs[rule.proc]
@@ -189,11 +189,11 @@ def test_criterion_15_structural_invariants(corpus):
         for entry in corpus:
             for model_id in ("wmm", "wmm-s"):
                 model = build_model(model_id, entry.test)
-                result = explore(model,
-                                 audit=lambda s, r, n, m=model: m.check_invariants(n))
+                result = explore_audited(model,
+                                         audit=lambda s, r, n, m=model: check_invariants(m, n))
                 assert result.complete, (entry.name, model_id)
             model = build_model("wmm-d", entry.test)
-            result = explore(model, audit=_timestamp_audit(model))
+            result = explore_audited(model, audit=_timestamp_audit(model))
             assert result.complete, (entry.name, "wmm-d")
 
 
@@ -266,8 +266,8 @@ def test_fired_rules_are_counted_by_the_benchmark(corpus):
     for model_id in MODEL_IDS:
         fired = set()
         for entry in corpus:
-            explore(build_model(model_id, entry.test),
-                    audit=lambda state, rule, nxt: fired.add(rule.rule))
+            explore_audited(build_model(model_id, entry.test),
+                            audit=lambda state, rule, nxt: fired.add(rule.rule))
         assert fired <= set(rules[model_id]), (model_id, fired - set(rules[model_id]))
 
 

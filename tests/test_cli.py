@@ -42,6 +42,18 @@ class TestExitCodes:
     def test_unknown_model(self, capsys):
         assert main(["--corpus", "--models", "fast-and-loose"]) == 3
 
+    @pytest.mark.parametrize("models", ["", " , "])
+    def test_empty_model_list(self, capsys, models):
+        # only an omitted --models falls back to the defaults
+        assert main(["--corpus", "--models", models]) == 3
+        assert "(none given)" in capsys.readouterr().err
+
+    def test_repeated_model_runs_once(self, dekker_nofence_file, capsys):
+        assert main([str(dekker_nofence_file), "--models", "tso,sc,tso", "--compare"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[sc]") == 1 and out.count("[tso]") == 1
+        assert out.count("compare ") == 2  # tso <= sc and sc <= tso, each once
+
     def test_no_inputs(self, capsys):
         assert main([]) == 3
 
@@ -232,6 +244,8 @@ class TestCompare:
     def test_compare_needs_two_models(self, dekker_nofence_file, capsys):
         assert main([str(dekker_nofence_file), "--compare"]) == 3
         assert main([str(dekker_nofence_file), "--models", "sc", "--compare"]) == 3
+        # one model named twice compares nothing
+        assert main([str(dekker_nofence_file), "--models", "wmm,wmm", "--compare"]) == 3
 
     def test_corpus_wide_inclusion_chain(self, capsys):
         main(["--corpus", "--models", "sc,tso,pso", "--compare",

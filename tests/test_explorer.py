@@ -4,8 +4,9 @@ import pytest
 
 from i2e_litmus.explorer import ExploreLimits, check, explore, outcome_subset, replay
 from i2e_litmus.litmus import Check, parse
-from i2e_litmus.models import RuleInstance, build_model
-from i2e_litmus.models.base import mem_get
+from i2e_litmus.models import MODEL_IDS, RuleInstance, WmmModel, build_model
+from i2e_litmus.models.wmm import mem_get
+from oracle import explore_audited
 
 
 def reg_projection(outcomes, *keys):
@@ -144,6 +145,10 @@ check allowed: r2 = 2
         assert (1, 0, 1, 0) in reg_projection(
             outcomes, ("P3", "r1"), ("P3", "r2"), ("P4", "r3"), ("P4", "r4"))
 
+    def test_every_model_is_one_catalog_class(self, corpus_by_name):
+        for model_id in MODEL_IDS:
+            assert isinstance(build_model(model_id, corpus_by_name["mp"].test), WmmModel)
+
     def test_no_deadlocks_reported(self, corpus, explored):
         for entry in corpus:
             for model_id in ("sc", "wmm", "wmm-d", "wmm-s"):
@@ -157,10 +162,23 @@ check allowed: r2 = 2
 
     @pytest.mark.parametrize("name, model_id", [("dekker", "wmm"), ("wwc", "wmm-s")])
     def test_edges_count_every_firing(self, corpus_by_name, name, model_id):
+        """Also: `explore_audited` audits each firing once and leaves no
+        shadow of `expand` behind, even when the audit raises."""
+        model = build_model(model_id, corpus_by_name[name].test)
         firings = []
-        result = explore(build_model(model_id, corpus_by_name[name].test),
-                         audit=lambda state, rule, nxt: firings.append(rule))
+        result = explore_audited(model, audit=lambda state, rule, nxt: firings.append(rule))
         assert result.stats.edges == len(firings)
+        assert "expand" not in vars(model)
+
+        def audit(state, rule, nxt):
+            raise RuntimeError("audit failed")
+
+        with pytest.raises(RuntimeError, match="audit failed"):
+            explore_audited(model, audit=audit)
+        assert "expand" not in vars(model)
+        assert explore(model).stats.edges == len(firings)
+        with pytest.raises(AssertionError, match="cut short"):  # an audited search must complete
+            explore_audited(model, ExploreLimits(max_states=2), audit=lambda *edge: None)
 
 
 class TestCanonicalKey:

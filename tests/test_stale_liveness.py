@@ -20,7 +20,7 @@ from i2e_litmus.explorer import ExploreLimits, explore, replay
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.wmm import ANY_ADDRESS
-from oracle import every_step, split_copy_loads, unreduced
+from oracle import check_invariants, every_step, explore_audited, split_copy_loads, unreduced
 
 
 def liveness(body: str):
@@ -160,8 +160,18 @@ class TestDeadValues:
         p2 = state.procs[1]._replace(ib=(stale(model_id, 0, 0),))
         state = state._replace(procs=(state.procs[0], p2, state.procs[2]))
         with pytest.raises(AssertionError, match="dead stale values"):
-            model.check_invariants(state)
-        unreduced(build_model(model_id, parse(DEAD_AFTER_RECONCILE))).check_invariants(state)
+            check_invariants(model, state)
+        check_invariants(unreduced(build_model(model_id, parse(DEAD_AFTER_RECONCILE))), state)
+
+    def test_invariant_rejects_an_address_both_buffered_and_stale(self, model_id):
+        model = build_model(model_id, parse(DEAD_AFTER_RECONCILE))
+        state = model.initial_state()
+        # P3's next load keeps a live, but a pending store to a refuses stale values
+        entry = {"wmm": (0, 1), "wmm-d": (0, 1, 0), "wmm-s": (0, 1, (2, 0, 0))}[model_id]
+        p3 = state.procs[2]._replace(sb=(entry,), ib=(stale(model_id, 0, 0),))
+        state = state._replace(procs=state.procs[:2] + (p3,))
+        with pytest.raises(AssertionError, match="share addresses"):
+            check_invariants(model, state)
 
     def test_value_dropped_once_its_last_load_is_passed(self, model_id):
         model = every_step(build_model(model_id, parse(LOAD_THEN_OTHER)))
@@ -377,7 +387,8 @@ def test_copy_purge_matches_unreduced_reference():
             a, _, j = rule.payload
             over_stale += any(e[0] == a for e in state.procs[j].ib)
 
-    reduced = {order: explore(model, order=order, audit=audit) for order in ("bfs", "dfs")}
+    reduced = {order: explore_audited(model, order=order, audit=audit)
+               for order in ("bfs", "dfs")}
     assert over_stale > 0  # a copy met a live stale value for its address
     assert not any(o.reg("P3", "r1") == 2 and o.reg("P3", "r2") == 0
                    for o in reduced["bfs"].outcomes)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from i2e_litmus.explorer import explore, replay
 from i2e_litmus.litmus import bind, parse
 from i2e_litmus.models import RuleInstance, build_model
-from oracle import buffered_outcomes, every_step, interleaving_outcomes
+from oracle import buffered_outcomes, every_step, explore_audited, interleaving_outcomes
 from test_stale_liveness import small_programs
 
 
@@ -169,7 +169,7 @@ check allowed: r1 = 1
             if hit is not None:
                 assert model.reg_value(nxt, rule.proc, dins.dst) == hit[1]
 
-        explore(model, audit=audit)
+        explore_audited(model, audit=audit)
 
 
 MP_NOFENCE_PSO_WITNESS = (

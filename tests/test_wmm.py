@@ -2,10 +2,9 @@
 
 import pytest
 
-from i2e_litmus.explorer import explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
-from oracle import every_step
+from oracle import check_invariants, every_step, explore_audited
 
 
 def reg_projection(outcomes, *keys):
@@ -171,7 +170,7 @@ check allowed: r1 = 0
         # the sb/ib exclusion holds across a whole exploration
         entry = corpus_by_name["mem-dep-prediction"]
         model = build_model("wmm", entry.test)
-        explore(model, audit=lambda s, r, n: model.check_invariants(n))
+        explore_audited(model, audit=lambda s, r, n: check_invariants(model, n))
 
 
 class TestVerdicts:

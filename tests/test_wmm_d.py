@@ -2,13 +2,11 @@
 
 import pytest
 
-from i2e_litmus.explorer import explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
-from i2e_litmus.models.base import mem_get
-from i2e_litmus.models.wmm import ANY_ADDRESS
+from i2e_litmus.models.wmm import ANY_ADDRESS, mem_get, mem_set
 from i2e_litmus.models.wmm_d import load_value_timestamp
-from oracle import every_step, unreduced
+from oracle import check_invariants, every_step, explore_audited, unreduced
 
 
 def reg_projection(outcomes, *keys):
@@ -224,11 +222,38 @@ class TestAudits:
         model = build_model("wmm-d", entry.test)
 
         def audit(state, rule, nxt):
-            model.check_invariants(nxt)
+            check_invariants(model, nxt)
             expected = 1 if rule.rule == "WMM-D-DeqSb" else 0
             assert nxt.gts - state.gts == expected
 
-        explore(model, audit=audit)
+        explore_audited(model, audit=audit)
+
+    @pytest.mark.parametrize("field, message", [
+        ("ib", "ib interval inverted"), ("ib-late", "ends after the clock"),
+        ("rts", "Reconcile time ahead"), ("memory", "memory stamp later"),
+        ("register", "register stamp later"), ("sb", "store stamp later")])
+    def test_invariant_checker_rejects_bad_timestamps(self, corpus_by_name, field, message):
+        """One timestamp out of place in an otherwise sound state at gts 1:
+        an interval [tsL, tsU] inverted or ending after the clock, an rts
+        past the clock, or a stamp later than gts + 1."""
+        model = build_model("wmm-d", corpus_by_name["mp-no-reconcile"].test)
+        state = model.initial_state()._replace(gts=1)
+        check_invariants(model, state)
+        p2 = state.procs[1]  # loads f, then a: a stale a stays live
+        a = model.addr_map["a"]
+        if field in ("ib", "ib-late"):
+            p2 = p2._replace(ib=((a, 0, 1, 0) if field == "ib" else (a, 0, 0, 2),))
+        elif field == "rts":
+            p2 = p2._replace(rts=2)
+        elif field == "register":
+            p2 = p2._replace(regs=(("r1", (0, 3)),))
+        elif field == "sb":
+            p2 = p2._replace(sb=((a, 1, 3),))
+        else:
+            state = state._replace(m=mem_set(state.m, a, (1, 0, 0, 3)))
+        state = state._replace(procs=(state.procs[0], p2))
+        with pytest.raises(AssertionError, match=message):
+            check_invariants(model, state)
 
 
 # load-value-prediction's address passer, and readers whose load of the
@@ -300,7 +325,7 @@ def test_states_with_one_key_are_bisimilar(corpus_by_name, name):
     timed.load_live = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in timed.programs)
     init = timed.initial_state()
     states = {init: None}
-    explore(timed, audit=lambda state, rule, nxt: states.setdefault(nxt))
+    explore_audited(timed, audit=lambda state, rule, nxt: states.setdefault(nxt))
     behaviours: dict = {}
     for state in states:
         rules = tuple(model.enabled(state))

@@ -9,8 +9,8 @@ from i2e_litmus import isa
 from i2e_litmus.explorer import ExploreLimits, explore
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, WmmSModel, build_model
-from oracle import (address_ordered, every_step, no_cycle, paper_copy, tag_lists, unreduced,
-                    sb_oldest, wmm_s_per_holder_expansion)
+from oracle import (address_ordered, check_invariants, every_step, explore_audited, no_cycle,
+                    paper_copy, tag_lists, unreduced, sb_oldest, wmm_s_per_holder_expansion)
 from test_stale_liveness import assert_same_as_unreduced
 
 
@@ -108,7 +108,7 @@ class TestNoCycle:
 
     def test_invariant_checker_accepts_the_state(self, copied_state):
         model, state = copied_state
-        model.check_invariants(state)
+        check_invariants(model, state)
 
     @pytest.mark.parametrize("name, cycles", [
         ("wwc", True), ("iriw", False), ("cross-copies", True), ("multi-holder", False)],
@@ -290,7 +290,7 @@ class TestCopyLoad:
                 copied = address_ordered(paper_copy(state, entry, j))
                 assert nxt == model.apply(copied, RuleInstance(model.LDSB_RULE, j))
 
-        explore(model, audit=audit)
+        explore_audited(model, audit=audit)
         assert copies > 0
 
 
@@ -387,12 +387,12 @@ class TestVerdicts:
         seen_tags: set[int] = set()
 
         def audit(state, rule, nxt):
-            model.check_invariants(nxt)
+            check_invariants(model, nxt)
             for proc in nxt.procs:
                 for entry in proc.sb:
                     seen_tags.add(entry[2])
 
-        explore(model, audit=audit)
+        explore_audited(model, audit=audit)
         assert len(seen_tags) >= 3  # every store execution minted a tag
 
     def test_dequeued_tag_never_survives(self, corpus_by_name):
@@ -403,7 +403,7 @@ class TestVerdicts:
                 tag = sb_oldest(state.procs[rule.proc].sb, rule.payload[0])[2]
                 assert all(e[2] != tag for proc in nxt.procs for e in proc.sb)
 
-        explore(model, audit=audit)
+        explore_audited(model, audit=audit)
 
 
 # Each of P1's stores can be copied into both other buffers, so a tag
@@ -439,11 +439,11 @@ class TestOncePerTag:
         states = {}
 
         def audit(state, rule, nxt):
-            model.check_invariants(nxt)  # the paper's machine mints unique tags too
+            check_invariants(model, nxt)  # the paper's machine mints unique tags too
             states.setdefault(model.canonical_key(state), state)
 
-        assert explore(model, ExploreLimits(max_states=self.MAX_STATES[name]),
-                       audit=audit).complete
+        assert explore_audited(model, ExploreLimits(max_states=self.MAX_STATES[name]),
+                               audit=audit).complete
         dropped = 0
         for state in states.values():
             reduced = {r: model.canonical_key(nxt) for r, nxt in model.expand(state)}
@@ -485,7 +485,7 @@ class TestOwnerFires:
         state = state._replace(procs=(
             p1._replace(regs=(("r1", 1),), pc=1, sb=((0, 1, P3_STORE),)),
             p2, p3._replace(pc=1, sb=((0, 1, P3_STORE),))))
-        model.check_invariants(state)
+        check_invariants(model, state)
         background = [r for r in model.enabled(state)
                       if r.rule in (model.DEQ_RULE, model.COPY_RULE)]
         assert background == [RuleInstance(model.DEQ_RULE, 2, (0,)),
@@ -508,7 +508,7 @@ class TestOwnerFires:
                 fired[rule.rule] += 1
                 assert tag[0] == rule.proc, (rule, tag)
 
-            explore(model, order="dfs", audit=audit)
+            explore_audited(model, order="dfs", audit=audit)
         assert all(fired.values())
 
 
@@ -523,7 +523,7 @@ def cross_address_reorderings(sb: tuple) -> set[tuple]:
 def reached_states(model) -> list:
     """Every state a complete search of model reaches."""
     states = {model.initial_state(): None}
-    assert explore(model, audit=lambda state, rule, nxt: states.setdefault(nxt)).complete
+    assert explore_audited(model, audit=lambda state, rule, nxt: states.setdefault(nxt)).complete
     return list(states)
 
 
@@ -574,7 +574,7 @@ class TestCanonicalByConstruction:
         for test in canonical_check_programs(name, corpus):
             model = build_model("wmm-s", test)
             for state in reached_states(model):
-                model.check_invariants(state)  # tags: unique per buffer, held by their owner
+                check_invariants(model, state)  # tags: unique per buffer, held by their owner
                 for i, proc in enumerate(state.procs):
                     addresses = [e[0] for e in proc.sb]
                     assert addresses == sorted(addresses), "buffer out of address order"
@@ -587,14 +587,18 @@ class TestCanonicalByConstruction:
         (((), (), ((0, 1, (0, 0, 0)),)), "outlived its owner"),
         ((((0, 1, 0),), ((0, 1, 0),), ()), "no .thread, pc, k. tag"),
         ((((0, 1, (3, 0, 0)),), (), ()), "no .thread, pc, k. tag"),
-    ], ids=["repeated-tag", "copy-without-owner", "integer-tag", "no-such-thread"])
+        # each tag held by its owner, in opposite orders in the two buffers
+        ((((0, 1, P1_STORE), (0, 1, P2_STORE)), ((0, 1, P2_STORE), (0, 1, P1_STORE)), ()),
+         "coherence cycle"),
+    ], ids=["repeated-tag", "copy-without-owner", "integer-tag", "no-such-thread",
+            "coherence-cycle"])
     def test_invariant_checker_rejects_unowned_or_repeated_tags(self, sbs, message):
         model = build_model("wmm-s", parse(CROSS_COPIES))
         state = model.initial_state()
         state = state._replace(procs=tuple(
             proc._replace(sb=sb) for proc, sb in zip(state.procs, sbs)))
         with pytest.raises(AssertionError, match=message):
-            model.check_invariants(state)
+            check_invariants(model, state)
 
     def test_store_order_does_not_change_tags(self):
         """A tag names its store, not when it was minted: two stores in
@@ -658,7 +662,7 @@ class TestLoopedStore:
             state = model.apply(state, rule)
         assert state.procs[0].sb == ((0, 1, first), (0, 2, second))
         assert state.procs[1].sb == ((0, 1, first),)
-        model.check_invariants(state)
+        check_invariants(model, state)
 
     def test_k_is_the_smallest_free_one(self):
         """Once an earlier instance has drained, its k is free again."""
@@ -676,11 +680,12 @@ class TestLoopedStore:
 
         def audit(state, rule, nxt):
             nonlocal twice
-            model.check_invariants(nxt)  # among others: no buffer repeats a tag
+            check_invariants(model, nxt)  # among others: no buffer repeats a tag
             p1, p2 = ({e[2] for e in proc.sb} for proc in nxt.procs)
             twice += (0, 0, 1) in p1 and (0, 0, 0) in p1 & p2
 
-        reduced = {order: explore(model, order=order, audit=audit) for order in ("bfs", "dfs")}
+        reduced = {order: explore_audited(model, order=order, audit=audit)
+                   for order in ("bfs", "dfs")}
         # the reference mints its own tags: two instances sharing one would
         # drain the copy of the second with the first, and let P2 read 2, then 1
         assert_same_as_unreduced(test, "wmm-s", reduced, 400)  # 327 states
