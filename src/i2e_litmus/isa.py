@@ -284,22 +284,18 @@ def ib_entries(ib: tuple, a: int) -> tuple[tuple, ...]:
     return tuple(e for e in ib if e[0] == a)
 
 
-def ib_take(ib: tuple, a: int, choice: int) -> tuple[tuple, tuple]:
+def ib_take(ib: tuple, a: int, choice: int, keep: bool = False) -> tuple[tuple, tuple]:
     """Consume the choice-th stale value for a.
 
-    The chosen entry and every same-address entry inserted before it are
-    removed; younger entries and other addresses stay.
+    Every same-address entry inserted before it is removed, and the
+    chosen entry too unless `keep`; younger entries and other addresses
+    stay.
     """
     positions = [n for n, e in enumerate(ib) if e[0] == a]
     chosen = positions[choice]
-    drop = set(positions[:choice + 1])
+    drop = set(positions[:choice] if keep else positions[:choice + 1])
     return ib[chosen], tuple(e for n, e in enumerate(ib) if n not in drop)
 
 
 def ib_rm_addr(ib: tuple, a: int) -> tuple:
     return tuple(e for e in ib if e[0] != a)
-
-
-def ib_rm_older(ib: tuple, a: int, ts: int) -> tuple:
-    """Drop entries for a that were inserted strictly before time ts."""
-    return tuple(e for e in ib if e[0] != a or e[3] >= ts)

@@ -388,11 +388,15 @@ def _tokenize(text: str, lineno: int) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_MAX_NESTING = 100  # parentheses and unary operators, so that no recursion runs out
+
+
 class _Tokens:
     def __init__(self, tokens: list[tuple[str, str, int]], lineno: int):
         self.tokens = tokens
         self.lineno = lineno
         self.pos = 0
+        self.depth = 0  # parentheses and unary operators open around pos
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -433,6 +437,21 @@ class _Tokens:
         if tok is not None:
             raise LitmusParseError(f"trailing input {tok[1]!r}", self.lineno, tok[2])
 
+    def nest(self) -> None:
+        """Take an opening parenthesis or a unary operator, one level deeper;
+        the caller decrements `depth` once the nested part is parsed."""
+        tok = self.take()
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise LitmusParseError(f"nested more than {_MAX_NESTING} deep", self.lineno, tok[2])
+
+    def integer(self, tok: tuple[str, str, int]) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise LitmusParseError(f"integer of {len(tok[1])} digits is too long",
+                                   self.lineno, tok[2]) from None
+
 
 # ---------------------------------------------------------------------------
 # Expression / condition parsing
@@ -442,17 +461,18 @@ def _parse_primary(toks: _Tokens, sign: int) -> list[tuple[int, str, object]]:
     tok = toks.peek()
     if tok is None:
         raise LitmusParseError("expected expression", toks.lineno)
-    if tok[1] == "-":
-        toks.take()
-        return _parse_primary(toks, -sign)
-    if tok[1] == "(":
-        toks.take()
-        terms = _parse_expr_terms(toks)
-        toks.expect(")")
-        return [(sign * s, k, p) for s, k, p in terms]
+    if tok[1] == "-" or tok[1] == "(":
+        toks.nest()
+        if tok[1] == "-":
+            terms = _parse_primary(toks, -sign)
+        else:
+            terms = [(sign * s, k, p) for s, k, p in _parse_expr_terms(toks)]
+            toks.expect(")")
+        toks.depth -= 1
+        return terms
     if tok[0] == "int":
         toks.take()
-        return [(sign, "const", int(tok[1]))]
+        return [(sign, "const", toks.integer(tok))]
     if tok[0] == "name":
         toks.take()
         kind = "reg" if is_register(tok[1]) else "sym"
@@ -477,10 +497,9 @@ def _parse_expr(toks: _Tokens) -> Expr:
 def _parse_atom_value(toks: _Tokens) -> object:
     tok = toks.take()
     if tok[1] == "-":
-        num = toks.expect_kind("int", "an integer")
-        return -int(num[1])
+        return -toks.integer(toks.expect_kind("int", "an integer"))
     if tok[0] == "int":
-        return int(tok[1])
+        return toks.integer(tok)
     if tok[0] == "name" and not is_register(tok[1]):
         return tok[1]  # symbolic address, resolved at bind time
     raise LitmusParseError(f"expected integer or address name, got {tok[1]!r}",
@@ -501,13 +520,17 @@ def _parse_condition(toks: _Tokens) -> Condition:
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def parse_not() -> Condition:
-        if toks.accept("!"):
-            return Not(parse_not())
-        if toks.accept("("):
-            inner = parse_or()
+        tok = toks.peek()
+        if tok is None or (tok[1] != "!" and tok[1] != "("):
+            return parse_atom()
+        toks.nest()
+        if tok[1] == "!":
+            cond = Not(parse_not())
+        else:
+            cond = parse_or()
             toks.expect(")")
-            return inner
-        return parse_atom()
+        toks.depth -= 1
+        return cond
 
     def parse_atom() -> Condition:
         tok = toks.expect_kind("name", "a register or m[...]")

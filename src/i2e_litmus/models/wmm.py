@@ -25,23 +25,20 @@ see older values for a.  Stores and memory reads purge the local ib for
 their address for the same reason; Reconcile clears it outright.
 
 Stale values that their processor can never load are not kept.
-`liveness` with `purges_kill` computes, on first use, per thread and pc,
-the addresses whose stale value a later load of that thread may still read:
-a backward dataflow over the thread's control flow in which a load adds
-its address, Reconcile clears the set, and a store to a constant address
+`liveness` computes, on first use, per thread and pc, the addresses
+whose stale value a later load of that thread may still read: a backward
+dataflow over the thread's control flow in which a load adds its
+address, Reconcile clears the set, and a store to a constant address
 removes that address (the store purges it from the ib).  A load whose
 address comes from a register makes every address live.  DeqSb skips a
 processor at whose pc the address is dead, and a processor whose pc
 moves on drops the values that just became dead.  On every path the
-Reconcile or store that would remove such a value comes before any
-load that could read it, so states that differ only in dead values
-reach the same outcomes, and the search merges them.  The test suite
-keeps the unreduced machine as a reference.  Without `purges_kill`,
-`liveness` gives the addresses a thread may still load at all, which
-only WMM-D's clock-free state key reads (`WmmDModel.load_live`).
-WMM-LdIb is offered for every stale value, as in the paper, even where
-its successor is one that WMM-LdMem or another choice also gives: the
-search merges those.
+Reconcile or store that would remove such a value comes before any load
+that could read it, so states that differ only in dead values reach the
+same outcomes, and the search merges them.  The test suite keeps the
+unreduced machine as a reference.  WMM-LdIb is offered for every stale
+value, as in the paper, even where its successor is one that WMM-LdMem
+or another choice also gives: the search merges those.
 
 Every rule fires instantaneously, and a processor-local rule (Nm, LdSb,
 LdMem, LdIb, St, Commit, Reconcile) reads its own ProcState and at most
@@ -132,17 +129,19 @@ The guard that picks a load's rule also fixes its effect, whatever the
 rule's name: a buffered address bypasses, anything else reads memory,
 and each stale choice reads the ib.
 
-WMM-D, WMM-S, PSO, TSO and SC subclass this catalog and rename its
-rules through the class attributes `NM_RULE` ... `DEQ_RULE`.  PSO and
-TSO (`strong.py`) keep no live stale value, so one name, `TSO-Ld`,
-covers both LdSb and LdMem, and their DeqSb (`_dequeue`) neither reads
-the overwritten value nor offers it; TSO's `_drain_steps` drains only
-the globally oldest store, a DeqSb with no address.  SC is TSO whose St
-drains its store in the same step.  WMM-D's timestamps live
-in hooks that WMM implements without them, at most one per fired rule:
-`_nm_value`, `_load_sb`, `_load_mem`, `_stale_loads`, `_store_entry`
-and `_write_memory`.  WMM-S tags its stores through `_store_entry` and
-keeps its buffers in address order through `_enqueue`.
+WMM-D, WMM-S, PSO, TSO and SC subclass this catalog and rename its rules
+through the class attributes `NM_RULE` ... `DEQ_RULE`.  PSO and TSO
+(`strong.py`) keep no live stale value, so one name, `TSO-Ld`, covers
+both LdSb and LdMem, and their DeqSb (`_dequeue`) neither reads the
+overwritten value nor offers it; TSO's `_drain_steps` drains only the
+globally oldest store, a DeqSb with no address.  SC is TSO whose St
+drains its store in the same step.  WMM-D's LdIb keeps the stale value
+it reads (`_stale_loads`), and where a load's address reads a register,
+its timestamps live in hooks that WMM implements without them, at most
+one per fired rule: `_nm_value`, `_load_sb`, `_load_mem`,
+`_stale_loads`, `_store_entry` and `_write_memory` (see `wmm_d.py`).
+WMM-S tags its stores through `_store_entry` and keeps its buffers in
+address order through `_enqueue`.
 """
 
 from __future__ import annotations
@@ -229,14 +228,12 @@ def _constant_address(expr, amap):
     return None if expr.registers() else expr.evaluate(None, amap)
 
 
-def liveness(instrs: tuple, amap, purges_kill: bool) -> tuple:
-    """Per pc (including past the end), the addresses a later load of this
-    thread may still read.  A load adds its address, or every address if
-    the address comes from a register; Exit ends the thread.  With
-    `purges_kill`, Reconcile clears the set and a store to a constant
-    address removes that address, because each purges the ib first: that
-    is the stale-value table.  Without it, the set only shrinks as a pc
-    advances."""
+def liveness(instrs: tuple, amap) -> tuple:
+    """Per pc (including past the end), the addresses whose stale value a
+    later load of this thread may still read.  A load adds its address, or
+    every address if the address comes from a register; Exit ends the
+    thread.  Reconcile clears the set and a store to a constant address
+    removes that address, because each purges the ib first."""
     live: list = [frozenset()] * (len(instrs) + 1)
     changed = True
     while changed:  # backward branches need a fixpoint
@@ -247,15 +244,14 @@ def liveness(instrs: tuple, amap, purges_kill: bool) -> tuple:
             if isinstance(ins, Load):
                 a = _constant_address(ins.addr, amap)
                 new = ANY_ADDRESS if a is None else after | {a}
-            elif isinstance(ins, Store) and purges_kill:
+            elif isinstance(ins, Store):
                 a = _constant_address(ins.addr, amap)
                 new = after if a is None else after - {a}
-            elif isinstance(ins, Exit) or (purges_kill and isinstance(ins, Fence)
-                                           and ins.kind == "Reconcile"):
+            elif isinstance(ins, Exit) or (isinstance(ins, Fence) and ins.kind == "Reconcile"):
                 new = frozenset()
             elif isinstance(ins, Branch):
                 new = after | live[ins.target_index]
-            else:  # Assign, Commit, and without purges_kill Store and Reconcile
+            else:  # Assign, Commit
                 new = after
             if new != live[pc]:
                 live[pc] = new
@@ -283,8 +279,7 @@ class WmmModel:
     @cached_property
     def stale_live(self) -> tuple:
         """stale_live[i][pc]: addresses thread i may still load a stale value for."""
-        return tuple(liveness(instrs, self.addr_map, purges_kill=True)
-                     for instrs in self.programs)
+        return tuple(liveness(instrs, self.addr_map) for instrs in self.programs)
 
     def __init__(self, bound: BoundTest):
         self.bound = bound

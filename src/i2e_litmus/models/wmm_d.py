@@ -16,40 +16,36 @@ allowed only if that result timestamp cannot exceed the time tsU at
 which the value was overwritten; Reconcile clears the ib and records
 rts = gts, so checking ats <= tsU suffices.
 
-Everything else is WMM's rule catalog, with rules named WMM-D-* and
-registers decoded as (value, ts) pairs.  The timestamp hooks it
-overrides stamp results (`_nm_value` with ats, `_load_sb` with the
-entry's sts, `_load_mem` with sts or mts by writer); offer a stale
-value only when ats <= tsU, stamp it with tsL and consume it with
-`ib_rm_older`, which keeps the entry read (`_stale_loads`); stamp a
-buffered store (`_store_entry`); and write the memory cell, tick `gts`
-and hand out [tsL, tsU] stale entries (`_write_memory`).
-WMM's Reconcile already sets rts = gts.  The stale-value liveness
-reduction (`wmm.liveness`) applies unchanged: timestamps matter
+Everything else is WMM's rule catalog, with rules named WMM-D-*.  Its
+LdIb (`_stale_loads`) keeps the entry it reads, as the paper's rmOlder
+is strict: it drops the address's entries inserted before the chosen one
+(`isa.ib_take` with `keep`), which are those with an earlier tsU, since
+gts ticks on every write and entries are appended.  The stale-value
+liveness reduction (`wmm.liveness`) applies unchanged: timestamps matter
 only when a stale value is read, and a dead one never is.
 
-Once no thread can reach a load whose address reads a register
-(`load_live`, `wmm.liveness` without kills, is ANY_ADDRESS at no
-thread's pc), the state key drops every clock: memory's writer, sts
-and mts, register and entry stamps, rts and gts.  Sound because (1)
-the only guard reading a timestamp is `_stale_loads`' ats <= tsU, and
-ats = 0 at a constant address;
-(2) `_stale_loads`' `ib_rm_older` reads only the order of tsU among one
-address's ib entries, which is insertion order (gts ticks on every
-write, entries are appended); (3) writer only picks a timestamp; (4) a
-later pc reaches no more pcs, so such a pc never becomes ANY_ADDRESS
-again.  Equal keys give the same rule instances, the same clock-free
-successors and outcomes, so witnesses still replay.
+The model is built as one of two machines, chosen from the test
+(`WmmDModel.__new__`):
+
+* `TimestampedWmmDModel`, where some thread has a load whose address
+  reads a register.  Registers are decoded as (value, ts) pairs, and its
+  timestamp hooks stamp results (`_nm_value` with ats, `_load_sb` with
+  the entry's sts, `_load_mem` with sts or mts by writer); offer a stale
+  value only when ats <= tsU and stamp it with tsL (`_stale_loads`);
+  stamp a buffered store (`_store_entry`); and write the memory cell,
+  tick `gts` and hand out [tsL, tsU] stale entries (`_write_memory`).
+  WMM's Reconcile already sets rts = gts.
+* `WmmDModel` itself everywhere else: WMM's machine, with no clocks.
+  That is the timestamped machine with its clocks left out, since no
+  guard reads a timestamp there: the only one is ats <= tsU, and ats = 0
+  at a constant address.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .. import isa
-from .wmm import ANY_ADDRESS, MachineState, WmmModel, liveness, mem_get, mem_set
-
-_INIT_CELL = (0, None, 0, 0)  # value, writer, creation time, memory time
+from ..litmus import BoundTest, Load
+from .wmm import MachineState, WmmModel, mem_get, mem_set
 
 
 def load_value_timestamp(ats: int, rts: int, vts: int) -> int:
@@ -64,7 +60,6 @@ def _ats(proc: isa.ProcState, sources: tuple) -> int:
 
 class WmmDModel(WmmModel):
     model_id = "wmm-d"
-    timed = True
 
     NM_RULE = "WMM-D-Nm"
     LDSB_RULE = "WMM-D-LdSb"
@@ -75,25 +70,29 @@ class WmmDModel(WmmModel):
     REC_RULE = "WMM-D-Rec"
     DEQ_RULE = "WMM-D-DeqSb"
 
-    def __init__(self, bound):
-        super().__init__(bound)
-        # canonical_key's memos: memory, and each thread's ProcStates
-        self._plain_m, self._plain_procs = {}, tuple({} for _ in self.programs)
+    def __new__(cls, bound: BoundTest):
+        """The timestamped machine if some load's address reads a register."""
+        timed = any(isinstance(ins, Load) and ins.addr.registers()
+                    for th in bound.test.threads for ins in th.instrs)
+        return super().__new__(TimestampedWmmDModel if timed else cls)
 
-    @cached_property
-    def load_live(self) -> tuple:
-        """load_live[i][pc]: addresses thread i may still load at all."""
-        return tuple(liveness(instrs, self.addr_map, purges_kill=False)
-                     for instrs in self.programs)
+    def _stale_loads(self, proc: isa.ProcState, sources: tuple, a: int):
+        """Every stale value of a, as in WMM, but the entry read stays."""
+        for k, (_, v) in enumerate(isa.ib_entries(proc.ib, a)):
+            yield k, v, isa.ib_take(proc.ib, a, k, keep=True)[1]
+
+
+class TimestampedWmmDModel(WmmDModel):
+    timed = True
 
     def _initial_cell(self, value: int):
-        return (value, None, 0, 0)
+        return (value, None, 0, 0)  # value, writer, creation time, memory time
 
     def reg_value(self, state: MachineState, i: int, name: str) -> int:
         return isa.reg_get(state.procs[i].regs, name, (0, 0))[0]
 
     def mem_value(self, state: MachineState, name: str) -> int:
-        return mem_get(state.m, self.addr_map[name], _INIT_CELL)[0]
+        return mem_get(state.m, self.addr_map[name])[0]
 
     def _nm_value(self, proc: isa.ProcState, sources: tuple, dins: isa.Nm):
         return dins.v, _ats(proc, sources)
@@ -111,39 +110,18 @@ class WmmDModel(WmmModel):
         ats = _ats(proc, sources)
         for k, (_, v, ts_lower, ts_upper) in enumerate(isa.ib_entries(proc.ib, a)):
             if ats <= ts_upper:  # stale-timing: ats must not pass tsU
-                # rmOlder is strict, so the entry read here survives: it may
-                # be read again by a later load from the same store.
                 yield (k, (v, load_value_timestamp(ats, proc.rts, ts_lower)),
-                       isa.ib_rm_older(proc.ib, a, ts_upper))
+                       isa.ib_take(proc.ib, a, k, keep=True)[1])
 
     def _store_entry(self, i: int, proc: isa.ProcState, sources: tuple, dins: isa.St) -> tuple:
         return dins.a, dins.v, _ats(proc, sources)
 
     def _write_memory(self, state: MachineState, i: int, entry: tuple) -> tuple:
         a, v, sts = entry
-        old_v, old_writer, old_sts, old_mts = mem_get(state.m, a, _INIT_CELL)
+        old_v, old_writer, old_sts, old_mts = mem_get(state.m, a, self._initial_cell(0))
         m = mem_set(state.m, a, (v, i, sts, state.gts + 1))
         # The old value was visible to j since it hit memory, unless j
         # wrote it, in which case since its creation; it dies at gts.
         stale = tuple((a, old_v, old_sts if j == old_writer else old_mts, state.gts)
                       for j in range(self.nprocs))
         return m, state.gts + 1, stale
-
-    def canonical_key(self, state: MachineState):
-        """The state, or without its clocks once no thread can reach a
-        register-addressed load (see the module docstring)."""
-        procs = []
-        # a thread's memo holds only procs at pcs past its register-addressed loads
-        for memo, live, proc in zip(self._plain_procs, self.load_live, state.procs):
-            plain = memo.get(proc)
-            if plain is None:
-                if live[proc.pc] is ANY_ADDRESS:
-                    return state
-                plain = memo[proc] = (tuple([(r, v[0]) for r, v in proc.regs]), proc.pc,
-                                      proc.sb and tuple([e[:2] for e in proc.sb]),
-                                      proc.ib and tuple([e[:2] for e in proc.ib]))
-            procs.append(plain)
-        m = self._plain_m.get(state.m)
-        if m is None:
-            m = self._plain_m[state.m] = tuple([(a, cell[0]) for a, cell in state.m])
-        return m, tuple(procs)

@@ -3,8 +3,11 @@
 Explores the benchmark programs of the given seeds (default 2 and 3,
 built by `perfbench/gen.py`) once reduced and once through
 `oracle.unreduced`: the 120 `random-wmms` programs per seed under
-`wmm-s`, and the 60 `random-weak` programs per seed under `wmm` and
-`wmm-d`.  It exits 1 if any outcome set or `complete` flag differs, if
+`wmm-s`, and the 60 `random-weak` programs per seed under `wmm`,
+`wmm-d` and the timestamped WMM-D machine built directly
+(`oracle.TIMESTAMPED`): `gen.py` emits no load whose address reads a
+register, so `build_model("wmm-d", ...)` never picks that machine for
+them.  It exits 1 if any outcome set or `complete` flag differs, if
 a reduced search visits more states than the unreduced one, or if a
 reduced witness does not reach its outcome, replayed on the reduced
 model and, with each `wmm-s` Copy split from its load
@@ -30,10 +33,10 @@ from run import WORKLOADS
 
 from i2e_litmus.explorer import explore, replay
 from i2e_litmus.litmus import parse
-from i2e_litmus.models import build_model
-from oracle import split_copy_loads, unreduced
+from oracle import TIMESTAMPED, build, split_copy_loads, unreduced
 
-CHECKS = (("random-wmms", "wmm-s"), ("random-weak", "wmm"), ("random-weak", "wmm-d"))
+CHECKS = (("random-wmms", "wmm-s"), ("random-weak", "wmm"), ("random-weak", "wmm-d"),
+          ("random-weak", TIMESTAMPED))
 
 
 def replays(model, witness, outcome) -> bool:
@@ -55,14 +58,14 @@ def check(workload: str, model_id: str, seeds: list[int]) -> int:
         for program in gen.generate(workload, shape, seed):
             test = parse(program.text)
             results = {}
-            for side, model in (("reduced", build_model(model_id, test)),
-                                ("unreduced", unreduced(build_model(model_id, test)))):
+            for side, model in (("reduced", build(model_id, test)),
+                                ("unreduced", unreduced(build(model_id, test)))):
                 start = time.perf_counter()
                 results[side] = explore(model)
                 seconds[side] += time.perf_counter() - start
                 visited[side] += results[side].stats.visited
             reduced, reference = results["reduced"], results["unreduced"]
-            dfs = explore(build_model(model_id, test), order="dfs")
+            dfs = explore(build(model_id, test), order="dfs")
             programs += 1
             unreplayed = 0
             for result in (reduced, dfs):

@@ -1,8 +1,8 @@
 import pytest
 
 from i2e_litmus import load_corpus
-from i2e_litmus.explorer import explore
 from i2e_litmus.models import build_model
+from oracle import explore_complete
 
 
 @pytest.fixture(scope="session")
@@ -17,14 +17,15 @@ def corpus_by_name(corpus):
 
 @pytest.fixture(scope="session")
 def explored():
-    """Session-wide cache of explorations, keyed by (test, model, order, seed)."""
+    """Session-wide cache of explorations, keyed by (test, model, order,
+    seed), each under a 100,000-state budget that it must not run out of."""
     cache = {}
 
     def get(entry, model_id, order="bfs", seed=None):
         key = (entry.name, model_id, order, seed)
         if key not in cache:
             model = build_model(model_id, entry.test)
-            cache[key] = explore(model, order=order, seed=seed)
+            cache[key] = explore_complete(model, order=order, seed=seed)
         return cache[key]
 
     return get

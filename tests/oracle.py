@@ -25,6 +25,10 @@ guard is `no_cycle`, which builds the whole partial coherence order of
 the address, copy included, and searches it for a cycle: the reference
 for the library's reachability guard.
 
+`build` is `build_model` with one more id, TIMESTAMPED, for the
+timestamped WMM-D machine (`timestamped`), which `build_model` picks
+only where a load's address reads a register.
+
 `cold_expansion` is `expand` with the per-thread step and drain memos
 emptied first, so every processor's steps and DeqSb drains are computed
 afresh from the state: the unmemoized reference that memoized
@@ -42,17 +46,17 @@ paper's machine: no step is fired eagerly (`every_step`), and every
 address counts as live at every pc, so DeqSb inserts each overwritten
 value (with its [tsL, tsU] interval under `wmm-d`) into every processor
 without a pending store to the address, and no stale value is dropped
-when a pc advances.  Every pc also counts as one from which a
-register-addressed load may follow, so `wmm-d` keys states with all
-their clocks.  On `wmm-s` it also offers Copy into every
-processor, whatever its next instruction (`_next_load` answers
-ANY_ADDRESS), guards it with the whole-graph `no_cycle`, fires it as the
-paper's Copy alone (`paper_copy`), with no load fused to it, has St
-append to the buffer as the paper's does, tagging the store by a rule of
-its own (`paper_store_entry`: k one past the largest the storing buffer
-holds, where the library takes the smallest free one), and keys states
-by `age_ordered_key`: each store buffer in its global age order, tags
-renamed by first appearance.  That key tells apart two buffers that
+when a pc advances.  On `wmm-d` it returns the timestamped machine
+(`TimestampedWmmDModel`) of the model's test, whichever machine the
+model is, so it is the reference for both.  On `wmm-s` it also offers
+Copy into every processor, whatever its next instruction (`_next_load`
+answers ANY_ADDRESS), guards it with the whole-graph `no_cycle`, fires
+it as the paper's Copy alone (`paper_copy`), with no load fused to it,
+has St append to the buffer as the paper's does, tagging the store by a
+rule of its own (`paper_store_entry`: k one past the largest the storing
+buffer holds, where the library takes the smallest free one), and keys
+states by `age_ordered_key`: each store buffer in its global age order,
+tags renamed by first appearance.  That key tells apart two buffers that
 differ only in the order between addresses, which the library's states
 (each buffer kept in address order) merge.  It empties the memos that
 were filled from the reduced liveness tables, Copy guard, enqueue and
@@ -65,11 +69,14 @@ address-ordered form.
 `check_invariants(model, state)` raises AssertionError where a state
 breaks a structural invariant of its model: an address both buffered and
 stale in one processor, or a stale value its processor can no longer
-load; under `wmm-d`, a timestamp past the clock or an inverted [tsL,
-tsU]; under `wmm-s`, a tag that is no (thread, pc, k), is repeated in a
-buffer or outlives its owner's entry, or a cycle in the partial
-coherence order (`acyclic`).  `explore_audited` is `explore` that calls
-an audit on every rule firing, and requires the search to complete.
+load; under the timestamped `wmm-d`, a timestamp past the clock or an
+inverted [tsL, tsU]; under `wmm-s`, a tag that is no (thread, pc, k), is
+repeated in a buffer or outlives its owner's entry, or a cycle in the
+partial coherence order (`acyclic`).  `explore_complete` is `explore`
+under a 100,000-state budget unless its caller passes limits, and
+requires the search to complete, so that a search that does not end
+fails fast; `explore_audited` is `explore_complete` that also calls an
+audit on every rule firing.
 """
 
 from __future__ import annotations
@@ -79,20 +86,42 @@ from typing import Callable, Optional
 from i2e_litmus import isa
 from i2e_litmus.explorer import ExploreLimits, ExploreResult, explore
 from i2e_litmus.litmus import (Assign, Branch, BoundTest, Exit, Fence, Load,
-                               Outcome, Store)
-from i2e_litmus.models import RuleInstance
+                               Outcome, Store, bind)
+from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.wmm import ANY_ADDRESS, WmmModel
-from i2e_litmus.models.wmm_d import WmmDModel
+from i2e_litmus.models.wmm_d import TimestampedWmmDModel, WmmDModel
 from i2e_litmus.models.wmm_s import WmmSModel
+
+
+TIMESTAMPED = "wmm-d-timestamped"
+
+
+def timestamped(test) -> TimestampedWmmDModel:
+    """The timestamped WMM-D machine of test, whatever its load addresses."""
+    return TimestampedWmmDModel(test if isinstance(test, BoundTest) else bind(test))
+
+
+def build(model_id: str, test) -> WmmModel:
+    """`build_model(model_id, test)`, or for TIMESTAMPED `timestamped(test)`."""
+    return timestamped(test) if model_id == TIMESTAMPED else build_model(model_id, test)
+
+
+def explore_complete(model: WmmModel, limits: Optional[ExploreLimits] = None, *args,
+                     **kwargs) -> ExploreResult:
+    """`explore(model, limits, ...)` under limits, else a 100,000-state
+    budget, asserting that the search completes."""
+    result = explore(model, limits or ExploreLimits(max_states=100_000), *args, **kwargs)
+    assert result.complete, f"search cut short after {result.stats.visited} states"
+    return result
 
 
 def explore_audited(model: WmmModel, limits: Optional[ExploreLimits] = None, *args,
                     audit: Callable, **kwargs) -> ExploreResult:
-    """`explore(model, limits, ...)` that calls audit(state, rule, successor)
-    for every rule firing, edges into already-visited states included.
-    For this one call an instance attribute shadows `model.expand`, so an
-    audit that expands through model is audited too.  The search runs
-    under limits, else a 100,000-state budget, and must complete."""
+    """`explore_complete(model, limits, ...)` that calls audit(state, rule,
+    successor) for every rule firing, edges into already-visited states
+    included.  For this one call an instance attribute shadows
+    `model.expand`, so an audit that expands through model is audited
+    too."""
     expand = model.expand
 
     def audited(state):
@@ -102,11 +131,9 @@ def explore_audited(model: WmmModel, limits: Optional[ExploreLimits] = None, *ar
 
     model.expand = audited
     try:
-        result = explore(model, limits or ExploreLimits(max_states=100_000), *args, **kwargs)
+        return explore_complete(model, limits, *args, **kwargs)
     finally:
         del model.expand
-    assert result.complete, f"audited search cut short after {result.stats.visited} states"
-    return result
 
 
 def check_invariants(model: WmmModel, state) -> None:
@@ -118,7 +145,7 @@ def check_invariants(model: WmmModel, state) -> None:
         live = model.stale_live[i][proc.pc]
         dead = {e[0] for e in proc.ib if e[0] not in live}
         assert not dead, f"{model.thread_names[i]} keeps dead stale values for {dead}"
-    if isinstance(model, WmmDModel):
+    if isinstance(model, TimestampedWmmDModel):
         bound = state.gts + 1
         for _, (_, _, sts, mts) in state.m:
             assert sts <= bound and mts <= bound, "memory stamp later than gts + 1"
@@ -145,18 +172,15 @@ def check_invariants(model: WmmModel, state) -> None:
 
 def unreduced(model: WmmModel) -> WmmModel:
     """The same model with no step fired eagerly and every stale value
-    kept (the paper's DeqSb), on `wmm-d` with every clock in the state
-    key, and on `wmm-s` with the paper's Copy, into every processor,
+    kept (the paper's DeqSb), on `wmm-d` the timestamped machine, and on
+    `wmm-s` with the paper's Copy, into every processor,
     guarded by `no_cycle` and with no load fused to it, and store buffers
     appended to, tagged by `paper_store_entry` and keyed in their global
     age order."""
-    everywhere = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
-    model.stale_live = everywhere
-    every_step(model)
     if isinstance(model, WmmDModel):
-        model.load_live = everywhere
-        for memo in model._plain_procs:  # the clock-free keys
-            memo.clear()
+        model = TimestampedWmmDModel(model.bound)
+    model.stale_live = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
+    every_step(model)
     if isinstance(model, WmmSModel):
         model._next_load = lambda i, proc: ANY_ADDRESS
         model._copy_load = paper_copy

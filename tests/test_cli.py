@@ -155,6 +155,30 @@ class TestExitCodes:
         assert main([str(path), "--models", "sc"]) == 3
         assert "negative address" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("body, condition", [
+        (f"r1 = {'9' * 5_000}", "r1 = 0"),  # more digits than int() converts
+        (f"r1 = {'(' * 5_000}1{')' * 5_000}", "r1 = 0"),
+        ("r1 = 1", f"{'(' * 5_000}r1 = 0{')' * 5_000}"),
+        ("r1 = 1", f"{'!' * 5_000}r1 = 0"),
+        (f"r1 = {'-' * 5_000}1", "r1 = 0"),
+    ], ids=["long-integer", "nested-expression", "nested-condition", "not-run", "minus-run"])
+    def test_huge_or_deep_input_is_a_parse_error(self, tmp_path, capsys, body, condition):
+        path = tmp_path / "deep.litmus"
+        path.write_text(f"i2e-litmus v1\nthread P1:\n  {body}\ncheck allowed: {condition}\n")
+        assert main([str(path), "--models", "sc"]) == 3
+        line = 4 if body == "r1 = 1" else 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: line {line}, col ")
+
+    def test_nesting_up_to_the_limit_and_long_literals_still_parse(self, tmp_path, capsys):
+        """100 levels of parentheses or unary operators parse, and a literal
+        that int() converts keeps its 64-bit wrapped value (2**64 + 5 is 5)."""
+        path = tmp_path / "deep.litmus"
+        path.write_text(f"i2e-litmus v1\nthread P1:\n  r1 = {'(' * 100}18446744073709551621"
+                        f"{')' * 100}\n  r2 = {'-' * 100}1\n"
+                        f"check allowed: {'!' * 50}{'(' * 50}r1 = 5 & r2 = 1{')' * 50}\n")
+        assert main([str(path), "--models", "sc"]) == 0
+        assert "[sc] ok" in capsys.readouterr().out
+
 
 class TestJson:
     def test_schema(self, dekker_nofence_file, capsys):

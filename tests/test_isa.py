@@ -309,15 +309,16 @@ class TestInvalidationBuffer:
         assert isa.ib_entries(ib, 0) == ((0, 5), (0, 7))
         assert isa.ib_entries((), 0) == ()
 
-    def test_rm_older_is_strict(self):
-        # Insertion time is the entry's upper bound.
+    def test_take_keeping_drops_only_older(self):
+        # WMM-D's LdIb: the paper's rmOlder(tsU) is strict, and tsU rises
+        # with insertion order
         ib = ((0, 1, 0, 1), (0, 2, 0, 2), (0, 3, 0, 4))
-        assert isa.ib_rm_older(ib, 0, 3) == ((0, 3, 0, 4),)
-        assert isa.ib_rm_older(ib, 0, 2) == ((0, 2, 0, 2), (0, 3, 0, 4))
+        assert isa.ib_take(ib, 0, 2, keep=True) == ((0, 3, 0, 4), ((0, 3, 0, 4),))
+        assert isa.ib_take(ib, 0, 1, keep=True) == ((0, 2, 0, 2), ((0, 2, 0, 2), (0, 3, 0, 4)))
 
-    def test_rm_older_keeps_other_addresses(self):
-        ib = ((1024, 9, 0, 0), (0, 1, 0, 1))
-        assert isa.ib_rm_older(ib, 0, 5) == ((1024, 9, 0, 0),)
+    def test_take_keeping_keeps_other_addresses(self):
+        ib = ((1024, 9, 0, 0), (0, 1, 0, 1), (0, 2, 0, 5))
+        assert isa.ib_take(ib, 0, 1, keep=True)[1] == ((1024, 9, 0, 0), (0, 2, 0, 5))
 
     def test_timed_entry_shape(self):
         ib = ((0, 0, 0, 0),)

@@ -107,6 +107,19 @@ class TestParse:
         else:
             pytest.fail("expected a parse error")
 
+    @pytest.mark.parametrize("nest", [
+        lambda n: minimal(f"  r1 = {'(' * n}1{')' * n}"),
+        lambda n: minimal(f"  r1 = {'-' * n}1"),
+        lambda n: minimal("  r1 = Ld a", checks=f"check allowed: {'(' * n}r1 = 0{')' * n}"),
+        lambda n: minimal("  r1 = Ld a", checks=f"check allowed: {'!' * n}r1 = 0"),
+    ], ids=["expression-parentheses", "unary-minus", "condition-parentheses", "not"])
+    def test_nesting_limit(self, nest):
+        """Parentheses and unary operators nest 100 deep and no deeper."""
+        parse(nest(100))
+        with pytest.raises(LitmusParseError, match="nested more than 100 deep") as exc:
+            parse(nest(101))
+        assert exc.value.line is not None
+
     def test_branch_and_exit(self):
         test = parse(minimal("  r1 = Ld a\n  bnez r1 done\n  St a 1\n  done:\n  exit"))
         instrs = test.threads[0].instrs

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from i2e_litmus.explorer import ExploreLimits, check, explore, replay
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import MODEL_IDS, RuleInstance, build_model
-from oracle import every_step, explore_audited
+from oracle import every_step, explore_audited, explore_complete
 from test_stale_liveness import small_programs
 
 # P1 loads (never local), P2 stores and P3 assigns (both local)
@@ -102,7 +102,7 @@ def test_corpus_matches_every_step_machine(corpus, explored, model_id, order):
     for entry in corpus:
         reduced = explored(entry, model_id, order=order, seed=seed)
         full_model = every_step(build_model(model_id, entry.test))
-        full = explore(full_model, order=order, seed=seed)
+        full = explore_complete(full_model, order=order, seed=seed)
         assert reduced.outcomes == full.outcomes, entry.name
         assert reduced.complete and full.complete, entry.name
         assert reduced.deadlocked == full.deadlocked == 0, entry.name
@@ -124,8 +124,8 @@ check allowed: r1 = 2
 
 
 def assert_matches_every_step_machine(test, model_id):
-    reduced = explore(build_model(model_id, test))
-    full = explore(every_step(build_model(model_id, test)))
+    reduced = explore_complete(build_model(model_id, test))
+    full = explore_complete(every_step(build_model(model_id, test)))
     assert reduced.outcomes == full.outcomes
     assert reduced.complete and full.complete
     assert reduced.stats.visited <= full.stats.visited

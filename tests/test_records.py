@@ -9,9 +9,10 @@ import pytest
 
 from i2e_litmus import corpus_test, isa
 from i2e_litmus.cli import build_arg_parser
-from i2e_litmus.explorer import ExploreLimits, check, explore
+from i2e_litmus.explorer import ExploreLimits, check
 from i2e_litmus.litmus import Assign, Exit, Expr, Load, bind, parse
 from i2e_litmus.models import build_model
+from oracle import explore_complete
 
 EVERY_FORM = """i2e-litmus v1
 name: forms
@@ -84,7 +85,7 @@ def test_records_without_fields_are_distinct_and_truthy():
 
 
 def test_explore_result_repr_omits_the_parent_map():
-    result = explore(build_model("sc", corpus_test("mp").test))
+    result = explore_complete(build_model("sc", corpus_test("mp").test))
     text = repr(result)
     assert text.startswith("ExploreResult(outcomes=")
     assert repr(result.stats) in text
@@ -94,7 +95,7 @@ def test_explore_result_repr_omits_the_parent_map():
 
 
 def test_explore_stats_is_final():
-    stats = explore(build_model("sc", corpus_test("mp").test)).stats
+    stats = explore_complete(build_model("sc", corpus_test("mp").test)).stats
     with pytest.raises(AttributeError):
         stats.visited = 0
 

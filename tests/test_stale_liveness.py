@@ -1,16 +1,15 @@
-"""Liveness: which stale values, and which addresses, a thread may still load.
+"""Liveness: which stale values a thread may still load.
 
 The reduced `wmm`/`wmm-d`/`wmm-s` machines never insert a stale value that its
 processor cannot load, and drop one once its processor's pc passes the
 last load that could read it; `wmm-s` also copies a store only into a
 processor whose next instruction loads its address, fused with that
-load, and `wmm-d` drops its clocks from the state key once no
-register-addressed load can follow.  Every check here compares them
-with the unreduced reference in `oracle.unreduced`, which on `wmm-d`
-keeps every clock in the key, and on `wmm-s` also copies into every
-processor, with no load fused to the copy, and keys store buffers in
-their age order, so the `wmm-d` and `wmm-s` checks cover every
-reduction of those models.
+load, and `wmm-d` leaves its clocks out where every load address is
+constant.  Every check here compares them with the unreduced reference
+in `oracle.unreduced`, which on `wmm-d` is the timestamped machine, and
+on `wmm-s` also copies into every processor, with no load fused to the
+copy, and keys store buffers in their age order, so the `wmm-d` and
+`wmm-s` checks cover every reduction of those models.
 """
 
 import pytest
@@ -20,7 +19,8 @@ from i2e_litmus.explorer import ExploreLimits, explore, replay
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.wmm import ANY_ADDRESS
-from oracle import check_invariants, every_step, explore_audited, split_copy_loads, unreduced
+from oracle import (TIMESTAMPED, build, check_invariants, every_step, explore_audited,
+                    explore_complete, split_copy_loads, unreduced)
 
 
 def liveness(body: str):
@@ -28,14 +28,6 @@ def liveness(body: str):
     model = build_model("wmm", parse(
         f"i2e-litmus v1\nthread P1:\n{body}\ncheck allowed: m[a] = 0\n"))
     return model.stale_live[0], model.addr_map
-
-
-def load_liveness(body: str):
-    """The `wmm-d` load-liveness table (which its clock-free key reads) of
-    a one-thread test, and its address map."""
-    model = build_model("wmm-d", parse(
-        f"i2e-litmus v1\nthread P1:\n{body}\ncheck allowed: m[a] = 0\n"))
-    return model.load_live[0], model.addr_map
 
 
 class TestStaleLiveness:
@@ -76,43 +68,6 @@ class TestStaleLiveness:
         assert live == (set(), {m["a"]}, set())
 
 
-class TestLoadLiveness:
-    def test_reconcile_and_constant_store_keep_the_address(self):
-        live, m = load_liveness("  r1 = Ld a\n  Reconcile\n  St b 1\n  r2 = Ld b")
-        assert live == ({m["a"], m["b"]}, {m["b"]}, {m["b"]}, {m["b"]}, set())
-
-    def test_exit_and_end_of_program_are_empty(self):
-        live, m = load_liveness("  exit\n  r1 = Ld a")
-        assert live == (set(), {m["a"]}, set())
-
-    def test_computed_load_address_is_any(self):
-        live, m = load_liveness("  r1 = Ld b\n  Reconcile\n  r2 = Ld r1\n  r3 = Ld a")
-        assert all(live[pc] is ANY_ADDRESS for pc in range(3))  # Reconcile keeps "any"
-        assert live[3] == {m["a"]} and live[4] == set()
-
-    def test_forward_branch_takes_the_union(self):
-        live, m = load_liveness(
-            "  r1 = Ld c\n  beqz r1 skip\n  r2 = Ld a\n  exit\n  skip:\n  r3 = Ld b")
-        assert live[0] == {m["a"], m["b"], m["c"]}
-        assert live[1] == {m["a"], m["b"]}
-        assert live[2] == {m["a"]}
-        assert live[3] == set()
-        assert live[4] == {m["b"]}
-
-    def test_backward_branch_reaches_a_fixpoint(self):
-        # pc 1 and 2 see the load of a only through the back edge
-        live, m = load_liveness(
-            "  top:\n  r1 = Ld a\n  St b 1\n  bnez r1 top\n  Reconcile\n  r2 = Ld c")
-        assert live[:3] == ({m["a"], m["c"]},) * 3
-        assert live[3:] == ({m["c"]}, {m["c"]}, set())
-
-    def test_stale_table_is_never_larger(self):
-        body = "  top:\n  r1 = Ld a\n  St b 1\n  bnez r1 top\n  Reconcile\n  r2 = Ld c"
-        stale, _ = liveness(body)
-        load, _ = load_liveness(body)
-        assert all(s <= l for s, l in zip(stale, load))
-
-
 DEAD_AFTER_RECONCILE = """
 i2e-litmus v1
 thread P1:
@@ -141,10 +96,16 @@ def stale(model_id, a, v, interval=(0, 0)):
     return (a, v) + interval if model_id == "wmm-d" else (a, v)
 
 
+def machine(model_id: str, text: str):
+    """The model of text, `wmm-d` as its timestamped machine, whose ib
+    entries carry the intervals that `stale` adds."""
+    return build(TIMESTAMPED if model_id == "wmm-d" else model_id, parse(text))
+
+
 @pytest.mark.parametrize("model_id", ["wmm", "wmm-s", "wmm-d"])
 class TestDeadValues:
     def test_dequeue_skips_a_reader_behind_reconcile(self, model_id):
-        model = build_model(model_id, parse(DEAD_AFTER_RECONCILE))
+        model = machine(model_id, DEAD_AFTER_RECONCILE)
         state = model.apply(model.initial_state(), RuleInstance(model.ST_RULE, 0))
         after = model.apply(state, RuleInstance(model.DEQ_RULE, 0, (0,)))
         assert after.procs[1].ib == ()
@@ -154,7 +115,7 @@ class TestDeadValues:
             == (stale(model_id, 0, 0),)
 
     def test_invariant_rejects_a_dead_value(self, model_id):
-        model = build_model(model_id, parse(DEAD_AFTER_RECONCILE))
+        model = machine(model_id, DEAD_AFTER_RECONCILE)
         state = model.initial_state()
         # P2 reconciles before its load
         p2 = state.procs[1]._replace(ib=(stale(model_id, 0, 0),))
@@ -164,7 +125,7 @@ class TestDeadValues:
         check_invariants(unreduced(build_model(model_id, parse(DEAD_AFTER_RECONCILE))), state)
 
     def test_invariant_rejects_an_address_both_buffered_and_stale(self, model_id):
-        model = build_model(model_id, parse(DEAD_AFTER_RECONCILE))
+        model = machine(model_id, DEAD_AFTER_RECONCILE)
         state = model.initial_state()
         # P3's next load keeps a live, but a pending store to a refuses stale values
         entry = {"wmm": (0, 1), "wmm-d": (0, 1, 0), "wmm-s": (0, 1, (2, 0, 0))}[model_id]
@@ -174,7 +135,7 @@ class TestDeadValues:
             check_invariants(model, state)
 
     def test_value_dropped_once_its_last_load_is_passed(self, model_id):
-        model = every_step(build_model(model_id, parse(LOAD_THEN_OTHER)))
+        model = every_step(machine(model_id, LOAD_THEN_OTHER))
         state = model.initial_state()
         older, younger = stale(model_id, 0, 0), stale(model_id, 0, 5, (0, 1))
         state = state._replace(procs=(state.procs[0]._replace(ib=(older, younger)),)
@@ -257,7 +218,7 @@ def test_branches_match_unreduced_reference(name, model_id):
     test = parse("i2e-litmus v1\nthread P1:\n  St a 1\n  Commit\n  St b 1\n"
                  f"thread P2:\n  r1 = Ld b\n  {BRANCHY[name]}\n"
                  "check allowed: r1 = 1 & r2 = 0\n")
-    reduced = explore(build_model(model_id, test))
+    reduced = explore_complete(build_model(model_id, test))
     assert any(o.reg("P2", "r1") == 1 and o.reg("P2", "r2") == 0 for o in reduced.outcomes)
     assert_same_as_unreduced(test, model_id, {"bfs": reduced}, 100)  # at most 94
 
@@ -346,7 +307,7 @@ check allowed: r1 = 1 & r2 = 1 & r3 = 0
 
 def test_wrc_matches_unreduced_reference():
     test = parse(WRC)
-    reduced = explore(build_model("wmm-s", test))
+    reduced = explore_complete(build_model("wmm-s", test))
     reference = assert_same_as_unreduced(test, "wmm-s", {"bfs": reduced}, 1_000)
     assert reference.stats.visited == 946
     assert reduced.stats.visited == 114
@@ -357,7 +318,7 @@ def test_wrc_matches_unreduced_reference():
 
     assert wrc(reduced.outcomes)
     for model_id in ("sc", "tso", "pso", "wmm", "wmm-d"):
-        assert not wrc(explore(build_model(model_id, test)).outcomes), model_id
+        assert not wrc(explore_complete(build_model(model_id, test)).outcomes), model_id
 
 
 # P3 holds the stale a = 0 once P1's store reaches memory, and P2's store
@@ -410,7 +371,7 @@ def test_copy_targets_match_unreduced_reference(name):
                  f"thread P2:\n  {COPY_TARGET_LOADS[name]}\n  St b (r1 - 1)\n"
                  "thread P3:\n  r2 = Ld b\n  St a r2\n"
                  "check allowed: r1 = 2 & r2 = 1 & m[a] = 2\n")
-    reduced = explore(build_model("wmm-s", test))
+    reduced = explore_complete(build_model("wmm-s", test))
     assert any(o.reg("P2", "r1") == 2 and o.reg("P3", "r2") == 1 and o.loc("a") == 2
                for o in reduced.outcomes)
     assert_same_as_unreduced(test, "wmm-s", {"bfs": reduced}, 2_500)  # at most 2,456
@@ -487,4 +448,4 @@ def test_generated_programs_match_unreduced_reference(text, model_id):
     model = build_model(model_id, test)
     # the largest unreduced search the generator can make is about 5,100
     # states (wmm-s, two readers of three loads each)
-    assert_same_as_unreduced(test, model_id, {"bfs": explore(model)}, 10_000)
+    assert_same_as_unreduced(test, model_id, {"bfs": explore_complete(model)}, 10_000)

@@ -18,7 +18,7 @@ import pytest
 
 from i2e_litmus.explorer import ExploreLimits, explore
 from i2e_litmus.models import build_model
-from oracle import cold_expansion, explore_audited, unreduced
+from oracle import cold_expansion, explore_audited, explore_complete, unreduced
 
 
 @pytest.mark.parametrize("model_id", ["sc", "tso", "pso", "wmm", "wmm-d", "wmm-s"])
@@ -43,7 +43,7 @@ def test_unreduced_after_exploring(corpus_by_name, name, model_id):
     limits = ExploreLimits(max_states=400)  # the largest is wmm-s transitive-dep, 316
     fresh = explore(unreduced(build_model(model_id, test)), limits)
     model = build_model(model_id, test)
-    reduced = explore(model)
+    reduced = explore_complete(model)
     again = explore(unreduced(model), limits)
     assert fresh.complete and again.complete
     assert reduced.stats.visited < fresh.stats.visited
@@ -61,7 +61,7 @@ def test_explored_model_is_freed_without_the_cycle_collector(corpus_by_name, mod
     try:
         gc.collect()
         model = build_model(model_id, corpus_by_name["iriw"].test)
-        explore(model)
+        explore_complete(model)
         ref = weakref.ref(model)
         del model
         assert ref() is None

@@ -7,16 +7,17 @@ on the corpus and on generated programs."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from i2e_litmus.explorer import explore, replay
+from i2e_litmus.explorer import replay
 from i2e_litmus.litmus import bind, parse
 from i2e_litmus.models import RuleInstance, build_model
-from oracle import buffered_outcomes, every_step, explore_audited, interleaving_outcomes
+from oracle import (buffered_outcomes, every_step, explore_audited, explore_complete,
+                    interleaving_outcomes)
 from test_stale_liveness import small_programs
 
 
 def explore_outcomes(text_or_test, model_id):
     test = parse(text_or_test) if isinstance(text_or_test, str) else text_or_test
-    result = explore(build_model(model_id, test))
+    result = explore_complete(build_model(model_id, test))
     assert result.complete
     return result.outcomes
 
@@ -45,7 +46,7 @@ class TestSc:
             if entry.test.instruction_count() > 8:
                 continue
             bound = bind(entry.test)
-            engine = explore(build_model("sc", bound)).outcomes
+            engine = explore_complete(build_model("sc", bound)).outcomes
             assert engine == interleaving_outcomes(bound), entry.name
 
     def test_mp_nofence_unreachable(self, corpus_by_name, explored):
@@ -236,7 +237,7 @@ def test_generated_programs_match_buffered_oracle(text, model_id):
     """`sc` against the interleaving oracle, `tso` and `pso` against the
     buffered one."""
     bound = bind(parse(text))
-    result = explore(build_model(model_id, bound))
+    result = explore_complete(build_model(model_id, bound))
     assert result.complete
     if model_id == "sc":
         assert result.outcomes == interleaving_outcomes(bound)

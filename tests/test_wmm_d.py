@@ -1,12 +1,21 @@
-"""The timestamped machine: data dependencies via clocks."""
+"""WMM-D: data dependencies via clocks, and the machine chosen per test.
+
+Tests that read stamps build the timestamped machine directly
+(`oracle.timestamped`), since `build_model("wmm-d", ...)` of a test whose load
+addresses are all constant is WMM's machine with no clocks.
+"""
 
 import pytest
+from hypothesis import given, settings
 
+from i2e_litmus.explorer import replay
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
-from i2e_litmus.models.wmm import ANY_ADDRESS, mem_get, mem_set
-from i2e_litmus.models.wmm_d import load_value_timestamp
-from oracle import check_invariants, every_step, explore_audited, unreduced
+from i2e_litmus.models.wmm import mem_get, mem_set
+from i2e_litmus.models.wmm_d import TimestampedWmmDModel, WmmDModel, load_value_timestamp
+from oracle import (check_invariants, every_step, explore_audited, explore_complete,
+                    timestamped, unreduced)
+from test_stale_liveness import small_programs
 
 
 def reg_projection(outcomes, *keys):
@@ -31,7 +40,7 @@ class TestLoadValueTimestamp:
 
 class TestInitialState:
     def test_memory_cell_shape(self):
-        model = build_model("wmm-d", parse("""
+        model = timestamped(parse("""
 i2e-litmus v1
 init:
   a = 0
@@ -60,7 +69,7 @@ check allowed: r1 = 0
 """
 
     def test_clock_and_cell_updates(self):
-        model = every_step(build_model("wmm-d", parse(self.THREE)))
+        model = every_step(timestamped(parse(self.THREE)))
         state = model.apply(model.initial_state(), RuleInstance("WMM-D-St", 0))
         assert state.procs[0].sb == ((0, 1, 0),)
         state = model.apply(state, RuleInstance("WMM-D-DeqSb", 0, (0,)))
@@ -85,7 +94,7 @@ check allowed: r1 = 0
         # P3 only since it reached memory (1).  Overwrite time is 1 for both.
         assert state.procs[0].ib == ((0, 1, 0, 1),)
         assert state.procs[2].ib == ((0, 0, 0, 0), (0, 1, 1, 1))
-        reduced = every_step(build_model("wmm-d", parse(self.THREE)))
+        reduced = every_step(timestamped(parse(self.THREE)))
         state = reduced.initial_state()
         for rule in (RuleInstance("WMM-D-St", 0), RuleInstance("WMM-D-DeqSb", 0, (0,)),
                      RuleInstance("WMM-D-St", 1), RuleInstance("WMM-D-DeqSb", 1, (0,))):
@@ -236,7 +245,7 @@ class TestAudits:
         """One timestamp out of place in an otherwise sound state at gts 1:
         an interval [tsL, tsU] inverted or ending after the clock, an rts
         past the clock, or a stamp later than gts + 1."""
-        model = build_model("wmm-d", corpus_by_name["mp-no-reconcile"].test)
+        model = timestamped(corpus_by_name["mp-no-reconcile"].test)
         state = model.initial_state()._replace(gts=1)
         check_invariants(model, state)
         p2 = state.procs[1]  # loads f, then a: a stale a stays live
@@ -256,83 +265,88 @@ class TestAudits:
             check_invariants(model, state)
 
 
-# load-value-prediction's address passer, and readers whose load of the
-# passed address reads a register: straight ahead, only through a taken
-# branch over an exit, or only through a backward branch.
+
+
+# load-value-prediction's address passer, and readers whose second load's
+# address reads the register the first one loaded: straight ahead, only
+# behind a taken branch over an exit, or behind a backward branch.
 PASSER = "thread P1:\n  St a 1\n  Commit\n  St b a\n"
-READERS = {  # body, pcs from which the register-addressed load may follow, the rest
-    "straight": ("r1 = Ld b\n  r2 = Ld r1", (0, 1), (2,)),
-    "forward-branch": ("r1 = Ld b\n  bnez r1 load\n  exit\n  load:\n  r2 = Ld r1",
-                       (0, 1, 3), (2, 4)),
-    "backward-branch": ("top:\n  r2 = Ld r1\n  r1 = Ld b\n  bnez r1 top", (0, 1, 2), (3,)),
+REGISTER_ADDRESSED = {
+    "straight": "r1 = Ld b\n  r2 = Ld r1",
+    "forward-branch": "r1 = Ld b\n  bnez r1 load\n  exit\n  load:\n  r2 = Ld r1",
+    "backward-branch": "top:\n  r2 = Ld r1\n  r1 = Ld b\n  bnez r1 top",
 }
+# the same shapes with every load address constant; a store's may read a register
+CONSTANT_ADDRESSED = {
+    "straight": "r1 = Ld b\n  r2 = Ld a",
+    "forward-branch": "r1 = Ld b\n  bnez r1 load\n  exit\n  load:\n  r2 = Ld a",
+    "computed-store": "r1 = Ld b\n  St r1 1\n  r2 = Ld a",
+}
+TIMESTAMPED_CORPUS = {"load-value-prediction", "transitive-dep", "transitive-dep-mod",
+                      "rsw", "rmo-speculation"}
 
 
-def reader_model(reader: str, reader_first: bool):
-    threads = [PASSER, f"thread P2:\n  {READERS[reader][0]}\n"]
-    if reader_first:
-        threads.reverse()
-    return build_model("wmm-d", parse(
-        "i2e-litmus v1\n" + "".join(threads) + "check allowed: m[a] = 1\n"))
+def reader_test(body: str):
+    return parse(f"i2e-litmus v1\n{PASSER}thread P2:\n  {body}\ncheck allowed: m[a] = 1\n")
 
 
-def clock_variants(model, reader: int, pc: int):
-    """Two states with the reader at pc that differ only in clocks: the
-    interval of a stale value for b, its register's stamp, rts and gts."""
-    b = model.addr_map["b"]
-    state = model.initial_state()
-    variants = []
-    for t in (1, 2):
-        procs = list(state.procs)
-        procs[reader] = procs[reader]._replace(
-            pc=pc, regs=(("r1", (0, t)),), ib=((b, 0, 0, t),), rts=t)
-        variants.append(state._replace(procs=tuple(procs), gts=t))
-    return variants
+def assert_machines_agree(test):
+    """build_model's machine and the timestamped one reach the same
+    outcomes; where they differ, each one's witnesses replay on the other."""
+    models = build_model("wmm-d", test), timestamped(test)
+    results = [explore_complete(model) for model in models]
+    assert results[0].outcomes == results[1].outcomes
+    if type(models[0]) is not TimestampedWmmDModel:
+        for result, other in zip(results, reversed(models)):
+            for outcome in result.outcomes:
+                assert replay(other, result.witness(outcome))[1] == outcome
 
 
-@pytest.mark.parametrize("reader_first", [False, True])
-@pytest.mark.parametrize("reader", sorted(READERS))
-class TestClockFreeKey:
-    """The key keeps every clock while any thread may still reach a load
-    whose address reads a register, and drops them all once none can.
-    Outcome checks alone do not pin this down: with a key that always
-    drops the clocks, every outcome test in the suite still passes."""
+class TestMachineChoice:
+    """`build_model("wmm-d", t)` is the timestamped machine exactly when a
+    load's address reads a register, and the two machines agree."""
 
-    def test_clocks_kept_while_a_register_addressed_load_may_follow(
-            self, reader, reader_first):
-        model = reader_model(reader, reader_first)
-        for pc in READERS[reader][1]:
-            one, two = clock_variants(model, 0 if reader_first else 1, pc)
-            assert model.canonical_key(one) != model.canonical_key(two), pc
+    @pytest.mark.parametrize("reader", sorted(REGISTER_ADDRESSED))
+    def test_timestamped_where_a_load_address_reads_a_register(self, reader):
+        model = build_model("wmm-d", reader_test(REGISTER_ADDRESSED[reader]))
+        assert type(model) is TimestampedWmmDModel
 
-    def test_clocks_dropped_once_none_can(self, reader, reader_first):
-        model = reader_model(reader, reader_first)
-        for pc in READERS[reader][2]:
-            one, two = clock_variants(model, 0 if reader_first else 1, pc)
-            assert model.canonical_key(one) == model.canonical_key(two), pc
+    @pytest.mark.parametrize("reader", sorted(CONSTANT_ADDRESSED))
+    def test_clock_free_where_every_load_address_is_constant(self, reader):
+        model = build_model("wmm-d", reader_test(CONSTANT_ADDRESSED[reader]))
+        assert type(model) is WmmDModel
+        state = model.initial_state()
+        assert mem_get(state.m, 0, None) == 0 and state.gts == 0  # no clocks
+
+    def test_corpus_choice(self, corpus):
+        chosen = {entry.name for entry in corpus
+                  if type(build_model("wmm-d", entry.test)) is TimestampedWmmDModel}
+        assert chosen == TIMESTAMPED_CORPUS
+
+    def test_machines_agree_on_the_corpus(self, corpus):
+        for entry in corpus:
+            assert_machines_agree(entry.test)
+
+    @pytest.mark.parametrize("reader", sorted(CONSTANT_ADDRESSED))
+    def test_machines_agree_on_constant_readers(self, reader):
+        assert_machines_agree(reader_test(CONSTANT_ADDRESSED[reader]))
+
+    @pytest.mark.parametrize("choice, kept", [(0, ((0, 0), (0, 5))), (1, ((0, 5),))])
+    def test_clock_free_ldib_keeps_the_value_it_reads(self, choice, kept):
+        """As the timestamped LdIb does: it drops only the older values for
+        the address, here while a second load of it still follows."""
+        model = every_step(build_model("wmm-d", parse(
+            "i2e-litmus v1\nthread P1:\n  r1 = Ld a\n  r2 = Ld a\n"
+            "thread P2:\n  St a 1\ncheck allowed: r1 = 0\n")))
+        state = model.initial_state()
+        state = state._replace(procs=(state.procs[0]._replace(ib=((0, 0), (0, 5))),)
+                               + state.procs[1:])
+        nxt = model.apply(state, RuleInstance("WMM-D-LdIb", 0, (choice,)))
+        assert nxt.procs[0].ib == kept
+        assert model.reg_value(nxt, 0, "r1") == kept[0][1]
 
 
-@pytest.mark.parametrize("name", ["mp", "iriw", "load-value-prediction", "rsw",
-                                  "forward-branch"])
-def test_states_with_one_key_are_bisimilar(corpus_by_name, name):
-    """Every reachable state, keyed with its clocks, against the library's
-    key: states that share a key agree on being terminal, their outcome,
-    their rule instances and each instance's successor key."""
-    test = (reader_model(name, False).bound.test if name in READERS
-            else corpus_by_name[name].test)
-    model = build_model("wmm-d", test)
-    timed = build_model("wmm-d", test)
-    timed.load_live = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in timed.programs)
-    init = timed.initial_state()
-    states = {init: None}
-    explore_audited(timed, audit=lambda state, rule, nxt: states.setdefault(nxt))
-    behaviours: dict = {}
-    for state in states:
-        rules = tuple(model.enabled(state))
-        terminal = model.is_terminal(state)
-        behaviours.setdefault(model.canonical_key(state), set()).add((
-            terminal, model.outcome(state) if terminal else None, rules,
-            tuple(model.canonical_key(model.apply(state, r)) for r in rules)))
-    assert all(len(seen) == 1 for seen in behaviours.values())
-    if name not in ("load-value-prediction", "rsw"):  # nothing merges in these two
-        assert len(behaviours) < len(states)
+@settings(max_examples=40, deadline=None)
+@given(small_programs())
+def test_machines_agree_on_generated_programs(text):
+    assert_machines_agree(parse(text))

@@ -6,11 +6,11 @@ from itertools import permutations, product
 import pytest
 
 from i2e_litmus import isa
-from i2e_litmus.explorer import ExploreLimits, explore
+from i2e_litmus.explorer import ExploreLimits
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, WmmSModel, build_model
-from oracle import (address_ordered, check_invariants, every_step, explore_audited, no_cycle,
-                    paper_copy, tag_lists, unreduced, sb_oldest, wmm_s_per_holder_expansion)
+from oracle import (address_ordered, check_invariants, every_step, explore_audited,
+                    explore_complete, no_cycle, paper_copy, tag_lists, unreduced, sb_oldest, wmm_s_per_holder_expansion)
 from test_stale_liveness import assert_same_as_unreduced
 
 
@@ -167,7 +167,7 @@ class TestThreeWriters:
 
     def test_matches_unreduced_reference(self):
         test = parse(THREE_WRITERS)
-        reduced = {order: explore(build_model("wmm-s", test), order=order)
+        reduced = {order: explore_complete(build_model("wmm-s", test), order=order)
                    for order in ("bfs", "dfs")}
         assert_same_as_unreduced(test, "wmm-s", reduced, 9_000)  # 8,157 states
         for order, result in reduced.items():
