@@ -1,11 +1,12 @@
 """Decoded instructions, the per-thread register machine, and buffers.
 
 The register machine is deliberately pure: `compile_thread` decodes a
-thread once per pc, `decode` finishes the instruction at a processor's
-pc against its register file into a fully evaluated instruction (and
-the registers it read), and `execute` writes a destination register
-and moves the program counter.  None of them touches memory or the
-buffers; those belong to the model rules.
+thread once per pc, and `decode` finishes the instruction at a
+processor's pc against its register file into a fully evaluated
+instruction (and the registers it read).  Neither writes a register,
+memory or a buffer: each model rule builds its processor's successor
+`ProcState` itself, writing the destination register and moving the
+program counter.
 
 Store buffers keep each address's entries in age order, oldest first,
 the order every rule reads: `sb_enq` appends (one global age order),
@@ -112,7 +113,7 @@ class ProcState(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Compile / decode / execute
+# Compile / decode
 # ---------------------------------------------------------------------------
 
 def _check_address(a: int) -> int:
@@ -192,30 +193,6 @@ def decode(table: tuple, proc: ProcState) -> tuple[object, tuple[str, ...]]:
     return entry if type(entry) is tuple else entry(proc.regs)
 
 
-def execute(proc: ProcState, dins, value=None) -> ProcState:
-    """Write value to dins's destination register, if it has one, and
-    move the pc; nothing else.
-
-    A load needs its result value; Nm writes the value it computed unless
-    the caller passes another (the timed machine passes (value, timestamp)
-    pairs).  Stores and fences leave every register alone.
-    """
-    if isinstance(dins, Nm):
-        if dins.dst is None:
-            regs = proc.regs
-        else:
-            regs = reg_set(proc.regs, dins.dst, dins.v if value is None else value)
-        return ProcState(regs, dins.next_pc, proc.sb, proc.ib, proc.rts)
-    if isinstance(dins, Ld):
-        if value is None:
-            raise MachineError("a load needs its result value")
-        return ProcState(reg_set(proc.regs, dins.dst, value), proc.pc + 1,
-                         proc.sb, proc.ib, proc.rts)
-    if isinstance(dins, (St, Commit, Reconcile)):
-        return ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib, proc.rts)
-    raise MachineError(f"cannot execute {dins!r}")
-
-
 # ---------------------------------------------------------------------------
 # Store buffer
 # ---------------------------------------------------------------------------
@@ -284,17 +261,12 @@ def ib_entries(ib: tuple, a: int) -> tuple[tuple, ...]:
     return tuple(e for e in ib if e[0] == a)
 
 
-def ib_take(ib: tuple, a: int, choice: int, keep: bool = False) -> tuple[tuple, tuple]:
-    """Consume the choice-th stale value for a.
-
-    Every same-address entry inserted before it is removed, and the
-    chosen entry too unless `keep`; younger entries and other addresses
-    stay.
-    """
-    positions = [n for n, e in enumerate(ib) if e[0] == a]
-    chosen = positions[choice]
-    drop = set(positions[:choice] if keep else positions[:choice + 1])
-    return ib[chosen], tuple(e for n, e in enumerate(ib) if n not in drop)
+def ib_rm_older(ib: tuple, a: int, choice: int) -> tuple:
+    """The paper's rmOlder: ib less every entry for a inserted before its
+    choice-th one.  The chosen entry, younger ones and other addresses
+    stay."""
+    older = [n for n, e in enumerate(ib) if e[0] == a][:choice]
+    return tuple(e for n, e in enumerate(ib) if n not in older)
 
 
 def ib_rm_addr(ib: tuple, a: int) -> tuple:

@@ -375,9 +375,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str, lineno: int) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, lineno: int, pos: int = 0) -> list[tuple[str, str, int]]:
+    """The tokens of text from index pos on, each with its column in text."""
     tokens = []
-    pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
@@ -643,8 +643,9 @@ class _PendingThread:
 def parse(text: str) -> LitmusTest:
     """Parse litmus source text into a `LitmusTest` (raises `LitmusParseError`)."""
     lines = text.splitlines()
-    content = [(n + 1, _strip_comment(raw).strip()) for n, raw in enumerate(lines)]
-    content = [(n, line) for n, line in content if line]
+    # (line number, line stripped, line as written): columns count on the last
+    content = [(n + 1, _strip_comment(raw)) for n, raw in enumerate(lines)]
+    content = [(n, raw.strip(), raw) for n, raw in content if raw.strip()]
     if not content:
         raise LitmusParseError("no threads")
 
@@ -659,7 +660,7 @@ def parse(text: str) -> LitmusTest:
     checks: list[Check] = []
     section: Optional[str] = None  # None | "init" | "thread"
 
-    for lineno, line in content[1:]:
+    for lineno, line, raw in content[1:]:
         m = _NAME_LINE_RE.match(line)
         if m:
             name = m.group(1)
@@ -682,13 +683,14 @@ def parse(text: str) -> LitmusTest:
             continue
         m = _CHECK_RE.match(line)
         if m:
-            toks = _Tokens(_tokenize(m.group(2), lineno), lineno)
+            indent = len(raw) - len(raw.lstrip())
+            toks = _Tokens(_tokenize(raw, lineno, indent + m.start(2)), lineno)
             checks.append(Check(m.group(1), _parse_condition(toks)))
             section = None
             continue
 
         if section == "init":
-            toks = _Tokens(_tokenize(line, lineno), lineno)
+            toks = _Tokens(_tokenize(raw, lineno), lineno)
             loc = toks.expect_kind("name", "a location name")
             if is_register(loc[1]):
                 raise LitmusParseError("init takes address names, not registers", lineno, loc[2])
@@ -705,7 +707,7 @@ def parse(text: str) -> LitmusTest:
 
         if section == "thread":
             pending = threads[-1]
-            toks = _Tokens(_tokenize(line, lineno), lineno)
+            toks = _Tokens(_tokenize(raw, lineno), lineno)
             parsed = _parse_instr_line(toks)
             if isinstance(parsed, str):
                 if parsed in pending.labels:

@@ -14,8 +14,10 @@ instructions.  A load has up to three sources, each its own rule:
 * WMM-LdSb  - bypass from the youngest local store to that address;
 * WMM-LdMem - read the monolithic memory (and purge now-staler ib
   entries for that address);
-* WMM-LdIb  - consume one stale ib value, dropping every value for the
-  address that was inserted before the chosen one.
+* WMM-LdIb  - read one stale ib value and drop every value for the
+  address that was inserted before the chosen one (the paper's rmOlder,
+  `isa.ib_rm_older`); the chosen value stays, so a later load of the
+  address may read it again.
 
 When the background WMM-DeqSb rule writes a store to memory, the
 overwritten value becomes stale and is offered to every *other*
@@ -135,11 +137,11 @@ through the class attributes `NM_RULE` ... `DEQ_RULE`.  PSO and TSO
 both LdSb and LdMem, and their DeqSb (`_dequeue`) neither reads the
 overwritten value nor offers it; TSO's `_drain_steps` drains only the
 globally oldest store, a DeqSb with no address.  SC is TSO whose St
-drains its store in the same step.  WMM-D's LdIb keeps the stale value
-it reads (`_stale_loads`), and where a load's address reads a register,
-its timestamps live in hooks that WMM implements without them, at most
-one per fired rule: `_nm_value`, `_load_sb`, `_load_mem`,
-`_stale_loads`, `_store_entry` and `_write_memory` (see `wmm_d.py`).
+drains its store in the same step.  WMM-D is WMM with its rules
+renamed; where a load's address reads a register, its timestamps live
+in hooks that WMM implements without them, at most one per fired rule:
+`_nm_value`, `_load_sb`, `_load_mem`, `_stale_loads`, `_store_entry` and
+`_write_memory` (see `wmm_d.py`).
 WMM-S tags its stores through `_store_entry` and keeps its buffers in
 address order through `_enqueue`.
 """
@@ -226,6 +228,12 @@ def _gts(model, state: MachineState) -> int:
 def _constant_address(expr, amap):
     """The address expr always names, or None if it reads a register."""
     return None if expr.registers() else expr.evaluate(None, amap)
+
+
+def _loaded(proc: isa.ProcState, dins: isa.Ld, value, ib: tuple) -> isa.ProcState:
+    """proc once its load dins has written value and left ib behind."""
+    return isa.ProcState(isa.reg_set(proc.regs, dins.dst, value), proc.pc + 1, proc.sb, ib,
+                         proc.rts)
 
 
 def liveness(instrs: tuple, amap) -> tuple:
@@ -393,7 +401,7 @@ class WmmModel:
         if kind is isa.Ld:
             a = dins.a
             if isa.sb_exist(proc.sb, a):
-                nxt = isa.execute(proc, dins, self._load_sb(proc, sources, a))
+                nxt = _loaded(proc, dins, self._load_sb(proc, sources, a), proc.ib)
                 return (RuleInstance(self.LDSB_RULE, i), self._settle(i, nxt)),
             default = self._initial_cell(0)
             return _Reads(lambda model, state: mem_get(state.m, a, default),
@@ -404,12 +412,14 @@ class WmmModel:
                                 proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
             rule = self.ST_RULE
         elif kind is isa.Nm:
-            nxt = isa.execute(proc, dins, self._nm_value(proc, sources, dins))
+            value = self._nm_value(proc, sources, dins)
+            regs = proc.regs if dins.dst is None else isa.reg_set(proc.regs, dins.dst, value)
+            nxt = isa.ProcState(regs, dins.next_pc, proc.sb, proc.ib, proc.rts)
             rule = self.NM_RULE
         elif kind is isa.Commit:
             if proc.sb:
                 return ()
-            nxt = isa.execute(proc, dins)
+            nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib, proc.rts)
             rule = self.COM_RULE
         else:
             def reconcile(model, gts):  # rts = gts; only the timestamped machine's clock moves
@@ -424,15 +434,12 @@ class WmmModel:
         """A load that reads memory, whose cell for the address is cell,
         then one load per stale choice."""
         a = dins.a
-        nxt = isa.execute(proc, dins, self._load_mem(i, proc, sources, cell))
-        if not proc.ib:
-            return (RuleInstance(self.LDMEM_RULE, i), self._settle(i, nxt)),
-        nxt = isa.ProcState(nxt.regs, nxt.pc, nxt.sb, isa.ib_rm_addr(proc.ib, a), nxt.rts)
+        nxt = _loaded(proc, dins, self._load_mem(i, proc, sources, cell),
+                      proc.ib and isa.ib_rm_addr(proc.ib, a))
         pairs = [(RuleInstance(self.LDMEM_RULE, i), self._settle(i, nxt))]
         for k, value, ib in self._stale_loads(proc, sources, a):
-            nxt = isa.execute(isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts),
-                              dins, value)
-            pairs.append((RuleInstance(self.LDIB_RULE, i, (k,)), self._settle(i, nxt)))
+            pairs.append((RuleInstance(self.LDIB_RULE, i, (k,)),
+                          self._settle(i, _loaded(proc, dins, value, ib))))
         return tuple(pairs)
 
     def _settle(self, i: int, proc: isa.ProcState) -> isa.ProcState:
@@ -510,10 +517,9 @@ class WmmModel:
 
     def _stale_loads(self, proc: isa.ProcState, sources: tuple, a: int):
         """(choice, value loaded, ib left behind) for each stale value of a
-        that a load may read: here every one, consumed with `ib_take`."""
-        for k in range(len(isa.ib_entries(proc.ib, a))):
-            entry, rest = isa.ib_take(proc.ib, a, k)
-            yield k, entry[1], rest
+        that a load may read: here every one, read with `ib_rm_older`."""
+        for k, entry in enumerate(isa.ib_entries(proc.ib, a)):
+            yield k, entry[1], isa.ib_rm_older(proc.ib, a, k)
 
     def _store_entry(self, i: int, proc: isa.ProcState, sources: tuple, dins: isa.St) -> tuple:
         """The entry processor i's store enqueues."""

@@ -17,12 +17,14 @@ which the value was overwritten; Reconcile clears the ib and records
 rts = gts, so checking ats <= tsU suffices.
 
 Everything else is WMM's rule catalog, with rules named WMM-D-*.  Its
-LdIb (`_stale_loads`) keeps the entry it reads, as the paper's rmOlder
-is strict: it drops the address's entries inserted before the chosen one
-(`isa.ib_take` with `keep`), which are those with an earlier tsU, since
-gts ticks on every write and entries are appended.  The stale-value
-liveness reduction (`wmm.liveness`) applies unchanged: timestamps matter
-only when a stale value is read, and a dead one never is.
+LdIb is WMM's: the paper's rmOlder is strict, so it keeps the entry it
+reads and drops the address's entries inserted before it
+(`isa.ib_rm_older`), which are those with an earlier tsU, since gts
+ticks on every write and entries are appended.  WMM-D therefore only
+adds the ats <= tsU guard, and every WMM-D run, its rules renamed, is a
+WMM run.  The stale-value liveness reduction (`wmm.liveness`) applies
+unchanged: timestamps matter only when a stale value is read, and a dead
+one never is.
 
 The model is built as one of two machines, chosen from the test
 (`WmmDModel.__new__`):
@@ -76,11 +78,6 @@ class WmmDModel(WmmModel):
                     for th in bound.test.threads for ins in th.instrs)
         return super().__new__(TimestampedWmmDModel if timed else cls)
 
-    def _stale_loads(self, proc: isa.ProcState, sources: tuple, a: int):
-        """Every stale value of a, as in WMM, but the entry read stays."""
-        for k, (_, v) in enumerate(isa.ib_entries(proc.ib, a)):
-            yield k, v, isa.ib_take(proc.ib, a, k, keep=True)[1]
-
 
 class TimestampedWmmDModel(WmmDModel):
     timed = True
@@ -111,7 +108,7 @@ class TimestampedWmmDModel(WmmDModel):
         for k, (_, v, ts_lower, ts_upper) in enumerate(isa.ib_entries(proc.ib, a)):
             if ats <= ts_upper:  # stale-timing: ats must not pass tsU
                 yield (k, (v, load_value_timestamp(ats, proc.rts, ts_lower)),
-                       isa.ib_take(proc.ib, a, k, keep=True)[1])
+                       isa.ib_rm_older(proc.ib, a, k))
 
     def _store_entry(self, i: int, proc: isa.ProcState, sources: tuple, dins: isa.St) -> tuple:
         return dins.a, dins.v, _ats(proc, sources)

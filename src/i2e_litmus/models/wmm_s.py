@@ -90,8 +90,8 @@ other rule fires as before, and the outcome is the same:
 * Without the copy's ib purge and the holder's skipped insert, j's ib
   holds extra stale values for the address, all older than the ones of
   the original run: while j holds an entry for an address, its loads of
-  it bypass.  LdIb reads past them with a higher index, and `ib_take`,
-  LdMem, St and Reconcile remove them as before.
+  it bypass.  LdIb reads past them with a higher index, and its
+  `ib_rm_older`, LdMem, St and Reconcile remove them as before.
 * Memory, the DeqSb order and every loaded value are unchanged.
 
 In the changed run every copy is adjacent to the load it was moved

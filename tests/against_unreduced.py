@@ -15,6 +15,11 @@ model and, with each `wmm-s` Copy split from its load
 from a BFS and a DFS search of the reduced model: BFS finds the
 shortest in the reduced graph, which on the two-thread `random-wmms`
 programs never copy a store, while many DFS ones do.
+
+On the same `random-weak` programs it also compares `wmm`'s outcome
+sets with the independent oracle `oracle.wmm_outcomes`, and checks that
+each `wmm-d` outcome set is a subset of the `wmm` one; it exits 1 if
+either fails.
 Pytest does not collect this file; run it from the root of a checkout:
 
     PYTHONPATH=src python3 tests/against_unreduced.py [SEED ...]
@@ -32,8 +37,9 @@ import gen
 from run import WORKLOADS
 
 from i2e_litmus.explorer import explore, replay
-from i2e_litmus.litmus import parse
-from oracle import TIMESTAMPED, build, split_copy_loads, unreduced
+from i2e_litmus.litmus import bind, parse
+from i2e_litmus.models import build_model
+from oracle import TIMESTAMPED, build, split_copy_loads, unreduced, wmm_outcomes
 
 CHECKS = (("random-wmms", "wmm-s"), ("random-weak", "wmm"), ("random-weak", "wmm-d"),
           ("random-weak", TIMESTAMPED))
@@ -94,9 +100,33 @@ def check(workload: str, model_id: str, seeds: list[int]) -> int:
     return differences
 
 
+def check_oracle(seeds: list[int]) -> int:
+    """Compare `wmm` with `oracle.wmm_outcomes`, and check wmm-d ⊆ wmm, on
+    the `random-weak` programs; print a summary line and return the number
+    of programs that fail either."""
+    shape = WORKLOADS["random-weak"].shape
+    differences = programs = 0
+    for seed in seeds:
+        for program in gen.generate("random-weak", shape, seed):
+            test = parse(program.text)
+            wmm = explore(build_model("wmm", test))
+            wmm_d = explore(build_model("wmm-d", test))
+            programs += 1
+            oracle = wmm_outcomes(bind(test))
+            if not wmm.complete or wmm.outcomes != oracle or not wmm_d.outcomes <= wmm.outcomes:
+                differences += 1
+                print(f"{program.name}: wmm {len(wmm.outcomes)} outcomes, "
+                      f"complete={wmm.complete}, oracle {len(oracle)}; "
+                      f"{len(wmm_d.outcomes - wmm.outcomes)} wmm-d outcomes not in wmm")
+    print(f"wmm against oracle.wmm_outcomes, and wmm-d within wmm: {programs} random-weak "
+          f"programs (seeds {seeds}), {differences} differing")
+    return differences
+
+
 def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv] or [2, 3]
     differences = sum(check(workload, model_id, seeds) for workload, model_id in CHECKS)
+    differences += check_oracle(seeds)
     return 1 if differences else 0
 
 

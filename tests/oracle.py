@@ -9,8 +9,11 @@ instructions, no rule catalog, no explorer - enumerating every
 interleaving of atomic instruction executions with memoization.
 `buffered_outcomes` does the same with an explicit store buffer per
 thread and dequeues interleaved with the instructions, as the
-independent oracle for TSO and PSO.  Neither uses anything from
-`models/`.
+independent oracle for TSO and PSO.  `wmm_outcomes` adds the paper's
+invalidation buffer per thread to its PSO machine, as the independent
+oracle for WMM: a transcription of the paper's rules with no liveness,
+no timestamps and no WMM-S.  None of the three uses anything from
+`models/` or `isa`.
 
 `interpreted_decode` is the decoder that walks the surface instruction
 and its expression trees on every call, against which the compiled
@@ -466,7 +469,8 @@ def interleaving_outcomes(bound: BoundTest) -> frozenset[Outcome]:
               init_mem)
 
 
-def buffered_outcomes(bound: BoundTest, per_address: bool) -> frozenset[Outcome]:
+def buffered_outcomes(bound: BoundTest, per_address: bool,
+                      stale: bool = False) -> frozenset[Outcome]:
     """TSO outcomes, or PSO outcomes with `per_address`: every
     interleaving of the surface instructions and of store-buffer
     dequeues, memoised, with an explicit store buffer per thread.  A
@@ -474,62 +478,84 @@ def buffered_outcomes(bound: BoundTest, per_address: bool) -> frozenset[Outcome]
     store to its address there, else reads memory; Commit waits for an
     empty buffer and Reconcile does nothing.  A dequeue writes a buffer's
     oldest store (TSO), or its oldest store for one address (PSO), to
-    memory."""
+    memory.  With `stale`, each thread also has an invalidation buffer
+    (`wmm_outcomes`)."""
     amap, threads, init_mem, finished, outcome_of = _surface(bound)
 
-    def step(i, pcs, regs, mem, sbs):
-        """The state after thread i's instruction, or None while its
-        Commit waits."""
+    def steps(i, pcs, regs, mem, sbs, ibs):
+        """The states after thread i's instruction: none while its Commit
+        waits, one per value a load may read."""
         pc = pcs[i]
         ins = threads[i][pc]
         my = dict(regs[i])
-        sb = sbs[i]
+        sb, ib = sbs[i], ibs[i]
         getreg = lambda r: my.get(r, 0)
+        reads = None  # a load's (value read, ib left behind) choices
         if isinstance(ins, Assign):
             my[ins.dst] = ins.expr.evaluate(getreg, amap)
             pc += 1
         elif isinstance(ins, Load):
             a = ins.addr.evaluate(getreg, amap)
             own = [v for b, v in sb if b == a]
-            my[ins.dst] = own[-1] if own else mem.get(a, 0)
+            if own:
+                reads = [(own[-1], ib)]
+            else:
+                reads = [(mem.get(a, 0), tuple(e for e in ib if e[0] != a))]
+                older = []  # positions of a's entries older than the one read
+                for n, (b, v) in enumerate(ib):
+                    if b == a:
+                        reads.append((v, tuple(e for m, e in enumerate(ib) if m not in older)))
+                        older.append(n)
             pc += 1
         elif isinstance(ins, Store):
-            sb += ((ins.addr.evaluate(getreg, amap), ins.value.evaluate(getreg, amap)),)
+            a = ins.addr.evaluate(getreg, amap)
+            sb += ((a, ins.value.evaluate(getreg, amap)),)
+            ib = tuple(e for e in ib if e[0] != a)
             pc += 1
         elif isinstance(ins, Fence):
             if ins.kind == "Commit" and sb:
-                return None
+                return []
+            if ins.kind == "Reconcile":
+                ib = ()
             pc += 1
         elif isinstance(ins, Branch):
             taken = (my.get(ins.reg, 0) == 0) == (ins.cond == "eqz")
             pc = ins.target_index if taken else pc + 1
         else:
             raise AssertionError(f"unexpected instruction {ins!r}")
-        return (pcs[:i] + (pc,) + pcs[i + 1:], regs[:i] + (my,) + regs[i + 1:], mem,
-                sbs[:i] + (sb,) + sbs[i + 1:])
+        pcs = pcs[:i] + (pc,) + pcs[i + 1:]
+        sbs = sbs[:i] + (sb,) + sbs[i + 1:]
+        return [(pcs, regs[:i] + (mine,) + regs[i + 1:], mem, sbs, ibs[:i] + (left,) + ibs[i + 1:])
+                for mine, left in ([(my, ib)] if reads is None
+                                   else [({**my, ins.dst: v}, left) for v, left in reads])]
 
-    def dequeues(pcs, regs, mem, sbs):
+    def dequeues(pcs, regs, mem, sbs, ibs):
         for i, sb in enumerate(sbs):
             oldest: dict[int, int] = {}  # address -> index of its oldest store
             for n, (a, _) in enumerate(sb):
                 oldest.setdefault(a, n)
             for n in oldest.values() if per_address else ([0] if sb else []):
                 a, v = sb[n]
-                yield pcs, regs, {**mem, a: v}, sbs[:i] + (sb[:n] + sb[n + 1:],) + sbs[i + 1:]
+                offered = ibs
+                if stale:  # the overwritten value, to every other thread with no store to a
+                    offered = tuple(ib if j == i or any(b == a for b, _ in sbs[j])
+                                    else ib + ((a, mem.get(a, 0)),) for j, ib in enumerate(ibs))
+                yield (pcs, regs, {**mem, a: v}, sbs[:i] + (sb[:n] + sb[n + 1:],) + sbs[i + 1:],
+                       offered)
 
     memo: dict = {}
 
-    def go(pcs, regs, mem, sbs) -> frozenset[Outcome]:
+    def go(pcs, regs, mem, sbs, ibs) -> frozenset[Outcome]:
         key = (pcs,
                tuple(tuple(sorted(r.items())) for r in regs),
                tuple(sorted(mem.items())),
-               sbs)
+               sbs, ibs)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        nexts = [step(i, pcs, regs, mem, sbs)
-                 for i in range(len(threads)) if not finished(i, pcs[i])]
-        nexts = [n for n in nexts if n is not None] + list(dequeues(pcs, regs, mem, sbs))
+        nexts = [n for i in range(len(threads)) if not finished(i, pcs[i])
+                 for n in steps(i, pcs, regs, mem, sbs, ibs)]
+        nexts += dequeues(pcs, regs, mem, sbs, ibs)
         if not nexts:  # every thread finished and every buffer drained
             result = frozenset([outcome_of(regs, mem)])
         else:
@@ -537,7 +563,17 @@ def buffered_outcomes(bound: BoundTest, per_address: bool) -> frozenset[Outcome]
         memo[key] = result
         return result
 
-    return go(tuple(0 for _ in threads),
-              tuple({} for _ in threads),
-              init_mem,
-              tuple(() for _ in threads))
+    empty = tuple(() for _ in threads)
+    return go(tuple(0 for _ in threads), tuple({} for _ in threads), init_mem, empty, empty)
+
+
+def wmm_outcomes(bound: BoundTest) -> frozenset[Outcome]:
+    """WMM outcomes: PSO's machine (`buffered_outcomes`) plus the paper's
+    invalidation buffer per thread, its (address, value) entries in
+    insertion order.  A dequeue appends the value it overwrote to the ib
+    of every other thread with no pending store to the address.  A store,
+    and a load that reads memory, purge their address from their thread's
+    ib.  A load with no own store to its address may instead read any ib
+    entry for it: the address's older entries go, the one read stays.
+    Reconcile clears the ib.  No stale value is dropped for being dead."""
+    return buffered_outcomes(bound, per_address=True, stale=True)

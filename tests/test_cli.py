@@ -92,7 +92,7 @@ class TestExitCodes:
         assert code == 3
         err = captured.err.splitlines()
         assert len(err) == 2
-        assert err[0] == f"error: {bad}: line 3, col 1: unknown instruction 'BOOM'"
+        assert err[0] == f"error: {bad}: line 3, col 3: unknown instruction 'BOOM'"
         assert err[1].startswith("error: ") and str(missing) in err[1]
         if fmt == "json":  # the report itself is unchanged
             assert [f"error: {e['message']}" for e in json.loads(captured.out)["errors"]] == err

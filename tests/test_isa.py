@@ -1,14 +1,15 @@
-"""Decode/execute, against plain and timed registers, and the buffer algebra."""
+"""Decode, against plain and timed registers, the successor ProcState each
+rule builds from a decoded instruction, and the buffer algebra."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from i2e_litmus import isa, load_corpus
 from i2e_litmus.isa import (COMMIT, HALT, RECONCILE, Ld, MachineError, Nm,
-                            ProcState, St, compile_thread, decode, execute)
+                            ProcState, St, compile_thread, decode)
 from i2e_litmus.litmus import bind, parse
-from i2e_litmus.models import build_model
-from oracle import interpreted_decode, sb_oldest
+from i2e_litmus.models import RuleInstance, build_model
+from oracle import every_step, interpreted_decode, sb_oldest, timestamped
 from test_stale_liveness import small_programs
 
 AMAP = {"a": 0, "b": 1024, "c": 2048}
@@ -22,6 +23,19 @@ def thread_of(*lines):
 
 def decoded(instrs, proc):
     return decode(compile_thread(instrs, AMAP), proc)[0]
+
+
+def fired(lines, proc=ProcState(), timed=False, init=""):
+    """P1 once its instruction at proc's pc has fired from proc: the
+    successor ProcState of P1's one step under `wmm`, or under the
+    timestamped WMM-D machine when timed."""
+    body = "\n".join(f"  {line}" for line in lines)
+    test = bind(parse(f"i2e-litmus v1\n{init}thread P1:\n{body}\ncheck allowed: m[a] = 0\n"))
+    model = every_step(timestamped(test) if timed else build_model("wmm", test))
+    state = model.initial_state()
+    state = state._replace(procs=(proc,))
+    (nxt,) = [nxt for rule, nxt in model.expand(state) if rule.rule != model.DEQ_RULE]
+    return nxt.procs[0]
 
 
 class TestDecode:
@@ -141,27 +155,35 @@ def test_compiled_decode_matches_reference_on_generated_programs(text, data, tim
 
 
 class TestExecute:
+    """The successor ProcState a rule builds: it writes the destination
+    register, if any, and moves the pc."""
+
     def test_nm_writes_destination(self):
-        proc = execute(ProcState(), Nm("r1", 5, 1))
+        proc = fired(["r1 = 5"])
         assert proc.regs == (("r1", 5),)
         assert proc.pc == 1
 
-    def test_load_needs_result(self):
-        proc = execute(ProcState(), Ld(0, "r2"), 42)
-        assert proc.regs == (("r2", 42),)
-        with pytest.raises(MachineError):
-            execute(ProcState(), Ld(0, "r2"))
+    def test_load_writes_the_value_it_read(self):
+        # LdMem, LdSb and LdIb all write through `wmm._loaded`
+        assert fired(["r2 = Ld a"], init="init:\n  a = 42\n").regs == (("r2", 42),)
+        assert fired(["r2 = Ld a"], ProcState(sb=((0, 7),))).regs == (("r2", 7),)
+        model = every_step(build_model("wmm", parse(
+            "i2e-litmus v1\nthread P1:\n  r2 = Ld a\ncheck allowed: r2 = 0\n")))
+        state = model.initial_state()
+        state = state._replace(procs=(ProcState(ib=((0, 9),)),))
+        after = model.apply(state, RuleInstance("WMM-LdIb", 0, (0,)))
+        assert after.procs[0] == ProcState(regs=(("r2", 9),), pc=1)
 
     def test_branch_jumps_to_thread_end(self):
         instrs = thread_of("beqz r1 out", "St a 1", "out:")
-        proc = execute(ProcState(), decoded(instrs, ProcState()))
+        proc = fired(["beqz r1 out", "St a 1", "out:"])
         assert proc.pc == len(instrs)
         assert decoded(instrs, proc) is HALT
 
     def test_store_and_fences_only_advance_pc(self):
-        for dins in (St(0, 1), COMMIT, RECONCILE):
-            proc = execute(ProcState(regs=(("r1", 3),)), dins)
-            assert proc == ProcState(regs=(("r1", 3),), pc=1)
+        for line in ("St a 1", "Commit", "Reconcile"):
+            proc = fired([line], ProcState(regs=(("r1", 3),)))
+            assert (proc.regs, proc.pc, proc.ib) == ((("r1", 3),), 1, ())
 
 
 def source_ts(proc, sources):
@@ -222,19 +244,17 @@ class TestDecodeTs:
 
 class TestExecuteTs:
     def test_load_result_carries_timestamp(self):
-        proc = execute(ProcState(), Ld(0, "r2"), (1, 4))
+        proc = fired(["r2 = Ld a"], ProcState(rts=4), timed=True, init="init:\n  a = 1\n")
         assert proc.regs == (("r2", (1, 4)),)
 
     def test_fences_leave_timestamps_alone(self):
         proc = ProcState(regs=(("r1", (1, 6)),))
-        assert execute(proc, COMMIT).regs == proc.regs
-        assert execute(proc, RECONCILE).regs == proc.regs
+        assert fired(["Commit"], proc, timed=True).regs == proc.regs
+        assert fired(["Reconcile"], proc, timed=True).regs == proc.regs
 
     def test_nm_carries_source_max(self):
-        instrs = thread_of("r3 = r1 + r2")
         proc = ProcState(regs=(("r1", (1, 4)), ("r2", (2, 7))))
-        dins, sources = decode(compile_thread(instrs, AMAP, timed=True), proc)
-        after = execute(proc, dins, (dins.v, source_ts(proc, sources)))
+        after = fired(["r3 = r1 + r2"], proc, timed=True)
         assert isa.reg_get(after.regs, "r3", None) == (3, 7)
 
 
@@ -287,21 +307,17 @@ class TestInvalidationBuffer:
         ib = isa.ib_rm_addr(ib, 0)
         assert isa.ib_entries(ib, 0) == ()
 
-    def test_take_last_empties_the_address(self):
+    def test_take_last_keeps_only_it(self):
         ib = ((0, 0), (0, 1))
-        entry, rest = isa.ib_take(ib, 0, 1)
-        assert entry == (0, 1)
-        assert isa.ib_entries(rest, 0) == ()
+        assert isa.ib_rm_older(ib, 0, 1) == ((0, 1),)
 
     def test_take_first_keeps_younger(self):
         ib = ((0, 0), (0, 1))
-        entry, rest = isa.ib_take(ib, 0, 0)
-        assert entry == (0, 0)
-        assert isa.ib_entries(rest, 0) == ((0, 1),)
+        assert isa.ib_rm_older(ib, 0, 0) == ib
 
     def test_take_leaves_other_addresses(self):
         ib = ((1024, 7), (0, 0), (1024, 8), (0, 1))
-        _, rest = isa.ib_take(ib, 0, 1)
+        rest = isa.ib_rm_older(ib, 0, 1)
         assert isa.ib_entries(rest, 1024) == ((1024, 7), (1024, 8))
 
     def test_entries_in_insertion_order(self):
@@ -310,21 +326,21 @@ class TestInvalidationBuffer:
         assert isa.ib_entries((), 0) == ()
 
     def test_take_keeping_drops_only_older(self):
-        # WMM-D's LdIb: the paper's rmOlder(tsU) is strict, and tsU rises
-        # with insertion order
+        # LdIb: the paper's rmOlder(tsU) is strict, and tsU rises with
+        # insertion order
         ib = ((0, 1, 0, 1), (0, 2, 0, 2), (0, 3, 0, 4))
-        assert isa.ib_take(ib, 0, 2, keep=True) == ((0, 3, 0, 4), ((0, 3, 0, 4),))
-        assert isa.ib_take(ib, 0, 1, keep=True) == ((0, 2, 0, 2), ((0, 2, 0, 2), (0, 3, 0, 4)))
+        assert isa.ib_rm_older(ib, 0, 2) == ((0, 3, 0, 4),)
+        assert isa.ib_rm_older(ib, 0, 1) == ((0, 2, 0, 2), (0, 3, 0, 4))
 
     def test_take_keeping_keeps_other_addresses(self):
         ib = ((1024, 9, 0, 0), (0, 1, 0, 1), (0, 2, 0, 5))
-        assert isa.ib_take(ib, 0, 1, keep=True)[1] == ((1024, 9, 0, 0), (0, 2, 0, 5))
+        assert isa.ib_rm_older(ib, 0, 1) == ((1024, 9, 0, 0), (0, 2, 0, 5))
 
     def test_timed_entry_shape(self):
         ib = ((0, 0, 0, 0),)
-        (a, v, ts_lower, ts_upper), rest = isa.ib_take(ib, 0, 0)
+        (a, v, ts_lower, ts_upper), = isa.ib_entries(ib, 0)
         assert (v, (ts_lower, ts_upper)) == (0, (0, 0))
-        assert rest == ()
+        assert isa.ib_rm_older(ib, 0, 0) == ib
 
 
 # Random interleavings of enq and rmOldest against a per-address queue model.

@@ -107,6 +107,15 @@ class TestParse:
         else:
             pytest.fail("expected a parse error")
 
+    @pytest.mark.parametrize("text, line, col", [
+        ("i2e-litmus v1\nthread P1:\n  r1 = Ld a\ncheck allowed: r1 = r2\n", 4, 21),
+        ("i2e-litmus v1\nthread P1:\n    r1 = Ld a ?\ncheck allowed: r1 = 0\n", 3, 15),
+    ], ids=["check-condition", "indented-instruction"])
+    def test_parse_error_column_is_on_the_line_as_written(self, text, line, col):
+        with pytest.raises(LitmusParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
     @pytest.mark.parametrize("nest", [
         lambda n: minimal(f"  r1 = {'(' * n}1{')' * n}"),
         lambda n: minimal(f"  r1 = {'-' * n}1"),

@@ -150,9 +150,8 @@ class TestDeadValues:
         assert rule in offered
         assert offered[rule].procs[0] == offered[RuleInstance(model.LDMEM_RULE, 0)].procs[0]
         reference = unreduced(build_model(model_id, parse(LOAD_THEN_OTHER)))
-        # WMM consumes the value it read; WMM-D's rmOlder keeps it
-        kept = (older, younger) if model_id == "wmm-d" else (younger,)
-        assert reference.apply(state, rule).procs[0].ib == kept
+        # the paper's rmOlder keeps the value it read
+        assert reference.apply(state, rule).procs[0].ib == (older, younger)
 
 
 def test_apply_refuses_an_instance_expand_does_not_offer():

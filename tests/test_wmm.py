@@ -69,8 +69,8 @@ class TestEnabled:
         for k, (_, v) in enumerate(ib):
             after = model.apply(state, RuleInstance("WMM-LdIb", 0, (k,)))
             assert model.reg_value(after, 0, "r1") == v
-            # the younger values stay while a later load may read them
-            assert after.procs[0].ib == (ib[k + 1:] if live else ())
+            # the value read and the younger ones stay while a later load may read them
+            assert after.procs[0].ib == (ib[k:] if live else ())
 
     def test_commit_gated_on_empty_buffer(self):
         text = """
