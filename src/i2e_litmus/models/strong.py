@@ -80,7 +80,7 @@ class ScModel(TsoModel):
     COM_RULE = "SC-Com"
     REC_RULE = "SC-Rec"
 
-    _local_kinds = (isa.Nm, isa.Commit)  # SC-St writes memory: it is no local step
+    _local_kinds = (isa.Nm, isa.Commit, isa.Reconcile)  # SC-St writes memory: no local step
 
     def expand(self, state: MachineState):
         """TSO's steps, each St fused with the DeqSb of the store it has

@@ -44,8 +44,9 @@ or another choice also gives: the search merges those.
 
 Every rule fires instantaneously, and a processor-local rule (Nm, LdSb,
 LdMem, LdIb, St, Commit, Reconcile) reads its own ProcState and at most
-one global value: LdMem the memory cell at its address, Reconcile `gts`.
-St reads none, WMM-S's tag included.  Its successor ProcState is
+one global value: LdMem the memory cell at its address, and Reconcile
+`gts` on the timestamped WMM-D machine, the one machine whose clock
+moves.  St reads none, WMM-S's tag included.  Its successor ProcState is
 therefore a pure function of that ProcState and that value, and so is
 the dead-stale-value drop above, which reads only the new pc.  `expand`
 memoizes it per thread: the memo maps a ProcState to its (rule
@@ -57,16 +58,19 @@ ProcState and the keyed value, never the state, so no rule can read a
 global value its key leaves out.  The memo is filled from the liveness
 tables: they must not change once a model has expanded a state.
 
-Three steps are processor-local: Nm, St, and Commit once the buffer is
-empty.  Each reads and writes its own ProcState and nothing else, so
-where it falls among the other processors' steps changes no outcome.
-`_proc_steps` marks such a step `_Local` when it fills the memo
-(`_local_kinds`; SC's St, which also writes memory, is not one), and
-where some processor's step is local, `expand` offers only the first
-such processor's step: no other processor's step and no background
-rule.  That is a one-step persistent set (Godefroid, *Partial-Order
-Methods for the Verification of Concurrent Systems*, LNCS 1032, 1996).
-Let t be processor i's local step.
+Four steps are processor-local on every machine whose clock never
+moves: Nm, St, Commit once the buffer is empty, and Reconcile.  Nm, St
+and Commit read and write their own ProcState and nothing else, so
+where one falls among the other processors' steps changes no outcome;
+Reconcile is argued for below.  Loads never are: a DeqSb can change
+what they read.  `_proc_steps` marks such a step `_Local` when it fills
+the memo (`_local_kinds`; SC's St, which also writes memory, is not
+one, nor is the timestamped WMM-D machine's Reconcile, which reads
+`gts`), and where some processor's step is local, `expand` offers only
+the first such processor's step: no other processor's step and no
+background rule.  That is a one-step persistent set (Godefroid,
+*Partial-Order Methods for the Verification of Concurrent Systems*,
+LNCS 1032, 1996).  Let t be processor i's local step.
 
 * t stays enabled, with the same rule instance, until i fires it.  No
   other rule writes i's registers or pc, so i's next instruction stays
@@ -110,8 +114,39 @@ Let t be processor i's local step.
   equality and by their thread, and St's fresh tag is fresh under either
   name, so they reach the same outcomes (see `wmm_s.py`).
 
-Reconcile is not local: it clears the ib, which DeqSb fills.  The test
-suite switches the reduction off (`oracle.every_step`) as its reference.
+Reconcile clears i's ib and sets rts = gts.  Off the timestamped
+machine gts is always 0, so t moves i's pc, empties its ib and leaves
+`rts` as it is, and, having no guard, stays enabled until i fires it.
+
+* PSO, TSO and SC keep no stale value (`strong.py`): every ib is empty,
+  so t writes only i's pc, as an Nm with no destination does, and the
+  commutation argument above covers it unchanged.
+* WMM, WMM-S and the clock-free WMM-D: here t need not commute, and the
+  argument is a simulation.  No address is live at a Reconcile pc
+  (`liveness`), so i's ib is empty there: `_settle` empties it on
+  arrival, DeqSb offers i nothing, and WMM-S's Copy targets only a
+  processor whose next instruction is a load.  t writes no memory,
+  buffer or tag, so a rule instance u enabled beside t stays enabled
+  after it, and "t, then u" and "u, then t" reach states that differ
+  only in i's ib: once t has moved i's pc, a DeqSb may offer i the value
+  it overwrote, which it could not before.  So the eager order's ib
+  holds the other's as a subsequence.
+* Say s covers s' where they are equal but for their ibs, each of the
+  ibs of s' a subsequence of the same processor's ib in s.  Every rule
+  instance of s' has one in s whose successor covers its successor:
+  LdIb's choice k maps to the same entry, at an index k' >= k in s,
+  and no other guard reads an ib.  `ib_rm_older` keeps the chosen entry
+  and the younger ones, and LdMem's and St's purge, Reconcile's clear,
+  Copy's purge, the dead-value drop and DeqSb's offer (the same entry,
+  under a guard that reads pcs and buffers) each keep the subsequence
+  relation.  No outcome or termination test reads an ib, so s reaches
+  every outcome s' reaches, by a run as long.
+* Pulling t ahead of each step of a run that fires it later therefore
+  gives a run as long that fires t first and reaches the same outcome,
+  and the induction runs as above.
+
+The test suite switches the reduction off (`oracle.every_step`) as its
+reference.
 
 DeqSb is the one rule that acts on several processors: memory, the
 holder's buffer, and the other processors' ibs.  Its holder side is a
@@ -281,8 +316,9 @@ class WmmModel:
     DEQ_RULE = "WMM-DeqSb"
 
     _enqueue = staticmethod(isa.sb_enq)  # how St (and WMM-S's Copy) buffers an entry
-    # the decoded instructions whose step `_proc_steps` marks `_Local`
-    _local_kinds = (isa.Nm, isa.St, isa.Commit)
+    # the decoded instructions whose step `_proc_steps` marks `_Local` (a
+    # Reconcile only where the clock never moves: see the module docstring)
+    _local_kinds = (isa.Nm, isa.St, isa.Commit, isa.Reconcile)
 
     @cached_property
     def stale_live(self) -> tuple:
@@ -421,6 +457,9 @@ class WmmModel:
                 return ()
             nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib, proc.rts)
             rule = self.COM_RULE
+        elif kind in self._local_kinds:  # Reconcile where the clock never moves: rts stays
+            nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, (), proc.rts)
+            rule = self.REC_RULE
         else:
             def reconcile(model, gts):  # rts = gts; only the timestamped machine's clock moves
                 return (RuleInstance(model.REC_RULE, i),

@@ -81,6 +81,8 @@ class WmmDModel(WmmModel):
 
 class TimestampedWmmDModel(WmmDModel):
     timed = True
+    # Reconcile reads gts here: fired early it would record a smaller rts
+    _local_kinds = (isa.Nm, isa.St, isa.Commit)
 
     def _initial_cell(self, value: int):
         return (value, None, 0, 0)  # value, writer, creation time, memory time

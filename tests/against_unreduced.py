@@ -16,10 +16,13 @@ from a BFS and a DFS search of the reduced model: BFS finds the
 shortest in the reduced graph, which on the two-thread `random-wmms`
 programs never copy a store, while many DFS ones do.
 
-On the same `random-weak` programs it also compares `wmm`'s outcome
-sets with the independent oracle `oracle.wmm_outcomes`, and checks that
-each `wmm-d` outcome set is a subset of the `wmm` one; it exits 1 if
-either fails.
+On the same `random-weak` programs it also compares the outcome sets of
+`sc`, `tso`, `pso` and `wmm` with their independent oracles in
+`oracle.py` (`interleaving_outcomes`, `buffered_outcomes` without and
+with per-address dequeues, and `wmm_outcomes`), which share no code with
+the models and fire no step eagerly, and checks that each `wmm-d`
+outcome set is a subset of the `wmm` one; it exits 1 if any of these
+fails.
 Pytest does not collect this file; run it from the root of a checkout:
 
     PYTHONPATH=src python3 tests/against_unreduced.py [SEED ...]
@@ -39,10 +42,16 @@ from run import WORKLOADS
 from i2e_litmus.explorer import explore, replay
 from i2e_litmus.litmus import bind, parse
 from i2e_litmus.models import build_model
-from oracle import TIMESTAMPED, build, split_copy_loads, unreduced, wmm_outcomes
+from oracle import (TIMESTAMPED, buffered_outcomes, build, interleaving_outcomes,
+                    split_copy_loads, unreduced, wmm_outcomes)
 
 CHECKS = (("random-wmms", "wmm-s"), ("random-weak", "wmm"), ("random-weak", "wmm-d"),
           ("random-weak", TIMESTAMPED))
+# each model with its independent oracle
+ORACLES = (("sc", interleaving_outcomes),
+           ("tso", lambda bound: buffered_outcomes(bound, per_address=False)),
+           ("pso", lambda bound: buffered_outcomes(bound, per_address=True)),
+           ("wmm", wmm_outcomes))
 
 
 def replays(model, witness, outcome) -> bool:
@@ -100,33 +109,39 @@ def check(workload: str, model_id: str, seeds: list[int]) -> int:
     return differences
 
 
-def check_oracle(seeds: list[int]) -> int:
-    """Compare `wmm` with `oracle.wmm_outcomes`, and check wmm-d ⊆ wmm, on
-    the `random-weak` programs; print a summary line and return the number
-    of programs that fail either."""
+def check_oracles(seeds: list[int]) -> int:
+    """Compare `sc`, `tso`, `pso` and `wmm` with their oracles (`ORACLES`),
+    and check wmm-d ⊆ wmm, on the `random-weak` programs; print a summary
+    line and return the number of (program, check) pairs that fail."""
     shape = WORKLOADS["random-weak"].shape
     differences = programs = 0
     for seed in seeds:
         for program in gen.generate("random-weak", shape, seed):
             test = parse(program.text)
-            wmm = explore(build_model("wmm", test))
-            wmm_d = explore(build_model("wmm-d", test))
+            bound = bind(test)
             programs += 1
-            oracle = wmm_outcomes(bind(test))
-            if not wmm.complete or wmm.outcomes != oracle or not wmm_d.outcomes <= wmm.outcomes:
+            reached = {}
+            for model_id, oracle in ORACLES:
+                result = explore(build_model(model_id, test))
+                reached[model_id] = result.outcomes
+                expected = oracle(bound)
+                if not result.complete or result.outcomes != expected:
+                    differences += 1
+                    print(f"{program.name} under {model_id}: {len(result.outcomes)} outcomes, "
+                          f"complete={result.complete}, oracle {len(expected)}")
+            wmm_d = explore(build_model("wmm-d", test)).outcomes - reached["wmm"]
+            if wmm_d:
                 differences += 1
-                print(f"{program.name}: wmm {len(wmm.outcomes)} outcomes, "
-                      f"complete={wmm.complete}, oracle {len(oracle)}; "
-                      f"{len(wmm_d.outcomes - wmm.outcomes)} wmm-d outcomes not in wmm")
-    print(f"wmm against oracle.wmm_outcomes, and wmm-d within wmm: {programs} random-weak "
-          f"programs (seeds {seeds}), {differences} differing")
+                print(f"{program.name}: {len(wmm_d)} wmm-d outcomes not in wmm")
+    print(f"sc, tso, pso and wmm against their oracles, and wmm-d within wmm: {programs} "
+          f"random-weak programs (seeds {seeds}), {differences} differing")
     return differences
 
 
 def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv] or [2, 3]
     differences = sum(check(workload, model_id, seeds) for workload, model_id in CHECKS)
-    differences += check_oracle(seeds)
+    differences += check_oracles(seeds)
     return 1 if differences else 0
 
 

@@ -38,8 +38,9 @@ afresh from the state: the unmemoized reference that memoized
 expansions are checked against.
 
 `every_step` switches off the one-step persistent set of `wmm.py`, on
-any of the six models: `expand` then offers every processor's steps and
-the background rules in every state, as the paper's rule tables do.
+any of the six models: no Nm, St, empty-buffer Commit or Reconcile is
+fired alone, and `expand` offers every processor's steps and the
+background rules in every state, as the paper's rule tables do.
 The hand-built rule-table tests run on it.  `sb_oldest` reads a store
 buffer's oldest entry for an address, which the library never needs
 apart from removing it.
@@ -195,9 +196,10 @@ def unreduced(model: WmmModel) -> WmmModel:
 
 
 def every_step(model: WmmModel) -> WmmModel:
-    """The same model with no step fired eagerly: `expand` offers every
-    processor's steps and the background rules in every state, the
-    machine before the one-step persistent set (see `wmm.py`)."""
+    """The same model with no step fired eagerly (no Nm, St, Commit or
+    Reconcile alone): `expand` offers every processor's steps and the
+    background rules in every state, the machine before the one-step
+    persistent set (see `wmm.py`)."""
     model._local_kinds = ()
     forget_steps(model)
     return model

@@ -367,7 +367,7 @@ class TestVerdicts:
         assert (1, 0, 1, 0) not in reg_projection(
             explored(corpus_by_name["iriw-commit"], "wmm-s").outcomes, *keys)
 
-    @pytest.mark.parametrize("name, states", [("iriw", 402), ("iriw-commit", 383)],
+    @pytest.mark.parametrize("name, states", [("iriw", 386), ("iriw-commit", 356)],
                              ids=["iriw", "iriw-commit"])
     def test_iriw_state_counts(self, corpus_by_name, explored, name, states):
         """Copy only into a processor whose next instruction loads the
