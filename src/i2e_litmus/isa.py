@@ -101,15 +101,14 @@ class ProcState(NamedTuple):
     """One processor: registers, program counter, and its two buffers.
 
     Register values are plain ints, or (value, timestamp) pairs in the
-    timestamped machine; `rts` records the most recent Reconcile time and
-    is only meaningful there.
+    timestamped machine.  No processor keeps its last Reconcile time:
+    no guard reads it (see `models/wmm_d.py`).
     """
 
     regs: tuple = ()
     pc: int = 0
     sb: tuple = ()
     ib: tuple = ()
-    rts: int = 0
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class TsoModel(PsoModel):
     def _drain_steps(self, i: int, proc: isa.ProcState) -> tuple:
         """One DeqSb, for the buffer's globally oldest store."""
         return (RuleInstance(self.DEQ_RULE, i), proc.sb[0],
-                isa.ProcState(proc.regs, proc.pc, proc.sb[1:], proc.ib, proc.rts)),
+                isa.ProcState(proc.regs, proc.pc, proc.sb[1:], proc.ib)),
 
 
 class ScModel(TsoModel):

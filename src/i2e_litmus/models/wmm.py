@@ -44,29 +44,28 @@ or another choice also gives: the search merges those.
 
 Every rule fires instantaneously, and a processor-local rule (Nm, LdSb,
 LdMem, LdIb, St, Commit, Reconcile) reads its own ProcState and at most
-one global value: LdMem the memory cell at its address, and Reconcile
-`gts` on the timestamped WMM-D machine, the one machine whose clock
-moves.  St reads none, WMM-S's tag included.  Its successor ProcState is
-therefore a pure function of that ProcState and that value, and so is
-the dead-stale-value drop above, which reads only the new pc.  `expand`
+one global value, the memory cell at LdMem's address.  St reads none,
+WMM-S's tag included, and Reconcile reads no clock (no machine keeps a
+Reconcile time: see `wmm_d.py`).  Its successor ProcState is therefore
+a pure function of that ProcState and that cell, and so is the
+dead-stale-value drop above, which reads only the new pc.  `expand`
 memoizes it per thread: the memo maps a ProcState to its (rule
-instance, successor ProcState) pairs, or, for a step that reads a
-global value, to a `_Reads` of those pairs keyed by the value.  A hit
-only splices the successor into the state; a miss decodes the
+instance, successor ProcState) pairs, or, for a load that may read
+memory, to a `_Reads` of those pairs keyed by the cell at its address.
+A hit only splices the successor into the state; a miss decodes the
 instruction once and runs the rule.  The timestamp hooks take the
 ProcState and the keyed value, never the state, so no rule can read a
 global value its key leaves out.  The memo is filled from the liveness
 tables: they must not change once a model has expanded a state.
 
-Four steps are processor-local on every machine whose clock never
-moves: Nm, St, Commit once the buffer is empty, and Reconcile.  Nm, St
-and Commit read and write their own ProcState and nothing else, so
-where one falls among the other processors' steps changes no outcome;
-Reconcile is argued for below.  Loads never are: a DeqSb can change
+Four steps are processor-local on every machine: Nm, St, Commit once
+the buffer is empty, and Reconcile.  Nm, St and Commit read and write
+their own ProcState and nothing else, so where one falls among the
+other processors' steps changes no outcome; Reconcile is argued for
+below.  Loads never are: a DeqSb can change
 what they read.  `_proc_steps` marks such a step `_Local` when it fills
 the memo (`_local_kinds`; SC's St, which also writes memory, is not
-one, nor is the timestamped WMM-D machine's Reconcile, which reads
-`gts`), and where some processor's step is local, `expand` offers only
+one), and where some processor's step is local, `expand` offers only
 the first such processor's step: no other processor's step and no
 background rule.  That is a one-step persistent set (Godefroid,
 *Partial-Order Methods for the Verification of Concurrent Systems*,
@@ -80,8 +79,8 @@ LNCS 1032, 1996).  Let t be processor i's local step.
   stays empty.
 * t commutes with every other rule instance u enabled beside it: u stays
   enabled after t, and both orders reach the same state.
-  - Another processor's step reads at most a memory cell or `gts`,
-    which t does not write, and writes only its own ProcState.
+  - Another processor's step reads at most a memory cell, which t does
+    not write, and writes only its own ProcState.
   - i's own DeqSb: St enqueues behind its address's entries, so the
     oldest entry per address, and TSO's `sb[0]`, stay the oldest, in
     i's buffer and in every buffer holding a WMM-S copy.
@@ -114,14 +113,13 @@ LNCS 1032, 1996).  Let t be processor i's local step.
   equality and by their thread, and St's fresh tag is fresh under either
   name, so they reach the same outcomes (see `wmm_s.py`).
 
-Reconcile clears i's ib and sets rts = gts.  Off the timestamped
-machine gts is always 0, so t moves i's pc, empties its ib and leaves
-`rts` as it is, and, having no guard, stays enabled until i fires it.
+Reconcile moves i's pc and empties its ib, and nothing else: it
+records no clock.  Having no guard, it stays enabled until i fires it.
 
 * PSO, TSO and SC keep no stale value (`strong.py`): every ib is empty,
   so t writes only i's pc, as an Nm with no destination does, and the
   commutation argument above covers it unchanged.
-* WMM, WMM-S and the clock-free WMM-D: here t need not commute, and the
+* WMM, WMM-S and both WMM-D machines: here t need not commute, and the
   argument is a simulation.  No address is live at a Reconcile pc
   (`liveness`), so i's ib is empty there: `_settle` empties it on
   arrival, DeqSb offers i nothing, and WMM-S's Copy targets only a
@@ -135,11 +133,15 @@ machine gts is always 0, so t moves i's pc, empties its ib and leaves
   ibs of s' a subsequence of the same processor's ib in s.  Every rule
   instance of s' has one in s whose successor covers its successor:
   LdIb's choice k maps to the same entry, at an index k' >= k in s,
-  and no other guard reads an ib.  `ib_rm_older` keeps the chosen entry
-  and the younger ones, and LdMem's and St's purge, Reconcile's clear,
-  Copy's purge, the dead-value drop and DeqSb's offer (the same entry,
-  under a guard that reads pcs and buffers) each keep the subsequence
-  relation.  No outcome or termination test reads an ib, so s reaches
+  and no other guard reads an ib.  On the timestamped WMM-D machine
+  LdIb's guard, ats <= tsU, reads only the registers, which s and s'
+  share, and that entry's tsU, and the load stamps its result from the
+  same entry's tsL: the choice is offered in s exactly when it is in
+  s', and loads the same (value, ts).  `ib_rm_older` keeps the chosen
+  entry and the younger ones, and LdMem's and St's purge, Reconcile's
+  clear, Copy's purge, the dead-value drop and DeqSb's offer (the same
+  entry, under a guard that reads pcs and buffers) each keep the
+  subsequence relation.  No outcome or termination test reads an ib, so s reaches
   every outcome s' reaches, by a run as long.
 * Pulling t ahead of each step of a run that fires it later therefore
   gives a run as long that fires t first and reaches the same outcome,
@@ -152,8 +154,8 @@ DeqSb is the one rule that acts on several processors: memory, the
 holder's buffer, and the other processors' ibs.  Its holder side is a
 pure function of the holder's ProcState: which addresses it drains, in
 `sb_addrs` order, the oldest entry for each, and the holder once that
-entry has left its buffer, `ProcState(regs, pc, sb_rm_oldest(...), ib,
-rts)`.  Its pc does not move, so no stale value dies and nothing needs
+entry has left its buffer, `ProcState(regs, pc, sb_rm_oldest(...),
+ib)`.  Its pc does not move, so no stale value dies and nothing needs
 settling.  `_background` therefore reads each buffered processor's
 drains from a second per-thread memo (`_drains_of`), and per state
 builds only what needs the whole state: the memory write
@@ -243,21 +245,17 @@ class _Local(tuple):
 
 
 class _Reads(dict):
-    """A memoized step that reads one global value: its (rule instance,
-    successor ProcState) pairs keyed by that value, `read(model, state)`,
-    and computed on a miss by `step(model, value)`.  Both take the model
-    as an argument rather than closing over it, so a model and its memos
-    form no reference cycle."""
+    """A memoized load that reads memory: its (rule instance, successor
+    ProcState) pairs keyed by the memory cell at address `a` (`default`
+    where memory has none), computed on a miss by `step(model, cell)`,
+    which takes the model as an argument rather than closing over it, so
+    a model and its memos form no reference cycle."""
 
-    __slots__ = ("read", "step")
+    __slots__ = ("a", "default", "step")
 
-    def __init__(self, read, step):
+    def __init__(self, a: int, default, step):
         super().__init__()
-        self.read, self.step = read, step
-
-
-def _gts(model, state: MachineState) -> int:
-    return state.gts
+        self.a, self.default, self.step = a, default, step
 
 
 def _constant_address(expr, amap):
@@ -267,8 +265,7 @@ def _constant_address(expr, amap):
 
 def _loaded(proc: isa.ProcState, dins: isa.Ld, value, ib: tuple) -> isa.ProcState:
     """proc once its load dins has written value and left ib behind."""
-    return isa.ProcState(isa.reg_set(proc.regs, dins.dst, value), proc.pc + 1, proc.sb, ib,
-                         proc.rts)
+    return isa.ProcState(isa.reg_set(proc.regs, dins.dst, value), proc.pc + 1, proc.sb, ib)
 
 
 def liveness(instrs: tuple, amap) -> tuple:
@@ -316,8 +313,8 @@ class WmmModel:
     DEQ_RULE = "WMM-DeqSb"
 
     _enqueue = staticmethod(isa.sb_enq)  # how St (and WMM-S's Copy) buffers an entry
-    # the decoded instructions whose step `_proc_steps` marks `_Local` (a
-    # Reconcile only where the clock never moves: see the module docstring)
+    # the decoded instructions whose step `_proc_steps` marks `_Local` (see
+    # the module docstring)
     _local_kinds = (isa.Nm, isa.St, isa.Commit, isa.Reconcile)
 
     @cached_property
@@ -419,10 +416,10 @@ class WmmModel:
             waiting.append((i, steps))
         for i, steps in waiting:
             if type(steps) is _Reads:
-                value = steps.read(self, state)
-                pairs = steps.get(value)
+                cell = mem_get(m, steps.a, steps.default)
+                pairs = steps.get(cell)
                 if pairs is None:
-                    pairs = steps[value] = steps.step(self, value)
+                    pairs = steps[cell] = steps.step(self, cell)
                 steps = pairs
             for rule, nxt in steps:
                 yield rule, MachineState(m, procs[:i] + (nxt,) + procs[i + 1:], gts)
@@ -431,7 +428,7 @@ class WmmModel:
     def _proc_steps(self, i: int, proc: isa.ProcState):
         """Processor i's (rule instance, successor ProcState) pairs from
         proc, as a `_Local` for a processor-local step, or a `_Reads` for a
-        step that also reads one global value."""
+        load that reads memory."""
         dins, sources = isa.decode(self.decoded[i], proc)
         kind = type(dins)
         if kind is isa.Ld:
@@ -439,32 +436,26 @@ class WmmModel:
             if isa.sb_exist(proc.sb, a):
                 nxt = _loaded(proc, dins, self._load_sb(proc, sources, a), proc.ib)
                 return (RuleInstance(self.LDSB_RULE, i), self._settle(i, nxt)),
-            default = self._initial_cell(0)
-            return _Reads(lambda model, state: mem_get(state.m, a, default),
+            return _Reads(a, self._initial_cell(0),
                           lambda model, cell: model._load_steps(i, proc, dins, sources, cell))
         if kind is isa.St:
             sb = self._enqueue(proc.sb, self._store_entry(i, proc, sources, dins))
             nxt = isa.ProcState(proc.regs, proc.pc + 1, sb,
-                                proc.ib and isa.ib_rm_addr(proc.ib, dins.a), proc.rts)
+                                proc.ib and isa.ib_rm_addr(proc.ib, dins.a))
             rule = self.ST_RULE
         elif kind is isa.Nm:
             value = self._nm_value(proc, sources, dins)
             regs = proc.regs if dins.dst is None else isa.reg_set(proc.regs, dins.dst, value)
-            nxt = isa.ProcState(regs, dins.next_pc, proc.sb, proc.ib, proc.rts)
+            nxt = isa.ProcState(regs, dins.next_pc, proc.sb, proc.ib)
             rule = self.NM_RULE
         elif kind is isa.Commit:
             if proc.sb:
                 return ()
-            nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib, proc.rts)
+            nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib)
             rule = self.COM_RULE
-        elif kind in self._local_kinds:  # Reconcile where the clock never moves: rts stays
-            nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, (), proc.rts)
+        else:  # Reconcile
+            nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, ())
             rule = self.REC_RULE
-        else:
-            def reconcile(model, gts):  # rts = gts; only the timestamped machine's clock moves
-                return (RuleInstance(model.REC_RULE, i),
-                        isa.ProcState(proc.regs, proc.pc + 1, proc.sb, (), gts)),
-            return _Reads(_gts, reconcile)
         step = (RuleInstance(rule, i), self._settle(i, nxt)),
         return _Local(step) if kind in self._local_kinds else step
 
@@ -489,7 +480,7 @@ class WmmModel:
             if live is not ANY_ADDRESS:
                 ib = tuple(e for e in proc.ib if e[0] in live)
                 if len(ib) != len(proc.ib):
-                    return isa.ProcState(proc.regs, proc.pc, proc.sb, ib, proc.rts)
+                    return isa.ProcState(proc.regs, proc.pc, proc.sb, ib)
         return proc
 
     def _background(self, state: MachineState):
@@ -515,7 +506,7 @@ class WmmModel:
         for a in isa.sb_addrs(proc.sb):
             entry, sb = isa.sb_rm_oldest(proc.sb, a)
             drains.append((RuleInstance(self.DEQ_RULE, i, (a,)), entry,
-                           isa.ProcState(proc.regs, proc.pc, sb, proc.ib, proc.rts)))
+                           isa.ProcState(proc.regs, proc.pc, sb, proc.ib)))
         return tuple(drains)
 
     def _dequeue(self, state: MachineState, i: int, entry: tuple,
@@ -538,7 +529,7 @@ class WmmModel:
         if a not in self.stale_live[j][proc.pc] or isa.sb_exist(proc.sb, a):
             return proc
         return isa.ProcState(proc.regs, proc.pc, proc.sb,
-                             isa.ib_insert(proc.ib, stale), proc.rts)
+                             isa.ib_insert(proc.ib, stale))
 
     # -- timestamp hooks: WMM-D overrides these, WMM needs no timestamps --
     # Each takes the acting ProcState and at most the global value its

@@ -217,7 +217,7 @@ class WmmSModel(WmmModel):
         j's WMM-LdSb, read from j's step memo."""
         target = state.procs[j]
         target = isa.ProcState(target.regs, target.pc, self._enqueue(target.sb, entry),
-                               target.ib and isa.ib_rm_addr(target.ib, entry[0]), target.rts)
+                               target.ib and isa.ib_rm_addr(target.ib, entry[0]))
         memo = self._steps[j]
         steps = memo.get(target)
         if steps is None:

@@ -12,8 +12,11 @@ thread and dequeues interleaved with the instructions, as the
 independent oracle for TSO and PSO.  `wmm_outcomes` adds the paper's
 invalidation buffer per thread to its PSO machine, as the independent
 oracle for WMM: a transcription of the paper's rules with no liveness,
-no timestamps and no WMM-S.  None of the three uses anything from
-`models/` or `isa`.
+no timestamps and no WMM-S.  `wmm_d_outcomes` is the same machine with
+the paper's WMM-D timestamps, the Reconcile time `rts` included, which
+the library leaves out (see `wmm_d.py`): the independent oracle for
+both WMM-D machines.  None of the four uses anything from `models/` or
+`isa`.
 
 `interpreted_decode` is the decoder that walks the surface instruction
 and its expression trees on every call, against which the compiled
@@ -154,7 +157,6 @@ def check_invariants(model: WmmModel, state) -> None:
         for _, (_, _, sts, mts) in state.m:
             assert sts <= bound and mts <= bound, "memory stamp later than gts + 1"
         for proc in state.procs:
-            assert proc.rts <= state.gts, "Reconcile time ahead of the clock"
             for _, (_, ts) in proc.regs:
                 assert ts <= bound, "register stamp later than gts + 1"
             for _, _, sts in proc.sb:
@@ -579,3 +581,124 @@ def wmm_outcomes(bound: BoundTest) -> frozenset[Outcome]:
     entry for it: the address's older entries go, the one read stays.
     Reconcile clears the ib.  No stale value is dropped for being dead."""
     return buffered_outcomes(bound, per_address=True, stale=True)
+
+
+def wmm_d_outcomes(bound: BoundTest) -> frozenset[Outcome]:
+    """WMM-D outcomes: the paper's WMM-D machine, transcribed from its
+    rules with the Reconcile time kept.  `wmm_outcomes`' machine, plus a
+    clock gts that each dequeue ticks; registers hold (value, ts) pairs;
+    a memory cell is ⟨v, writer, sts, mts⟩, the value, the thread that
+    wrote it, the store's creation time and one past the clock of its
+    write; a store buffer entry carries its sts; an ib entry carries
+    [tsL, tsU], where tsL is the overwritten cell's sts for its writer
+    and its mts for every other thread, and tsU is the clock of the
+    overwrite.  Each thread keeps rts, which Reconcile sets to gts.  An
+    Assign stamps its result, and a store its entry, with the latest
+    stamp among the registers they read; a load's is max(ats, rts, vts),
+    ats being its address registers' latest stamp and vts the entry's
+    sts for a bypass, the cell's sts to its writer and mts to any other
+    thread, and tsL for a stale value.  A stale value may be read only
+    when ats <= tsU."""
+    amap, threads, init_mem, finished, outcome_of = _surface(bound)
+    none = (0, None, 0, 0)  # a cell no store has written
+
+    def stamped(expr, my):
+        """expr's value, and the latest stamp among the registers it reads."""
+        value = expr.evaluate(lambda r: my.get(r, (0, 0))[0], amap)
+        return value, max((my.get(r, (0, 0))[1] for r in expr.registers()), default=0)
+
+    def steps(i, pcs, regs, rts, gts, mem, sbs, ibs):
+        """The states after thread i's instruction: none while its Commit
+        waits, one per value a load may read."""
+        pc = pcs[i]
+        ins = threads[i][pc]
+        my = dict(regs[i])
+        sb, ib, rt = sbs[i], ibs[i], rts[i]
+        reads = None  # a load's (stamped value, ib left behind) choices
+        if isinstance(ins, Assign):
+            my[ins.dst] = stamped(ins.expr, my)
+            pc += 1
+        elif isinstance(ins, Load):
+            a, ats = stamped(ins.addr, my)
+            own = [(v, sts) for b, v, sts in sb if b == a]
+            if own:
+                v, sts = own[-1]
+                reads = [((v, max(ats, rt, sts)), ib)]
+            else:
+                v, writer, sts, mts = mem.get(a, none)
+                reads = [((v, max(ats, rt, sts if writer == i else mts)),
+                          tuple(e for e in ib if e[0] != a))]
+                older = []  # positions of a's entries older than the one read
+                for n, (b, v, ts_lower, ts_upper) in enumerate(ib):
+                    if b == a:
+                        if ats <= ts_upper:
+                            reads.append(((v, max(ats, rt, ts_lower)),
+                                          tuple(e for m, e in enumerate(ib) if m not in older)))
+                        older.append(n)
+            pc += 1
+        elif isinstance(ins, Store):
+            (a, ats), (v, vts) = stamped(ins.addr, my), stamped(ins.value, my)
+            sb += ((a, v, max(ats, vts)),)
+            ib = tuple(e for e in ib if e[0] != a)
+            pc += 1
+        elif isinstance(ins, Fence):
+            if ins.kind == "Commit" and sb:
+                return []
+            if ins.kind == "Reconcile":
+                ib, rt = (), gts
+            pc += 1
+        elif isinstance(ins, Branch):
+            taken = (my.get(ins.reg, (0, 0))[0] == 0) == (ins.cond == "eqz")
+            pc = ins.target_index if taken else pc + 1
+        else:
+            raise AssertionError(f"unexpected instruction {ins!r}")
+        pcs = pcs[:i] + (pc,) + pcs[i + 1:]
+        sbs = sbs[:i] + (sb,) + sbs[i + 1:]
+        rts = rts[:i] + (rt,) + rts[i + 1:]
+        return [(pcs, regs[:i] + (mine,) + regs[i + 1:], rts, gts, mem, sbs,
+                 ibs[:i] + (left,) + ibs[i + 1:])
+                for mine, left in ([(my, ib)] if reads is None
+                                   else [({**my, ins.dst: v}, left) for v, left in reads])]
+
+    def dequeues(pcs, regs, rts, gts, mem, sbs, ibs):
+        """A buffer's oldest store for one address reaches memory, and
+        every other thread with no store to the address pending is offered
+        the value it overwrote."""
+        for i, sb in enumerate(sbs):
+            oldest: dict[int, int] = {}  # address -> index of its oldest store
+            for n, (a, _, _) in enumerate(sb):
+                oldest.setdefault(a, n)
+            for n in oldest.values():
+                a, v, sts = sb[n]
+                old_v, old_writer, old_sts, old_mts = mem.get(a, none)
+                offered = tuple(
+                    ib if j == i or any(b == a for b, _, _ in sbs[j])
+                    else ib + ((a, old_v, old_sts if j == old_writer else old_mts, gts),)
+                    for j, ib in enumerate(ibs))
+                yield (pcs, regs, rts, gts + 1, {**mem, a: (v, i, sts, gts + 1)},
+                       sbs[:i] + (sb[:n] + sb[n + 1:],) + sbs[i + 1:], offered)
+
+    memo: dict = {}
+
+    def go(pcs, regs, rts, gts, mem, sbs, ibs) -> frozenset[Outcome]:
+        key = (pcs, tuple(tuple(sorted(r.items())) for r in regs), rts, gts,
+               tuple(sorted(mem.items())), sbs, ibs)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        state = (pcs, regs, rts, gts, mem, sbs, ibs)
+        nexts = [n for i in range(len(threads)) if not finished(i, pcs[i])
+                 for n in steps(i, *state)]
+        nexts += dequeues(*state)
+        if not nexts:  # every thread finished and every buffer drained
+            result = frozenset([outcome_of([{r: v for r, (v, _) in my.items()} for my in regs],
+                                           {a: cell[0] for a, cell in mem.items()})])
+        else:
+            result = frozenset().union(*(go(*n) for n in nexts))
+        memo[key] = result
+        return result
+
+    empty = tuple(() for _ in threads)
+    zeros = tuple(0 for _ in threads)
+    return go(zeros, tuple({} for _ in threads), zeros, 0,
+              {a: (v, None, 0, 0) for a, v in init_mem.items()}, empty, empty)

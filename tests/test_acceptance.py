@@ -177,7 +177,6 @@ def _timestamp_audit(model):
                       default=0)
             _, ts = isa.reg_get(nxt.procs[rule.proc].regs, dins.dst, (0, 0))
             assert ts >= ats
-            assert ts >= proc_before.rts
             if rule.rule == "WMM-D-LdIb":
                 entry = isa.ib_entries(proc_before.ib, dins.a)[rule.payload[0]]
                 assert ts <= entry[3]  # never outlive the overwrite time

@@ -12,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 from i2e_litmus.cli import main
 from i2e_litmus.corpus import corpus_test, load_corpus
 
+# every run below stays within this state budget (a usage error runs nothing)
+BUDGET = ("--max-states", "100000")
+
 
 @pytest.fixture()
 def dekker_nofence_file(tmp_path):
@@ -22,7 +25,7 @@ def dekker_nofence_file(tmp_path):
 
 class TestExitCodes:
     def test_corpus_under_wmm_is_clean(self, capsys):
-        assert main(["--corpus", "--models", "wmm"]) == 0
+        assert main(["--corpus", "--models", "wmm", *BUDGET]) == 0
         out = capsys.readouterr().out
         assert "dekker [wmm] ok" in out
         # every per-model expectation agrees; no run-level failures
@@ -30,32 +33,33 @@ class TestExitCodes:
         assert "DISAGREES" not in out
 
     def test_forbidden_check_fails_under_tso(self, dekker_nofence_file, capsys):
-        code = main([str(dekker_nofence_file), "--models", "sc,tso"])
+        code = main([str(dekker_nofence_file), "--models", "sc,tso", *BUDGET])
         out = capsys.readouterr().out
         assert code == 1
         assert "[sc] ok" in out
         assert "[tso] FAIL" in out
 
     def test_missing_file(self, capsys):
-        assert main(["missing.litmus"]) == 3
+        assert main(["missing.litmus", *BUDGET]) == 3
 
     def test_unknown_model(self, capsys):
-        assert main(["--corpus", "--models", "fast-and-loose"]) == 3
+        assert main(["--corpus", "--models", "fast-and-loose", *BUDGET]) == 3
 
     @pytest.mark.parametrize("models", ["", " , "])
     def test_empty_model_list(self, capsys, models):
         # only an omitted --models falls back to the defaults
-        assert main(["--corpus", "--models", models]) == 3
+        assert main(["--corpus", "--models", models, *BUDGET]) == 3
         assert "(none given)" in capsys.readouterr().err
 
     def test_repeated_model_runs_once(self, dekker_nofence_file, capsys):
-        assert main([str(dekker_nofence_file), "--models", "tso,sc,tso", "--compare"]) == 1
+        assert main([str(dekker_nofence_file), "--models", "tso,sc,tso", "--compare",
+                     *BUDGET]) == 1
         out = capsys.readouterr().out
         assert out.count("[sc]") == 1 and out.count("[tso]") == 1
         assert out.count("compare ") == 2  # tso <= sc and sc <= tso, each once
 
     def test_no_inputs(self, capsys):
-        assert main([]) == 3
+        assert main([*BUDGET]) == 3
 
     def test_inconclusive(self, dekker_nofence_file, capsys):
         code = main([str(dekker_nofence_file), "--models", "sc",
@@ -66,7 +70,7 @@ class TestExitCodes:
     def test_bad_file_does_not_abort_batch(self, tmp_path, dekker_nofence_file, capsys):
         bad = tmp_path / "bad.litmus"
         bad.write_text("i2e-litmus v1\nthread P1:\n  BOOM\n")
-        code = main([str(bad), str(dekker_nofence_file), "--models", "sc"])
+        code = main([str(bad), str(dekker_nofence_file), "--models", "sc", *BUDGET])
         out = capsys.readouterr().out
         assert code == 3
         assert "[sc] ok" in out          # the good file still ran
@@ -75,7 +79,7 @@ class TestExitCodes:
     def test_non_utf8_file_is_a_parse_error(self, tmp_path, dekker_nofence_file, capsys):
         bad = tmp_path / "bad.litmus"
         bad.write_bytes(b"\xff\xfe\x00bad")
-        code = main([str(bad), str(dekker_nofence_file), "--models", "sc"])
+        code = main([str(bad), str(dekker_nofence_file), "--models", "sc", *BUDGET])
         out = capsys.readouterr().out
         assert code == 3
         assert "[sc] ok" in out          # the good file still ran
@@ -87,7 +91,7 @@ class TestExitCodes:
         bad.write_text("i2e-litmus v1\nthread P1:\n  BOOM\n")
         missing = tmp_path / "missing.litmus"
         code = main([str(bad), str(missing), str(dekker_nofence_file), "--models", "sc",
-                     "--format", fmt])
+                     "--format", fmt, *BUDGET])
         captured = capsys.readouterr()
         assert code == 3
         err = captured.err.splitlines()
@@ -103,13 +107,13 @@ class TestExitCodes:
     def test_directory_input(self, tmp_path, capsys):
         (tmp_path / "one.litmus").write_text(corpus_test("corr").text)
         (tmp_path / "two.litmus").write_text(corpus_test("thin-air").text)
-        assert main([str(tmp_path), "--models", "sc"]) == 0
+        assert main([str(tmp_path), "--models", "sc", *BUDGET]) == 0
         out = capsys.readouterr().out
         assert "corr [sc]" in out and "thin-air [sc]" in out
 
     def test_directory_without_litmus_files_alone(self, tmp_path, capsys):
         (tmp_path / "notes.txt").write_text("not a test\n")
-        assert main([str(tmp_path), "--models", "sc"]) == 3
+        assert main([str(tmp_path), "--models", "sc", *BUDGET]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {tmp_path}: no .litmus files in directory"]
 
@@ -118,7 +122,7 @@ class TestExitCodes:
         empty = tmp_path / "empty"
         empty.mkdir()
         code = main([str(empty), str(dekker_nofence_file), "--models", "sc",
-                     "--format", "json"])
+                     "--format", "json", *BUDGET])
         report = json.loads(capsys.readouterr().out)
         assert code == 3
         assert [r["model"] for r in report["results"]] == ["sc"]  # the good file still ran
@@ -140,7 +144,7 @@ class TestExitCodes:
         if seed is not None:
             monkeypatch.setenv("I2E_LITMUS_SEED", seed)
         try:
-            code = main([str(dekker_nofence_file), "--models", "sc", *argv])
+            code = main([str(dekker_nofence_file), "--models", "sc", *BUDGET, *argv])
         except SystemExit as exc:  # argparse rejects the flag value itself
             code = exc.code
         captured = capsys.readouterr()
@@ -152,7 +156,7 @@ class TestExitCodes:
         path = tmp_path / "bad-addr.litmus"
         path.write_text("i2e-litmus v1\nthread P1:\n  r1 = Ld a - 1\n"
                         "check allowed: r1 = 0\n")
-        assert main([str(path), "--models", "sc"]) == 3
+        assert main([str(path), "--models", "sc", *BUDGET]) == 3
         assert "negative address" in capsys.readouterr().out
 
     @pytest.mark.parametrize("body, condition", [
@@ -165,7 +169,7 @@ class TestExitCodes:
     def test_huge_or_deep_input_is_a_parse_error(self, tmp_path, capsys, body, condition):
         path = tmp_path / "deep.litmus"
         path.write_text(f"i2e-litmus v1\nthread P1:\n  {body}\ncheck allowed: {condition}\n")
-        assert main([str(path), "--models", "sc"]) == 3
+        assert main([str(path), "--models", "sc", *BUDGET]) == 3
         line = 4 if body == "r1 = 1" else 3
         assert capsys.readouterr().err.startswith(f"error: {path}: line {line}, col ")
 
@@ -176,14 +180,14 @@ class TestExitCodes:
         path.write_text(f"i2e-litmus v1\nthread P1:\n  r1 = {'(' * 100}18446744073709551621"
                         f"{')' * 100}\n  r2 = {'-' * 100}1\n"
                         f"check allowed: {'!' * 50}{'(' * 50}r1 = 5 & r2 = 1{')' * 50}\n")
-        assert main([str(path), "--models", "sc"]) == 0
+        assert main([str(path), "--models", "sc", *BUDGET]) == 0
         assert "[sc] ok" in capsys.readouterr().out
 
 
 class TestJson:
     def test_schema(self, dekker_nofence_file, capsys):
         code = main([str(dekker_nofence_file), "--models", "sc,tso",
-                     "--format", "json"])
+                     "--format", "json", *BUDGET])
         data = json.loads(capsys.readouterr().out)
         assert code == 1
         assert data["schema_version"] == 3
@@ -203,7 +207,7 @@ class TestJson:
         assert len(sc["outcomes"]) == 3
 
     def test_corpus_expectations_included(self, capsys):
-        main(["--corpus", "--models", "wmm", "--format", "json"])
+        main(["--corpus", "--models", "wmm", "--format", "json", *BUDGET])
         data = json.loads(capsys.readouterr().out)
         lvp = next(r for r in data["results"]
                    if r["test"] == "load-value-prediction")
@@ -216,7 +220,7 @@ class TestJson:
         path = tmp_path / "mine.litmus"
         path.write_text(corpus_test("mp").text.replace(
             "check forbidden: r1 = 1 & r2 = 0", "check allowed: r1 = 0 & r2 = 0"))
-        assert main([str(path), "--corpus", "--models", "sc", "--format", "json"]) == 0
+        assert main([str(path), "--corpus", "--models", "sc", "--format", "json", *BUDGET]) == 0
         mps = [r for r in json.loads(capsys.readouterr().out)["results"]
                if r["test"] == "mp"]
         assert sorted(r["expected_satisfiable"] is None for r in mps) == [False, True]
@@ -225,7 +229,8 @@ class TestJson:
     def test_user_file_and_corpus_test_of_one_name_are_told_apart(self, tmp_path, capsys):
         path = tmp_path / "mine.litmus"
         path.write_text(corpus_test("mp").text)
-        main([str(path), "--corpus", "--models", "sc,tso", "--compare", "--format", "json"])
+        main([str(path), "--corpus", "--models", "sc,tso", "--compare", "--format", "json",
+              *BUDGET])
         data = json.loads(capsys.readouterr().out)
         mps = [(r["input"], r["model"]) for r in data["results"] if r["test"] == "mp"]
         assert sorted(mps) == sorted((source, model) for source in (str(path), "corpus")
@@ -233,7 +238,7 @@ class TestJson:
         compared = [(c["input"], c["left"]) for c in data["comparisons"] if c["test"] == "mp"]
         assert sorted(compared) == sorted((source, model) for source in (str(path), "corpus")
                                           for model in ("sc", "tso"))
-        main([str(path), "--corpus", "--models", "sc,tso", "--compare"])
+        main([str(path), "--corpus", "--models", "sc,tso", "--compare", *BUDGET])
         out = capsys.readouterr().out
         assert f"=== mp [sc] ok  ({path})" in out
         assert "=== mp [sc] ok  (corpus)" in out
@@ -243,14 +248,14 @@ class TestJson:
 
 class TestWitness:
     def test_witness_printed_for_satisfiable(self, dekker_nofence_file, capsys):
-        main([str(dekker_nofence_file), "--models", "tso", "--witness"])
+        main([str(dekker_nofence_file), "--models", "tso", "--witness", *BUDGET])
         out = capsys.readouterr().out
         assert "witness:" in out
         assert "TSO-St" in out and "TSO-DeqSb" in out
 
     def test_witness_in_json(self, dekker_nofence_file, capsys):
         main([str(dekker_nofence_file), "--models", "tso", "--witness",
-              "--format", "json"])
+              "--format", "json", *BUDGET])
         data = json.loads(capsys.readouterr().out)
         (result,) = data["results"]
         witness = result["verdicts"][0]["witness"]
@@ -259,21 +264,21 @@ class TestWitness:
 
 class TestCompare:
     def test_inclusion_report(self, dekker_nofence_file, capsys):
-        code = main([str(dekker_nofence_file), "--models", "sc,tso", "--compare"])
+        code = main([str(dekker_nofence_file), "--models", "sc,tso", "--compare", *BUDGET])
         out = capsys.readouterr().out
         assert code == 1  # the forbidden check still fails under tso
         assert "outcomes(sc) <= outcomes(tso) holds" in out
         assert "outcomes(tso) <= outcomes(sc) FAILS" in out
 
     def test_compare_needs_two_models(self, dekker_nofence_file, capsys):
-        assert main([str(dekker_nofence_file), "--compare"]) == 3
-        assert main([str(dekker_nofence_file), "--models", "sc", "--compare"]) == 3
+        assert main([str(dekker_nofence_file), "--compare", *BUDGET]) == 3
+        assert main([str(dekker_nofence_file), "--models", "sc", "--compare", *BUDGET]) == 3
         # one model named twice compares nothing
-        assert main([str(dekker_nofence_file), "--models", "wmm,wmm", "--compare"]) == 3
+        assert main([str(dekker_nofence_file), "--models", "wmm,wmm", "--compare", *BUDGET]) == 3
 
     def test_corpus_wide_inclusion_chain(self, capsys):
         main(["--corpus", "--models", "sc,tso,pso", "--compare",
-              "--format", "json"])
+              "--format", "json", *BUDGET])
         data = json.loads(capsys.readouterr().out)
         forward = [c for c in data["comparisons"]
                    if (c["left"], c["right"]) in (("sc", "tso"), ("tso", "pso"))]
@@ -284,7 +289,7 @@ class TestSeedEnv:
     def test_seeded_random_order_same_verdicts(self, dekker_nofence_file,
                                                capsys, monkeypatch):
         monkeypatch.setenv("I2E_LITMUS_SEED", "42")
-        code = main([str(dekker_nofence_file), "--models", "sc,tso"])
+        code = main([str(dekker_nofence_file), "--models", "sc,tso", *BUDGET])
         out = capsys.readouterr().out
         assert code == 1
         assert "[sc] ok" in out and "[tso] FAIL" in out
@@ -294,7 +299,7 @@ class TestModelDefaults:
     def test_model_hint_used_when_no_models_flag(self, tmp_path, capsys):
         path = tmp_path / "mp.litmus"
         path.write_text(corpus_test("mp").text)  # carries "model: wmm"
-        assert main([str(path)]) == 0
+        assert main([str(path), *BUDGET]) == 0
         out = capsys.readouterr().out
         assert "[wmm]" in out
         assert "[sc]" not in out
@@ -302,7 +307,7 @@ class TestModelDefaults:
 
 def test_console_script_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "i2e_litmus.cli", "--corpus", "--models", "sc"],
+        [sys.executable, "-m", "i2e_litmus.cli", "--corpus", "--models", "sc", *BUDGET],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "corr [sc] ok" in proc.stdout

@@ -45,7 +45,7 @@ check allowed: r1 = 7
         for model_id in ("sc", "tso", "wmm", "wmm-d", "wmm-s"):
             model = build_model(model_id, test)
             assert model.mem_value(model.initial_state(), "a") == 7
-        report = check(test, "wmm-d")
+        report = check(test, "wmm-d", limits=ExploreLimits(max_states=100_000))
         assert report.passed
 
     def test_timestamped_initial_cell(self, corpus_by_name):

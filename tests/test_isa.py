@@ -244,8 +244,10 @@ class TestDecodeTs:
 
 class TestExecuteTs:
     def test_load_result_carries_timestamp(self):
-        proc = fired(["r2 = Ld a"], ProcState(rts=4), timed=True, init="init:\n  a = 1\n")
-        assert proc.regs == (("r2", (1, 4)),)
+        # the address register's stamp, 4, is later than the cell's (0)
+        proc = fired(["r2 = Ld a + r1 - r1"], ProcState(regs=(("r1", (0, 4)),)), timed=True,
+                     init="init:\n  a = 1\n")
+        assert proc.regs == (("r1", (0, 4)), ("r2", (1, 4)))
 
     def test_fences_leave_timestamps_alone(self):
         proc = ProcState(regs=(("r1", (1, 6)),))

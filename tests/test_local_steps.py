@@ -1,10 +1,11 @@
 """Processor-local steps fired alone: the one-step persistent set of `wmm.py`.
 
 Where some processor's next step is Nm, St, Commit with an empty
-buffer, or Reconcile on a machine whose clock never moves (all but the
-timestamped WMM-D machine), `expand` offers only the first such
-processor's step.  Every check here compares the reduced machine with
-`oracle.every_step`, the same model with that reduction switched off.
+buffer, or Reconcile, `expand` offers only the first such processor's
+step, on every machine, the timestamped WMM-D one included
+(`oracle.TIMESTAMPED`).  Every check here compares the reduced machine
+with `oracle.every_step`, the same model with that reduction switched
+off.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from i2e_litmus.explorer import ExploreLimits, check, explore, replay
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import MODEL_IDS, RuleInstance, build_model
-from oracle import every_step, explore_audited, explore_complete, timestamped
+from oracle import TIMESTAMPED, build, every_step, explore_audited, explore_complete
 from test_stale_liveness import small_programs
 
 # P1 loads (never local), P2 stores and P3 assigns (both local)
@@ -51,7 +52,7 @@ thread P2:
 check allowed: r1 = 0
 """
 
-# P1 loads; P2 and P3 reconcile (local wherever the clock never moves)
+# P1 loads; P2 and P3 reconcile (local on every machine)
 LOAD_RECONCILE_RECONCILE = """
 i2e-litmus v1
 thread P1:
@@ -77,9 +78,10 @@ check allowed: r1 = 0
 
 
 def both(model_id, text):
-    """The reduced model of a test, and the same model with every step."""
+    """The reduced model of a test, and the same model with every step
+    (`oracle.build`: model_id may be TIMESTAMPED)."""
     test = parse(text)
-    return build_model(model_id, test), every_step(build_model(model_id, test))
+    return build(model_id, test), every_step(build(model_id, test))
 
 
 class TestExpand:
@@ -92,7 +94,7 @@ class TestExpand:
         assert offered[0] in list(full.expand(state))  # the same successor
         assert {r.proc for r in full.enabled(state)} == {0, 1, 2}
 
-    @pytest.mark.parametrize("model_id", MODEL_IDS)
+    @pytest.mark.parametrize("model_id", MODEL_IDS + (TIMESTAMPED,))
     def test_offers_only_the_lowest_index_reconcile(self, model_id):
         model, full = both(model_id, LOAD_RECONCILE_RECONCILE)
         state = model.initial_state()
@@ -101,23 +103,13 @@ class TestExpand:
         assert offered[0] in list(full.expand(state))  # the same successor
         assert {r.proc for r in full.enabled(state)} == {0, 1, 2}
 
-    def test_timestamped_wmm_d_offers_reconcile_beside_a_dequeue(self):
-        """Reconcile records rts = gts there, and a DeqSb ticks gts: the
-        two orders leave different clocks, so neither step is fired alone."""
-        model = timestamped(parse(RECONCILE_BESIDE_STORE))
-        state = model.apply(model.initial_state(), RuleInstance(model.ST_RULE, 0))
-        rec, deq = RuleInstance(model.REC_RULE, 1), RuleInstance(model.DEQ_RULE, 0, (0,))
-        assert model.enabled(state) == [rec, deq]
-        eager = model.apply(model.apply(state, rec), deq)
-        late = model.apply(model.apply(state, deq), rec)
-        assert (eager.procs[1].rts, late.procs[1].rts) == (0, 1)
-
-    @pytest.mark.parametrize("model_id", ["tso", "pso", "wmm", "wmm-d", "wmm-s"])
+    @pytest.mark.parametrize("model_id", ["tso", "pso", "wmm", "wmm-d", "wmm-s", TIMESTAMPED])
     def test_an_eager_reconcile_keeps_every_stale_value(self, model_id):
         """The simulation of the `wmm.py` docstring: Reconcile, then the
         other processor's DeqSb, leaves the reconciling processor's ib a
         supersequence of the one the other order leaves, and nothing else
-        differs."""
+        differs, the timestamped machine's clock, cells and stamps
+        included."""
         model, full = both(model_id, RECONCILE_BESIDE_STORE)
         state = full.apply(full.initial_state(), RuleInstance(model.ST_RULE, 0))
         rec = RuleInstance(model.REC_RULE, 1)
@@ -133,7 +125,7 @@ class TestExpand:
         rest = iter(p2.ib)
         assert all(entry in rest for entry in q2.ib)  # a subsequence
         # P2 loads a next: after Reconcile a is live, and DeqSb offers it a's 0
-        offered = 1 if model_id in ("wmm", "wmm-d", "wmm-s") else 0
+        offered = 1 if model_id in ("wmm", "wmm-d", "wmm-s", TIMESTAMPED) else 0
         assert (len(p2.ib), len(q2.ib)) == (offered, 0)
 
     def test_sc_never_fires_its_fused_store_alone(self):

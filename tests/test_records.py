@@ -37,7 +37,8 @@ def sample_records():
     """One record of every class the package builds, from parse to report."""
     test = parse(EVERY_FORM)
     bound = bind(test)
-    report = check(bound, "wmm", want_witness=True)
+    report = check(bound, "wmm", limits=ExploreLimits(max_states=100_000),
+                   want_witness=True)
     instrs = test.threads[0].instrs[:-1]  # all but exit, which has no fields
     cond = bound.checks[0].cond           # And(Not(Or(reg, mem)), reg)
     return [test, bound, *test.threads, *instrs, instrs[0].addr, test.checks[0],
