@@ -66,9 +66,11 @@ class TsoModel(PsoModel):
     DEQ_RULE = "TSO-DeqSb"
 
     def _drain_steps(self, i: int, proc: isa.ProcState) -> tuple:
-        """One DeqSb, for the buffer's globally oldest store."""
-        return (RuleInstance(self.DEQ_RULE, i), proc.sb[0],
-                isa.ProcState(proc.regs, proc.pc, proc.sb[1:], proc.ib)),
+        """The drain memo entry: one DeqSb, for the buffer's globally
+        oldest store."""
+        drain = (RuleInstance(self.DEQ_RULE, i), proc.sb[0],
+                 isa.ProcState(proc.regs, proc.pc, proc.sb[1:], proc.ib))
+        return (drain,),
 
 
 class ScModel(TsoModel):
@@ -80,7 +82,7 @@ class ScModel(TsoModel):
     COM_RULE = "SC-Com"
     REC_RULE = "SC-Rec"
 
-    _local_kinds = (isa.Nm, isa.Commit, isa.Reconcile)  # SC-St writes memory: no local step
+    _local_kinds = (isa.Nm, isa.Ld, isa.Commit, isa.Reconcile)  # SC-St writes memory: not local
 
     def expand(self, state: MachineState):
         """TSO's steps, each St fused with the DeqSb of the store it has
@@ -89,7 +91,7 @@ class ScModel(TsoModel):
         for rule, nxt in super().expand(state):
             if rule.rule == st:
                 i = rule.proc
-                (_, entry, drained), = self._drains_of(i, nxt.procs[i])
+                (_, entry, drained), = self._drains_of(i, nxt.procs[i])[0]
                 nxt = self._dequeue(nxt, i, entry, {i: drained})
             yield rule, nxt
 

@@ -51,9 +51,10 @@ a pure function of that ProcState and that cell, and so is the
 dead-stale-value drop above, which reads only the new pc.  `expand`
 memoizes it per thread: the memo maps a ProcState to its (rule
 instance, successor ProcState) pairs, or, for a load that may read
-memory, to a `_Reads` of those pairs keyed by the cell at its address.
-A hit only splices the successor into the state; a miss decodes the
-instruction once and runs the rule.  The timestamp hooks take the
+memory, to a `_Reads` of those pairs keyed by the cell at its address,
+or, where the processor has a private drain (below), to that drain's
+holder side.  A hit only splices the successor into the state; a miss
+decodes the instruction once and runs the rule.  The timestamp hooks take the
 ProcState and the keyed value, never the state, so no rule can read a
 global value its key leaves out.  The memo is filled from the liveness
 tables: they must not change once a model has expanded a state.
@@ -62,11 +63,14 @@ Four steps are processor-local on every machine: Nm, St, Commit once
 the buffer is empty, and Reconcile.  Nm, St and Commit read and write
 their own ProcState and nothing else, so where one falls among the
 other processors' steps changes no outcome; Reconcile is argued for
-below.  Loads never are: a DeqSb can change
-what they read.  `_proc_steps` marks such a step `_Local` when it fills
-the memo (`_local_kinds`; SC's St, which also writes memory, is not
-one), and where some processor's step is local, `expand` offers only
-the first such processor's step: no other processor's step and no
+below.  A load is local only where no other thread may store to its
+address, and a DeqSb only where no other thread may load or store to
+its address (both below): elsewhere another processor's DeqSb can
+change what a load reads, and a drain what another processor reads.
+`_proc_steps` marks such a step `_Local` (or `_LocalDrain`) when it
+fills the memo (`_local_kinds`; SC's St, which also writes memory, is
+not one), and where some processor's step is local, `expand` offers
+only the first such processor's step: no other processor's step and no
 background rule.  That is a one-step persistent set (Godefroid,
 *Partial-Order Methods for the Verification of Concurrent Systems*,
 LNCS 1032, 1996).  Let t be processor i's local step.
@@ -147,8 +151,74 @@ records no clock.  Having no guard, it stays enabled until i fires it.
   gives a run as long that fires t first and reaches the same outcome,
   and the induction runs as above.
 
-The test suite switches the reduction off (`oracle.every_step`) as its
-reference.
+Two more steps are local where the threads' footprints allow.  `shared`
+records, once per model, for each thread the addresses another thread
+may store to, and those another thread may load or store to
+(`footprint`, read off the decoded tables; an address that reads a
+register counts as every address).
+
+* An unshared load: processor i's load of an address a, as decoded,
+  that no other thread may store to, whether it bypasses (LdSb) or
+  reads memory (LdMem).
+* A private drain: the DeqSb of i's oldest buffered store to an address
+  a that no other thread may load or store to; on TSO only when that
+  store is `sb[0]`, the one TSO drains.  `_proc_steps` looks for one
+  before it decodes i's instruction, so it goes ahead of that
+  instruction, and a halted processor fires it too.
+
+Let t be i's unshared load of a.
+
+* Only i's own DeqSbs write the cell at a: another processor's DeqSb
+  writes the address of its own thread's store, and WMM-S's Copy writes
+  a buffer, not memory.  A stale value of a comes only from another
+  processor's DeqSb of a store to a (`_dequeue` offers the overwritten
+  value only to processors other than the drainer), so i's ib holds
+  none: no LdIb is offered, LdMem's purge removes nothing, and the memo
+  holds exactly one pair.
+* t stays enabled until i fires it, with the same successor ProcState,
+  though its rule may turn from LdSb into LdMem.  While i's buffer
+  holds a store to a, the load bypasses from the youngest, which only
+  i's St, after t, could change; once i's DeqSbs have drained them all,
+  the cell holds that youngest value, no other rule writes it, and
+  LdMem reads it.  Both leave the ib as it was.  On the timestamped
+  WMM-D machine both stamp the result max(ats, sts) with that store's
+  sts, LdMem because i wrote the cell; a cell that no store has written
+  stamps it with its mts, 0, and then no bypass competes.
+* t commutes with every other rule instance u enabled beside it.  u
+  writes the cell at a only if it is i's own DeqSb, the case above; t
+  reads no clock and writes only i's ProcState.  A DeqSb that offers i a
+  stale value reads i's pc and buffer; t moves the pc as St does above,
+  a load adding its own address to the live set, and no DeqSb offers i
+  a value of a.
+
+Let t be i's private drain of its store e to a.
+
+* t stays enabled, with the same rule instance and entry, until i fires
+  it.  Only i's DeqSbs remove i's entries, and i's St enqueues behind
+  the address's entries, so e stays the oldest for a (and TSO's `sb[0]`
+  stays first).  WMM-S's DeqSb waits for every copy of its store to be
+  the oldest in its buffer, and e has none: Copy targets only a
+  processor whose next instruction loads the store's address, and no
+  other thread loads a.
+* t commutes with every other rule instance u enabled beside it.  t
+  writes the cell at a, which only i's loads read, removes e from i's
+  buffer, and offers the overwritten value to the other processors, at
+  whose every pc a is dead (`liveness`), so `_offer_stale` drops it.
+  Another processor's step, DeqSb or Copy reads and writes other cells,
+  and asks of i's buffer only whether it holds another address; i's
+  DeqSb of another address writes another cell and entry.  i's St
+  enqueues behind e, its Commit waits for e to drain, and its load of a,
+  an unshared load, reaches the same ProcState before and after t
+  (above).  Nm and Reconcile leave i's buffer as it was, and t's holder
+  side is memoized per ProcState, so it takes their registers, pc and ib.
+* Every terminal state has empty buffers, so every run to one fires t.
+* On the timestamped WMM-D machine each memory write ticks `gts`, so
+  moving t ahead of other writes would change the clock value of each,
+  and of t itself.  That machine leaves its drains non-local
+  (`_local_drains`); its unshared loads, which read no clock, are local.
+
+For both, the induction runs as above.  The test suite switches every
+one of these reductions off (`oracle.every_step`) as its reference.
 
 DeqSb is the one rule that acts on several processors: memory, the
 holder's buffer, and the other processors' ibs.  Its holder side is a
@@ -237,9 +307,16 @@ ANY_ADDRESS = _AnyAddress()
 
 
 class _Local(tuple):
-    """A memoized step that reads and writes only its processor's own
-    ProcState, its one (rule instance, successor ProcState) pair: `expand`
-    fires it alone (see the module docstring)."""
+    """A memoized processor-local step, its one (rule instance, successor
+    ProcState) pair: `expand` fires it alone (see the module docstring)."""
+
+    __slots__ = ()
+
+
+class _LocalDrain(tuple):
+    """A memoized private drain, the (rule instance, store entry, holder
+    successor) of a DeqSb whose address no other thread may load or store
+    to: `expand` fires it alone (see the module docstring)."""
 
     __slots__ = ()
 
@@ -249,13 +326,22 @@ class _Reads(dict):
     ProcState) pairs keyed by the memory cell at address `a` (`default`
     where memory has none), computed on a miss by `step(model, cell)`,
     which takes the model as an argument rather than closing over it, so
-    a model and its memos form no reference cycle."""
+    a model and its memos form no reference cycle.  Where the load is
+    unshared (`local`), each is a `_Local`."""
 
-    __slots__ = ("a", "default", "step")
+    __slots__ = ("a", "default", "step", "local")
 
-    def __init__(self, a: int, default, step):
+    def __init__(self, a: int, default, step, local: bool):
         super().__init__()
-        self.a, self.default, self.step = a, default, step
+        self.a, self.default, self.step, self.local = a, default, step, local
+
+    def read(self, model, m: tuple) -> tuple:
+        """The pairs for the cell at `a` in memory m."""
+        cell = mem_get(m, self.a, self.default)
+        pairs = self.get(cell)
+        if pairs is None:
+            pairs = self[cell] = self.step(model, cell)
+        return pairs
 
 
 def _constant_address(expr, amap):
@@ -266,6 +352,20 @@ def _constant_address(expr, amap):
 def _loaded(proc: isa.ProcState, dins: isa.Ld, value, ib: tuple) -> isa.ProcState:
     """proc once its load dins has written value and left ib behind."""
     return isa.ProcState(isa.reg_set(proc.regs, dins.dst, value), proc.pc + 1, proc.sb, ib)
+
+
+def footprint(table: tuple, instrs: tuple, amap) -> tuple:
+    """The addresses a thread may load and those it may store to, None
+    standing for every address where one reads a register.  A constant
+    entry of its decoded table (`isa.compile_thread`) names its address;
+    an entry that reads registers is looked up in the instruction."""
+    loads, stores = set(), set()
+    for entry, ins in zip(table, instrs):
+        kind = type(ins)
+        if kind is Load or kind is Store:
+            a = entry[0].a if type(entry) is tuple else _constant_address(ins.addr, amap)
+            (loads if kind is Load else stores).add(a)
+    return loads, stores
 
 
 def liveness(instrs: tuple, amap) -> tuple:
@@ -313,14 +413,39 @@ class WmmModel:
     DEQ_RULE = "WMM-DeqSb"
 
     _enqueue = staticmethod(isa.sb_enq)  # how St (and WMM-S's Copy) buffers an entry
-    # the decoded instructions whose step `_proc_steps` marks `_Local` (see
-    # the module docstring)
-    _local_kinds = (isa.Nm, isa.St, isa.Commit, isa.Reconcile)
+    # the decoded instructions whose step `_proc_steps` marks `_Local` (a
+    # load only where it is unshared), and whether it marks private drains
+    # `_LocalDrain` (see the module docstring)
+    _local_kinds = (isa.Nm, isa.Ld, isa.St, isa.Commit, isa.Reconcile)
+    _local_drains = True
 
     @cached_property
     def stale_live(self) -> tuple:
         """stale_live[i][pc]: addresses thread i may still load a stale value for."""
         return tuple(liveness(instrs, self.addr_map) for instrs in self.programs)
+
+    @cached_property
+    def shared(self) -> tuple:
+        """shared[i]: the addresses another thread may store to, those
+        another thread may load or store to (`footprint`), and whether
+        thread i may have a private drain, one of its stores going to an
+        address of neither kind (only then does `expand` look at a halted
+        processor i)."""
+        prints = [footprint(table, instrs, self.addr_map)
+                  for table, instrs in zip(self.decoded, self.programs)]
+        shared = []
+        for i, (_, own) in enumerate(prints):
+            stored, loaded = set(), set()
+            for j, (loads, stores) in enumerate(prints):
+                if j != i:
+                    stored |= stores
+                    loaded |= loads
+            touched = loaded | stored
+            if None in touched:
+                touched = ANY_ADDRESS
+            shared.append((ANY_ADDRESS if None in stored else stored, touched,
+                           self._local_drains and any(a not in touched for a in own)))
+        return tuple(shared)
 
     def __init__(self, bound: BoundTest):
         self.bound = bound
@@ -349,15 +474,17 @@ class WmmModel:
     def _initial_cell(self, value: int):
         return value
 
-    def _initial_memory(self) -> tuple:
+    @cached_property
+    def _initial(self) -> MachineState:
         values = {name: 0 for name in self.locations}
         values.update(dict(self.bound.test.init))
-        return tuple(sorted((self.addr_map[name], self._initial_cell(value))
-                            for name, value in values.items()))
+        m = tuple(sorted((self.addr_map[name], self._initial_cell(value))
+                         for name, value in values.items()))
+        return MachineState(m, (isa.ProcState(),) * self.nprocs)
 
     def initial_state(self) -> MachineState:
-        procs = tuple(isa.ProcState() for _ in range(self.nprocs))
-        return MachineState(self._initial_memory(), procs)
+        """The initial state, built on the first call (states are immutable)."""
+        return self._initial
 
     # -- termination and outcomes -------------------------------------------
 
@@ -400,22 +527,29 @@ class WmmModel:
 
     def expand(self, state: MachineState):
         m, procs, gts = state
-        halted, memos = self.halted, self._steps
+        halted, memos, shared = self.halted, self._steps, self.shared
         waiting = []
         for i, proc in enumerate(procs):
-            if halted[i][proc.pc]:
+            if halted[i][proc.pc] and not (proc.sb and shared[i][2]):
                 continue
             memo = memos[i]
             steps = memo.get(proc)
             if steps is None:
                 steps = memo[proc] = self._proc_steps(i, proc)
-            if type(steps) is _Local:  # fired alone (the module docstring)
+            kind = type(steps)
+            if kind is _Reads and steps.local:  # an unshared load
+                steps, kind = steps.read(self, m), _Local
+            if kind is _Local:  # fired alone (the module docstring)
                 (rule, nxt), = steps
                 yield rule, MachineState(m, procs[:i] + (nxt,) + procs[i + 1:], gts)
                 return
+            if kind is _LocalDrain:
+                rule, entry, nxt = steps
+                yield rule, self._dequeue(state, i, entry, {i: nxt})
+                return
             waiting.append((i, steps))
         for i, steps in waiting:
-            if type(steps) is _Reads:
+            if type(steps) is _Reads:  # `_Reads.read`, inlined on this hot path
                 cell = mem_get(m, steps.a, steps.default)
                 pairs = steps.get(cell)
                 if pairs is None:
@@ -427,18 +561,26 @@ class WmmModel:
 
     def _proc_steps(self, i: int, proc: isa.ProcState):
         """Processor i's (rule instance, successor ProcState) pairs from
-        proc, as a `_Local` for a processor-local step, or a `_Reads` for a
-        load that reads memory."""
+        proc, as a `_Local` for a processor-local step, a `_Reads` for a
+        load that reads memory, or, ahead of its instruction, a
+        `_LocalDrain` for a private drain."""
+        if proc.sb and self._local_drains:
+            touched = self.shared[i][1]
+            for drain in self._drains_of(i, proc)[0]:
+                if drain[1][0] not in touched:  # the address of the store it drains
+                    return _LocalDrain(drain)
         dins, sources = isa.decode(self.decoded[i], proc)
         kind = type(dins)
+        local = kind in self._local_kinds
         if kind is isa.Ld:
             a = dins.a
-            if isa.sb_exist(proc.sb, a):
-                nxt = _loaded(proc, dins, self._load_sb(proc, sources, a), proc.ib)
-                return (RuleInstance(self.LDSB_RULE, i), self._settle(i, nxt)),
-            return _Reads(a, self._initial_cell(0),
-                          lambda model, cell: model._load_steps(i, proc, dins, sources, cell))
-        if kind is isa.St:
+            local = local and a not in self.shared[i][0]  # no other thread stores to a
+            if not isa.sb_exist(proc.sb, a):
+                return _Reads(a, self._initial_cell(0), lambda model, cell:
+                              model._load_steps(i, proc, dins, sources, cell, local), local)
+            nxt = _loaded(proc, dins, self._load_sb(proc, sources, a), proc.ib)
+            rule = self.LDSB_RULE
+        elif kind is isa.St:
             sb = self._enqueue(proc.sb, self._store_entry(i, proc, sources, dins))
             nxt = isa.ProcState(proc.regs, proc.pc + 1, sb,
                                 proc.ib and isa.ib_rm_addr(proc.ib, dins.a))
@@ -453,16 +595,19 @@ class WmmModel:
                 return ()
             nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, proc.ib)
             rule = self.COM_RULE
-        else:  # Reconcile
+        elif kind is isa.Reconcile:
             nxt = isa.ProcState(proc.regs, proc.pc + 1, proc.sb, ())
             rule = self.REC_RULE
+        else:  # halted, with no private drain
+            return ()
         step = (RuleInstance(rule, i), self._settle(i, nxt)),
-        return _Local(step) if kind in self._local_kinds else step
+        return _Local(step) if local else step
 
     def _load_steps(self, i: int, proc: isa.ProcState, dins: isa.Ld, sources: tuple,
-                    cell) -> tuple:
+                    cell, local: bool) -> tuple:
         """A load that reads memory, whose cell for the address is cell,
-        then one load per stale choice."""
+        then one load per stale choice; a `_Local` if the load is unshared,
+        which leaves it no stale choice."""
         a = dins.a
         nxt = _loaded(proc, dins, self._load_mem(i, proc, sources, cell),
                       proc.ib and isa.ib_rm_addr(proc.ib, a))
@@ -470,7 +615,7 @@ class WmmModel:
         for k, value, ib in self._stale_loads(proc, sources, a):
             pairs.append((RuleInstance(self.LDIB_RULE, i, (k,)),
                           self._settle(i, _loaded(proc, dins, value, ib))))
-        return tuple(pairs)
+        return _Local(pairs) if local else tuple(pairs)
 
     def _settle(self, i: int, proc: isa.ProcState) -> isa.ProcState:
         """Processor i once it has executed an instruction and become proc,
@@ -487,7 +632,7 @@ class WmmModel:
         """DeqSb: any buffer's oldest store for any address reaches memory."""
         for i, proc in enumerate(state.procs):
             if proc.sb:
-                for rule, entry, nxt in self._drains_of(i, proc):
+                for rule, entry, nxt in self._drains_of(i, proc)[0]:
                     yield rule, self._dequeue(state, i, entry, {i: nxt})
 
     def _drains_of(self, i: int, proc: isa.ProcState):
@@ -499,7 +644,8 @@ class WmmModel:
         return drains
 
     def _drain_steps(self, i: int, proc: isa.ProcState) -> tuple:
-        """Processor i's DeqSb instances from buffered proc, each with the
+        """Processor i's drain memo entry for buffered proc, whose first
+        item, here its only one, holds i's DeqSb instances, each with the
         store entry it writes and proc once the entry has left the buffer:
         one per buffered address, for its oldest store."""
         drains = []
@@ -507,7 +653,7 @@ class WmmModel:
             entry, sb = isa.sb_rm_oldest(proc.sb, a)
             drains.append((RuleInstance(self.DEQ_RULE, i, (a,)), entry,
                            isa.ProcState(proc.regs, proc.pc, sb, proc.ib)))
-        return tuple(drains)
+        return tuple(drains),
 
     def _dequeue(self, state: MachineState, i: int, entry: tuple,
                  holders: dict) -> MachineState:

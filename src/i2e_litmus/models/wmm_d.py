@@ -42,7 +42,9 @@ This machine keeps no rts, and stamps a load max(ats, vts)
   they have the same runs, rule for rule, and the same outcomes.
 
 With no rts, Reconcile reads and writes only its own ProcState, as on
-every other machine, and `wmm.py` fires it alone.
+every other machine, and `wmm.py` fires it alone.  So it does a load of
+an address no other thread stores to, which reads no clock; a drain,
+which ticks gts, it fires alone on the clock-free machine only.
 
 Everything else is WMM's rule catalog, with rules named WMM-D-*.  Its
 LdIb is WMM's: the paper's rmOlder is strict, so it keeps the entry it
@@ -110,6 +112,7 @@ class WmmDModel(WmmModel):
 
 class TimestampedWmmDModel(WmmDModel):
     timed = True
+    _local_drains = False  # a drain ticks gts, so none is local (see `wmm.py`)
 
     def _initial_cell(self, value: int):
         return (value, None, 0, 0)  # value, writer, creation time, memory time

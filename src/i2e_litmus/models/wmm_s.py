@@ -199,7 +199,7 @@ class WmmSModel(WmmModel):
         stores i owns, its oldest entries' successors by tag, the tags its
         buffer holds, and `_next_load`.  Unbuffered processors get one too,
         for the last."""
-        steps = super()._drain_steps(i, proc)
+        steps, = super()._drain_steps(i, proc)
         return (tuple((rule, entry, nxt) for rule, entry, nxt in steps if entry[2][0] == i),
                 {entry[2]: nxt for _, entry, nxt in steps},
                 frozenset([entry[2] for entry in proc.sb]), self._next_load(i, proc))

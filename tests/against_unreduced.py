@@ -5,9 +5,10 @@ built by `perfbench/gen.py`) once reduced and once through
 `oracle.unreduced`: the 120 `random-wmms` programs per seed under
 `wmm-s`, and the 60 `random-weak` programs per seed under `wmm`,
 `wmm-d` and the timestamped WMM-D machine built directly
-(`oracle.TIMESTAMPED`).  `gen.py` emits no load whose address reads a
-register, so `build_model("wmm-d", ...)` picks that machine only for
-their address-dependent variants (`ADDRESS_DEPENDENT`, explored under
+(`oracle.TIMESTAMPED`); the unreduced machine of those two is the same
+timestamped one, explored once per program.  `gen.py` emits no load
+whose address reads a register, so `build_model("wmm-d", ...)` picks
+that machine only for their address-dependent variants (`ADDRESS_DEPENDENT`, explored under
 `wmm-d`): each `random-weak` program in which some thread loads twice,
 every load after a thread's first rewritten by
 `test_wmm_d_oracle.address_dependent` to read its address through the
@@ -84,23 +85,33 @@ def replays(model, witness, outcome) -> bool:
         return False
 
 
-def check(workload: str, model_id: str, seeds: list[int]) -> int:
+def check(workload: str, model_id: str, seeds: list[int], references: dict) -> int:
     """Compare one model's reduced and unreduced searches on the workload's
-    programs; print a summary line and return the number that differ."""
+    programs; print a summary line and return the number that differ.
+    references maps (program text, unreduced machine class) to that
+    search's outcomes, complete flag and state count: `wmm-d` and
+    TIMESTAMPED have one unreduced machine, the timestamped one, which
+    the first of them to check a program explores and the second reuses
+    (its summary line counts the states, but not the time)."""
     differences = count = witnesses = copying = 0
     visited = {"reduced": 0, "unreduced": 0}
     seconds = {"reduced": 0.0, "unreduced": 0.0}
     for seed in seeds:
         for program in programs(workload, seed):
             test = parse(program.text)
-            results = {}
-            for side, model in (("reduced", build(model_id, test)),
-                                ("unreduced", unreduced(build(model_id, test)))):
+            start = time.perf_counter()
+            reduced = explore(build(model_id, test))
+            seconds["reduced"] += time.perf_counter() - start
+            visited["reduced"] += reduced.stats.visited
+            reference_model = unreduced(build(model_id, test))
+            key = (program.text, type(reference_model))
+            if key not in references:
                 start = time.perf_counter()
-                results[side] = explore(model)
-                seconds[side] += time.perf_counter() - start
-                visited[side] += results[side].stats.visited
-            reduced, reference = results["reduced"], results["unreduced"]
+                reference = explore(reference_model)
+                seconds["unreduced"] += time.perf_counter() - start
+                references[key] = reference.outcomes, reference.complete, reference.stats.visited
+            outcomes, complete, reference_visited = references[key]
+            visited["unreduced"] += reference_visited
             dfs = explore(build(model_id, test), order="dfs")
             count += 1
             unreplayed = 0
@@ -111,18 +122,18 @@ def check(workload: str, model_id: str, seeds: list[int]) -> int:
                     witnesses += 1
                     copying += len(split) > len(witness)
                     unreplayed += not (replays(result.model, witness, outcome)
-                                       and replays(reference.model, split, outcome))
-            if (reduced.outcomes != reference.outcomes
-                    or dfs.outcomes != reference.outcomes
-                    or reduced.complete != reference.complete
-                    or reduced.stats.visited > reference.stats.visited
+                                       and replays(reference_model, split, outcome))
+            if (reduced.outcomes != outcomes
+                    or dfs.outcomes != outcomes
+                    or reduced.complete != complete
+                    or reduced.stats.visited > reference_visited
                     or unreplayed):
                 differences += 1
                 print(f"{program.name} under {model_id}: reduced {len(reduced.outcomes)} "
                       f"outcomes, complete={reduced.complete}, {reduced.stats.visited} states, "
                       f"{unreplayed} witnesses not replayed; "
-                      f"unreduced {len(reference.outcomes)} outcomes, "
-                      f"complete={reference.complete}, {reference.stats.visited} states")
+                      f"unreduced {len(outcomes)} outcomes, "
+                      f"complete={complete}, {reference_visited} states")
     print(f"{model_id}: {count} {workload} programs (seeds {seeds}), {witnesses} witnesses "
           f"({copying} with a Copy), {differences} differing; states "
           f"{visited['reduced']} reduced in {seconds['reduced']:.1f} s, "
@@ -169,7 +180,9 @@ def check_oracles(seeds: list[int]) -> int:
 
 def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv] or [2, 3]
-    differences = sum(check(workload, model_id, seeds) for workload, model_id in CHECKS)
+    references: dict = {}
+    differences = sum(check(workload, model_id, seeds, references)
+                      for workload, model_id in CHECKS)
     differences += check_oracles(seeds)
     return 1 if differences else 0
 

@@ -2,11 +2,12 @@
 checked against.
 
 `interleaving_outcomes` is buffer-free reference semantics: direct
-recursive interleaving, used as an independent oracle for SC, which
-runs the rule catalog the other models share.  It interprets the
-surface instructions straight off the parsed test - no decoded
-instructions, no rule catalog, no explorer - enumerating every
-interleaving of atomic instruction executions with memoization.
+interleaving, used as an independent oracle for SC, which runs the
+rule catalog the other models share.  It interprets the surface
+instructions straight off the parsed test - no decoded instructions,
+no rule catalog, no explorer - enumerating every interleaving of atomic
+instruction executions by a worklist search with a visited set
+(`_terminal_outcomes`), so it ends on a spin loop too.
 `buffered_outcomes` does the same with an explicit store buffer per
 thread and dequeues interleaved with the instructions, as the
 independent oracle for TSO and PSO.  `wmm_outcomes` adds the paper's
@@ -41,9 +42,10 @@ afresh from the state: the unmemoized reference that memoized
 expansions are checked against.
 
 `every_step` switches off the one-step persistent set of `wmm.py`, on
-any of the six models: no Nm, St, empty-buffer Commit or Reconcile is
-fired alone, and `expand` offers every processor's steps and the
-background rules in every state, as the paper's rule tables do.
+any of the six models: no Nm, St, empty-buffer Commit, Reconcile,
+unshared load or private drain is fired alone, and `expand` offers
+every processor's steps and the background rules in every state, as the
+paper's rule tables do.
 The hand-built rule-table tests run on it.  `sb_oldest` reads a store
 buffer's oldest entry for an address, which the library never needs
 apart from removing it.
@@ -198,11 +200,12 @@ def unreduced(model: WmmModel) -> WmmModel:
 
 
 def every_step(model: WmmModel) -> WmmModel:
-    """The same model with no step fired eagerly (no Nm, St, Commit or
-    Reconcile alone): `expand` offers every processor's steps and the
-    background rules in every state, the machine before the one-step
-    persistent set (see `wmm.py`)."""
+    """The same model with no step fired eagerly (no Nm, St, Commit,
+    Reconcile, unshared load or private drain alone): `expand` offers
+    every processor's steps and the background rules in every state, the
+    machine before the one-step persistent set (see `wmm.py`)."""
     model._local_kinds = ()
+    model._local_drains = False
     forget_steps(model)
     return model
 
@@ -419,6 +422,29 @@ def _surface(bound: BoundTest):
     return amap, threads, init_mem, finished, outcome_of
 
 
+def _terminal_outcomes(start, key: Callable, successors: Callable,
+                       outcome: Callable) -> frozenset[Outcome]:
+    """The outcomes of the states with no successor that are reachable
+    from start: a worklist search with a set of visited keys, so that a
+    cycle in the state graph (a spin loop) ends it.  key(state) is the
+    state's hashable form, successors(state) its successor states, and
+    outcome(state) what a terminal state yields."""
+    seen = {key(start)}
+    work = [start]
+    outcomes = set()
+    while work:
+        state = work.pop()
+        nexts = successors(state)
+        if not nexts:  # every thread finished and every buffer drained
+            outcomes.add(outcome(state))
+        for nxt in nexts:
+            k = key(nxt)
+            if k not in seen:
+                seen.add(k)
+                work.append(nxt)
+    return frozenset(outcomes)
+
+
 def interleaving_outcomes(bound: BoundTest) -> frozenset[Outcome]:
     amap, threads, init_mem, finished, outcome_of = _surface(bound)
 
@@ -450,27 +476,16 @@ def interleaving_outcomes(bound: BoundTest) -> frozenset[Outcome]:
         regs2 = regs[:i] + (my,) + regs[i + 1:]
         return pcs2, regs2, mem2
 
-    memo: dict = {}
+    def key(state):
+        pcs, regs, mem = state
+        return pcs, tuple(tuple(sorted(r.items())) for r in regs), tuple(sorted(mem.items()))
 
-    def go(pcs, regs, mem) -> frozenset[Outcome]:
-        key = (pcs,
-               tuple(tuple(sorted(r.items())) for r in regs),
-               tuple(sorted(mem.items())))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        runnable = [i for i in range(len(threads)) if not finished(i, pcs[i])]
-        if not runnable:
-            result = frozenset([outcome_of(regs, mem)])
-        else:
-            result = frozenset().union(*(go(*step(i, pcs, regs, mem))
-                                         for i in runnable))
-        memo[key] = result
-        return result
+    def successors(state):
+        pcs = state[0]
+        return [step(i, *state) for i in range(len(threads)) if not finished(i, pcs[i])]
 
-    return go(tuple(0 for _ in threads),
-              tuple({} for _ in threads),
-              init_mem)
+    start = (tuple(0 for _ in threads), tuple({} for _ in threads), init_mem)
+    return _terminal_outcomes(start, key, successors, lambda state: outcome_of(*state[1:]))
 
 
 def buffered_outcomes(bound: BoundTest, per_address: bool,
@@ -547,28 +562,19 @@ def buffered_outcomes(bound: BoundTest, per_address: bool,
                 yield (pcs, regs, {**mem, a: v}, sbs[:i] + (sb[:n] + sb[n + 1:],) + sbs[i + 1:],
                        offered)
 
-    memo: dict = {}
+    def key(state):
+        pcs, regs, mem, sbs, ibs = state
+        return (pcs, tuple(tuple(sorted(r.items())) for r in regs), tuple(sorted(mem.items())),
+                sbs, ibs)
 
-    def go(pcs, regs, mem, sbs, ibs) -> frozenset[Outcome]:
-        key = (pcs,
-               tuple(tuple(sorted(r.items())) for r in regs),
-               tuple(sorted(mem.items())),
-               sbs, ibs)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        nexts = [n for i in range(len(threads)) if not finished(i, pcs[i])
-                 for n in steps(i, pcs, regs, mem, sbs, ibs)]
-        nexts += dequeues(pcs, regs, mem, sbs, ibs)
-        if not nexts:  # every thread finished and every buffer drained
-            result = frozenset([outcome_of(regs, mem)])
-        else:
-            result = frozenset().union(*(go(*n) for n in nexts))
-        memo[key] = result
-        return result
+    def successors(state):
+        nexts = [n for i in range(len(threads)) if not finished(i, state[0][i])
+                 for n in steps(i, *state)]
+        return nexts + list(dequeues(*state))
 
     empty = tuple(() for _ in threads)
-    return go(tuple(0 for _ in threads), tuple({} for _ in threads), init_mem, empty, empty)
+    start = (tuple(0 for _ in threads), tuple({} for _ in threads), init_mem, empty, empty)
+    return _terminal_outcomes(start, key, successors, lambda state: outcome_of(*state[1:3]))
 
 
 def wmm_outcomes(bound: BoundTest) -> frozenset[Outcome]:
@@ -678,27 +684,23 @@ def wmm_d_outcomes(bound: BoundTest) -> frozenset[Outcome]:
                 yield (pcs, regs, rts, gts + 1, {**mem, a: (v, i, sts, gts + 1)},
                        sbs[:i] + (sb[:n] + sb[n + 1:],) + sbs[i + 1:], offered)
 
-    memo: dict = {}
+    def key(state):
+        pcs, regs, rts, gts, mem, sbs, ibs = state
+        return (pcs, tuple(tuple(sorted(r.items())) for r in regs), rts, gts,
+                tuple(sorted(mem.items())), sbs, ibs)
 
-    def go(pcs, regs, rts, gts, mem, sbs, ibs) -> frozenset[Outcome]:
-        key = (pcs, tuple(tuple(sorted(r.items())) for r in regs), rts, gts,
-               tuple(sorted(mem.items())), sbs, ibs)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        state = (pcs, regs, rts, gts, mem, sbs, ibs)
-        nexts = [n for i in range(len(threads)) if not finished(i, pcs[i])
+    def successors(state):
+        nexts = [n for i in range(len(threads)) if not finished(i, state[0][i])
                  for n in steps(i, *state)]
-        nexts += dequeues(*state)
-        if not nexts:  # every thread finished and every buffer drained
-            result = frozenset([outcome_of([{r: v for r, (v, _) in my.items()} for my in regs],
-                                           {a: cell[0] for a, cell in mem.items()})])
-        else:
-            result = frozenset().union(*(go(*n) for n in nexts))
-        memo[key] = result
-        return result
+        return nexts + list(dequeues(*state))
+
+    def outcome(state):
+        regs, mem = state[1], state[4]
+        return outcome_of([{r: v for r, (v, _) in my.items()} for my in regs],
+                          {a: cell[0] for a, cell in mem.items()})
 
     empty = tuple(() for _ in threads)
     zeros = tuple(0 for _ in threads)
-    return go(zeros, tuple({} for _ in threads), zeros, 0,
-              {a: (v, None, 0, 0) for a, v in init_mem.items()}, empty, empty)
+    start = (zeros, tuple({} for _ in threads), zeros, 0,
+             {a: (v, None, 0, 0) for a, v in init_mem.items()}, empty, empty)
+    return _terminal_outcomes(start, key, successors, outcome)

@@ -6,7 +6,7 @@ from i2e_litmus.explorer import ExploreLimits, check, explore, outcome_subset, r
 from i2e_litmus.litmus import Check, parse
 from i2e_litmus.models import MODEL_IDS, RuleInstance, WmmModel, build_model
 from i2e_litmus.models.wmm import mem_get
-from oracle import explore_audited, explore_complete, timestamped
+from oracle import every_step, explore_audited, explore_complete, timestamped
 
 
 def reg_projection(outcomes, *keys):
@@ -115,7 +115,8 @@ thread P1:
   r1 = Ld a
 check allowed: r1 = 1
 """
-        model = build_model("wmm", parse(text))
+        # every step: the reduced machine fires P1's private drain alone
+        model = every_step(build_model("wmm", parse(text)))
         state = model.apply(model.initial_state(), RuleInstance("WMM-St", 0))
         loads = [r for r in model.enabled(state) if r.rule.startswith("WMM-Ld")]
         assert loads == [RuleInstance("WMM-LdSb", 0)]

@@ -1,11 +1,14 @@
 """Processor-local steps fired alone: the one-step persistent set of `wmm.py`.
 
 Where some processor's next step is Nm, St, Commit with an empty
-buffer, or Reconcile, `expand` offers only the first such processor's
+buffer, Reconcile, or a load of an address no other thread may store to
+(an unshared load), `expand` offers only the first such processor's
 step, on every machine, the timestamped WMM-D one included
-(`oracle.TIMESTAMPED`).  Every check here compares the reduced machine
-with `oracle.every_step`, the same model with that reduction switched
-off.
+(`oracle.TIMESTAMPED`).  So it does for the drain of a store to an
+address no other thread may load or store to (a private drain), on
+every machine but the timestamped one.  Every check here compares the
+reduced machine with `oracle.every_step`, the same model with these
+reductions switched off.
 """
 
 import pytest
@@ -14,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 from i2e_litmus.explorer import ExploreLimits, check, explore, replay
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import MODEL_IDS, RuleInstance, build_model
+from i2e_litmus.models.wmm import ANY_ADDRESS
 from oracle import TIMESTAMPED, build, every_step, explore_audited, explore_complete
 from test_stale_liveness import small_programs
 
-# P1 loads (never local), P2 stores and P3 assigns (both local)
+# P1 loads a, which P2 stores to (not local), P2 stores and P3 assigns (both local)
 LOAD_STORE_ASSIGN = """
 i2e-litmus v1
 thread P1:
@@ -41,7 +45,8 @@ thread P2:
 check allowed: r1 = 0
 """
 
-# once P1 has stored, both threads are about to load
+# once P1 has stored, both threads are about to load an address the other
+# stores to, and neither store is private
 TWO_LOADS = """
 i2e-litmus v1
 thread P1:
@@ -49,10 +54,11 @@ thread P1:
   r2 = Ld b
 thread P2:
   r1 = Ld a
+  St b 2
 check allowed: r1 = 0
 """
 
-# P1 loads; P2 and P3 reconcile (local on every machine)
+# P1 loads a, which P3 stores; P2 and P3 reconcile (local on every machine)
 LOAD_RECONCILE_RECONCILE = """
 i2e-litmus v1
 thread P1:
@@ -62,6 +68,7 @@ thread P2:
   r2 = Ld a
 thread P3:
   Reconcile
+  St a 1
 check allowed: r1 = 0
 """
 
@@ -185,12 +192,19 @@ check allowed: r1 = 2
 
 
 def assert_matches_every_step_machine(test, model_id):
-    reduced = explore_complete(build_model(model_id, test))
-    full = explore_complete(every_step(build_model(model_id, test)))
-    assert reduced.outcomes == full.outcomes
-    assert reduced.complete and full.complete
-    assert reduced.stats.visited <= full.stats.visited
-    return reduced
+    """The reduced model of test (`oracle.build`: model_id may be
+    TIMESTAMPED) reaches the every-step machine's outcomes in no more
+    states, and each of its BFS and DFS witnesses replays on that
+    machine; returns the BFS result."""
+    results = [explore_complete(build(model_id, test), order=order) for order in ("bfs", "dfs")]
+    full_model = every_step(build(model_id, test))
+    full = explore_complete(full_model)
+    for result in results:
+        assert result.outcomes == full.outcomes
+        assert result.stats.visited <= full.stats.visited
+        for outcome in result.outcomes:
+            assert replay(full_model, result.witness(outcome))[1] == outcome
+    return results[0]
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
@@ -265,3 +279,130 @@ def test_spinning_thread_ends_under_a_budget_with_no_false_verdict(name):
         assert [v.passed for v in reduced.verdicts] == [False, True]
     else:
         assert all(v.inconclusive and v.passed is None for v in reduced.verdicts)
+
+
+# P1's loads of a, which no other thread stores to, are unshared: the first
+# bypasses from P1's buffer, the second reads memory once Commit has waited
+# for the drain; P2 loads a, so P1's store to it is not private
+OWN_STORE_LOADED = """
+i2e-litmus v1
+thread P1:
+  St a 1
+  r1 = Ld a
+  Commit
+  r2 = Ld a
+thread P2:
+  r3 = Ld a
+check allowed: r3 = 0
+"""
+
+# P1 stores to a, which no other thread loads or stores to, and halts: its
+# drain is private; P2 loads b, which P3 stores to
+PRIVATE_STORE_HALTED = """
+i2e-litmus v1
+thread P1:
+  St a 1
+thread P2:
+  r1 = Ld b
+thread P3:
+  St b 1
+check allowed: r1 = 0
+"""
+
+# WRC, whose outcome r1 = 1, r2 = 1, r3 = 0 needs a WMM-S copy of P1's store
+# to a into P2, beside P1's private store to c and unshared load of c
+WRC_BESIDE_PRIVATE = """
+i2e-litmus v1
+thread P1:
+  St a 1
+  St c 1
+  r4 = Ld c
+thread P2:
+  r1 = Ld a
+  St b r1
+thread P3:
+  r2 = Ld b
+  Reconcile
+  r3 = Ld a
+check allowed: r1 = 1 & r2 = 1 & r3 = 0
+"""
+
+# a is shared only through an address that reads a register (r9 is 0): a
+# store's, which makes P1's load of a shared, or a load's, which makes
+# P1's store to a shared
+SHARED_THROUGH_A_REGISTER = {
+    "computed-store": """
+i2e-litmus v1
+thread P1:
+  r1 = Ld a
+thread P2:
+  St (r9 + a) 1
+check allowed: r1 = 1
+""",
+    "computed-load": """
+i2e-litmus v1
+thread P1:
+  St a 1
+thread P2:
+  r1 = Ld (r9 + a)
+check allowed: r1 = 0
+""",
+}
+
+
+class TestUnsharedLoadsAndPrivateDrains:
+    @pytest.mark.parametrize("model_id", MODEL_IDS + (TIMESTAMPED,))
+    def test_unshared_load_bypasses_then_reads_memory(self, model_id):
+        model, full = both(model_id, OWN_STORE_LOADED)
+        state = full.apply(full.initial_state(), RuleInstance(model.ST_RULE, 0))
+        load = RuleInstance(model.LDSB_RULE, 0)
+        assert model.enabled(state) == [load]  # P2's load of a waits
+        assert list(model.expand(state))[0] in list(full.expand(state))
+        assert {r.proc for r in full.enabled(state)} == {0, 1}
+        state = full.apply(state, load)
+        if model_id != "sc":  # sc's store has already reached memory
+            deq, = (r for r in full.enabled(state) if r.rule == model.DEQ_RULE)
+            state = full.apply(state, deq)
+        state = full.apply(state, RuleInstance(model.COM_RULE, 0))
+        assert model.enabled(state) == [RuleInstance(model.LDMEM_RULE, 0)]
+        assert_matches_every_step_machine(parse(OWN_STORE_LOADED), model_id)
+
+    @pytest.mark.parametrize("model_id", MODEL_IDS + (TIMESTAMPED,))
+    def test_private_store_drains_alone_from_a_halted_thread(self, model_id):
+        model, full = both(model_id, PRIVATE_STORE_HALTED)
+        state = full.apply(full.initial_state(), RuleInstance(model.ST_RULE, 0))
+        offered = list(model.expand(state))
+        if model_id == "sc":  # the store has reached memory, and SC-St is not local
+            assert offered == list(full.expand(state))
+        elif model_id == TIMESTAMPED:  # a drain ticks gts: P3's store goes first
+            assert [rule for rule, _ in offered] == [RuleInstance(model.ST_RULE, 2)]
+            assert {r.proc for r in full.enabled(state)} == {0, 1, 2}
+        else:
+            (rule, _), = offered
+            assert (rule.rule, rule.proc) == (model.DEQ_RULE, 0)
+            assert offered[0] in list(full.expand(state))
+            assert {r.proc for r in full.enabled(state)} == {0, 1, 2}
+        assert_matches_every_step_machine(parse(PRIVATE_STORE_HALTED), model_id)
+
+    @pytest.mark.parametrize("model_id", MODEL_IDS + (TIMESTAMPED,))
+    def test_copy_beside_private_store(self, model_id):
+        result = assert_matches_every_step_machine(parse(WRC_BESIDE_PRIVATE), model_id)
+        wrc = [o for o in result.outcomes
+               if (o.reg("P2", "r1"), o.reg("P3", "r2"), o.reg("P3", "r3")) == (1, 1, 0)]
+        assert bool(wrc) == (model_id == "wmm-s")
+        if wrc:
+            model = build(model_id, parse(WRC_BESIDE_PRIVATE))
+            dfs = explore_complete(model, order="dfs")
+            assert any(r.rule == model.COPY_RULE for r in dfs.witness(wrc[0]))
+
+    @pytest.mark.parametrize("model_id", MODEL_IDS + (TIMESTAMPED,))
+    @pytest.mark.parametrize("name", sorted(SHARED_THROUGH_A_REGISTER))
+    def test_register_computed_address_shares_every_address(self, model_id, name):
+        text = SHARED_THROUGH_A_REGISTER[name]
+        # P1's table: what P2 may store to, what P2 may load or store to, and
+        # whether a store of P1's may be private
+        stored = set() if name == "computed-load" else ANY_ADDRESS
+        assert build(model_id, parse(text)).shared[0] == (stored, ANY_ADDRESS, False)
+        result = assert_matches_every_step_machine(parse(text), model_id)
+        assert {o.reg("P2" if name == "computed-load" else "P1", "r1")
+                for o in result.outcomes} == {0, 1}

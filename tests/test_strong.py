@@ -122,7 +122,7 @@ thread P1:
   St a 3
 check allowed: m[a] = 3
 """
-        model = build_model("tso", parse(text))
+        model = every_step(build_model("tso", parse(text)))  # no private drain alone
         a, b = model.addr_map["a"], model.addr_map["b"]
         state = model.initial_state()
         for _ in range(3):
@@ -207,13 +207,13 @@ thread P1:
 check allowed: m[a] = 1
 """
         test = parse(text)
-        pso = build_model("pso", test)
+        pso = every_step(build_model("pso", test))  # no private drain alone
         state = pso.apply(pso.initial_state(), RuleInstance("TSO-St", 0))
         state = pso.apply(state, RuleInstance("TSO-St", 0))
         deqs = {r for r in pso.enabled(state) if r.rule == "PSO-DeqSb"}
         assert deqs == {RuleInstance("PSO-DeqSb", 0, (0,)),
                         RuleInstance("PSO-DeqSb", 0, (1024,))}
-        tso = build_model("tso", test)
+        tso = every_step(build_model("tso", test))
         state = tso.apply(tso.initial_state(), RuleInstance("TSO-St", 0))
         state = tso.apply(state, RuleInstance("TSO-St", 0))
         deqs = [r for r in tso.enabled(state) if r.rule == "TSO-DeqSb"]

@@ -94,7 +94,7 @@ thread P1:
   St b 1
 check allowed: m[a] = 1
 """
-        model = build_model("wmm", parse(text))
+        model = every_step(build_model("wmm", parse(text)))  # no private drain alone
         state = model.apply(model.initial_state(), RuleInstance("WMM-St", 0))
         state = model.apply(state, RuleInstance("WMM-St", 0))
         deqs = {r for r in model.enabled(state) if r.rule == "WMM-DeqSb"}

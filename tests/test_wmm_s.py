@@ -237,8 +237,9 @@ check allowed: r1 = 0
 
 def load_twice_stored(p3):
     """A LOAD_TWICE state in which P1 has stored a = 1, memory still holds
-    a = 0, and P3 is p3."""
-    model = build_model("wmm-s", parse(LOAD_TWICE))
+    a = 0, and P3 is p3, on the every-step machine (P2's load of b, which
+    no thread stores to, would otherwise fire alone)."""
+    model = every_step(build_model("wmm-s", parse(LOAD_TWICE)))
     state = model.initial_state()
     procs = (state.procs[0]._replace(pc=1, sb=((0, 1, P1_STORE),)), state.procs[1], p3)
     return model, state._replace(procs=procs)
