@@ -1,10 +1,11 @@
 """Exhaustive, deduplicated search over rule firings.
 
 From a test's initial state the explorer follows every rule instance
-that the model's `expand` offers, deduplicating states by their
-canonical key, until it has seen every reachable terminal state.  The
-set of terminal outcomes is independent of the frontier discipline
-(BFS, DFS, or seeded random pops), which the test suite checks.  Resource limits never turn into
+that the model's `expand` offers, deduplicating states by themselves
+(each model builds its states in canonical form), until it has seen
+every reachable terminal state.  The set of terminal outcomes is
+independent of the frontier discipline (BFS, DFS, or seeded random
+pops), which the test suite checks.  Resource limits never turn into
 verdicts: hitting one marks the result incomplete and every dependent
 check inconclusive.
 """
@@ -46,8 +47,8 @@ class ExploreStats(NamedTuple):
 class ExploreResult(NamedTuple):
     """All reachable terminal outcomes, plus enough bookkeeping to
     reconstruct one witness trace per outcome on demand: `parents` maps
-    each state's key to its (parent key, rule) and `terminal_keys` each
-    outcome to the key of the first state that reached it."""
+    each state to its (parent state, rule) and `terminal_keys` each
+    outcome to the first terminal state that reached it."""
 
     outcomes: frozenset[Outcome]
     complete: bool
@@ -62,14 +63,13 @@ class ExploreResult(NamedTuple):
 
     def witness(self, outcome: Outcome) -> tuple[RuleInstance, ...]:
         """The rule firing sequence of the first path that reached outcome."""
-        key = self.terminal_keys[outcome]
+        state = self.terminal_keys[outcome]
         rules = []
         while True:
-            parent, rule = self.parents[key]
+            state, rule = self.parents[state]
             if rule is None:
                 break
             rules.append(rule)
-            key = parent
         rules.reverse()
         return tuple(rules)
 
@@ -87,10 +87,9 @@ def explore(model: WmmModel,
     visited = dedup_hits = max_frontier = deadlocked = 0
 
     init = model.initial_state()
-    init_key = model.canonical_key(init)
-    parents = {init_key: (None, None)}
-    frontier = deque([(init, init_key)])
-    outcomes: dict[Outcome, object] = {}
+    parents = {init: (None, None)}
+    frontier = deque([init])
+    outcomes: dict[Outcome, MachineState] = {}
     complete = True
 
     while frontier:
@@ -98,28 +97,27 @@ def explore(model: WmmModel,
             complete = False
             break
         if order == "bfs":
-            state, key = frontier.popleft()
+            state = frontier.popleft()
         elif order == "dfs":
-            state, key = frontier.pop()
+            state = frontier.pop()
         else:
             pick = rng.randrange(len(frontier))
             frontier[pick], frontier[-1] = frontier[-1], frontier[pick]
-            state, key = frontier.pop()
+            state = frontier.pop()
         visited += 1
 
         if model.is_terminal(state):
             found = model.outcome(state)
             if found not in outcomes:
-                outcomes[found] = key
+                outcomes[found] = state
             continue
         rule = None
         for rule, nxt in model.expand(state):
-            nxt_key = model.canonical_key(nxt)
-            if nxt_key in parents:
+            if nxt in parents:
                 dedup_hits += 1
                 continue
-            parents[nxt_key] = (key, rule)
-            frontier.append((nxt, nxt_key))
+            parents[nxt] = (state, rule)
+            frontier.append(nxt)
         if rule is None:
             # Should be unreachable for these models; reported, not raised.
             deadlocked += 1

@@ -497,9 +497,9 @@ def _parse_expr(toks: _Tokens) -> Expr:
 def _parse_atom_value(toks: _Tokens) -> object:
     tok = toks.take()
     if tok[1] == "-":
-        return -toks.integer(toks.expect_kind("int", "an integer"))
+        return wrap64(-toks.integer(toks.expect_kind("int", "an integer")))
     if tok[0] == "int":
-        return toks.integer(tok)
+        return wrap64(toks.integer(tok))
     if tok[0] == "name" and not is_register(tok[1]):
         return tok[1]  # symbolic address, resolved at bind time
     raise LitmusParseError(f"expected integer or address name, got {tok[1]!r}",
@@ -749,8 +749,10 @@ def parse_file(path) -> LitmusTest:
 # ---------------------------------------------------------------------------
 
 def _render_operand(expr: Expr) -> str:
+    """expr as a Store operand, in parentheses where it has several terms
+    or starts with a minus, either of which would run into the other."""
     text = expr.render()
-    return f"({text})" if len(expr.terms) > 1 else text
+    return f"({text})" if len(expr.terms) > 1 or expr.terms[0][0] < 0 else text
 
 
 def render_instr(ins: SurfaceInstr) -> str:

@@ -508,12 +508,13 @@ class WmmModel:
 
     # -- exploration ---------------------------------------------------------
 
+    # `explore` keys each state by itself, and `enabled` and `apply` wrap
+    # `expand`; the library never calls these three, but the benchmark's
+    # tracer (perfbench/tracing.py) times them on the instance.
     def canonical_key(self, state: MachineState):
-        """Dedup fingerprint; states compare equal iff they behave alike."""
+        """state itself: every state is built in canonical form."""
         return state
 
-    # `enabled` and `apply` wrap `expand`; the library never calls them, but
-    # the benchmark's tracer (perfbench/tracing.py) times them on the instance.
     def enabled(self, state: MachineState) -> list[RuleInstance]:
         """The rule instances `expand` offers in state."""
         return [rule for rule, _ in self.expand(state)]

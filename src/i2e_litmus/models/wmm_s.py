@@ -56,7 +56,7 @@ only by a permutation of tags; identity tags keep them apart only where
 two stores leave equal (address, value) entries in the same positions,
 as two instances of one looped store may.  That only merges less, so
 it is sound; the test suite keeps the paper's machine (appended
-buffers, tags renamed by first appearance) as a reference.
+buffers, its own tags, each state keyed by itself) as a reference.
 
 A copy into processor j is observed only by a load of j that bypasses
 from it; until then it only holds guards back.  So Copy fires only

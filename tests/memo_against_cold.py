@@ -26,7 +26,7 @@ import gen
 from run import WORKLOADS
 
 from i2e_litmus.litmus import parse
-from oracle import TIMESTAMPED, build, cold_expansion, explore_audited
+from oracle import TIMESTAMPED, build, cold_expansion, explore_complete
 
 MODELS = {"random-weak": ("sc", "tso", "pso", "wmm", "wmm-d", TIMESTAMPED),
           "random-wmms": ("wmm-s",)}
@@ -35,8 +35,7 @@ MODELS = {"random-weak": ("sc", "tso", "pso", "wmm", "wmm-d", TIMESTAMPED),
 def differing_states(model) -> tuple[int, int]:
     """How many states an exploration of model reaches, and how many of
     them expand differently from the memos than cold."""
-    states = {model.initial_state(): None}
-    explore_audited(model, audit=lambda state, rule, nxt: states.setdefault(nxt))
+    states = explore_complete(model).parents
     warm = [list(model.expand(state)) for state in states]
     return len(states), sum(pairs != cold_expansion(model, state)
                             for state, pairs in zip(states, warm))

@@ -63,13 +63,14 @@ answers ANY_ADDRESS), guards it with the whole-graph `no_cycle`, fires
 it as the paper's Copy alone (`paper_copy`), with no load fused to it,
 has St append to the buffer as the paper's does, tagging the store by a
 rule of its own (`paper_store_entry`: k one past the largest the storing
-buffer holds, where the library takes the smallest free one), and keys
-states by `age_ordered_key`: each store buffer in its global age order,
-tags renamed by first appearance.  That key tells apart two buffers that
-differ only in the order between addresses, which the library's states
-(each buffer kept in address order) merge.  It empties the memos that
-were filled from the reduced liveness tables, Copy guard, enqueue and
-tags, so a model that has already explored may be turned back too.
+buffer holds, where the library takes the smallest free one).  The
+search keys each of its states by itself, as it does the library's, so
+it tells apart two buffers that differ only in the order between
+addresses, which the library's states (each buffer kept in address
+order) merge, and two states that differ only in their tags' k.  It
+empties the memos that were filled from the reduced liveness tables,
+Copy guard, enqueue and tags, so a model that has already explored may
+be turned back too.
 `split_copy_loads` turns a witness of the library's `wmm-s`, whose Copy
 also fires the target's load, into one of the unreduced machine, and
 `address_ordered` puts a state of the paper's machine into the library's
@@ -85,7 +86,8 @@ partial coherence order (`acyclic`).  `explore_complete` is `explore`
 under a 100,000-state budget unless its caller passes limits, and
 requires the search to complete, so that a search that does not end
 fails fast; `explore_audited` is `explore_complete` that also calls an
-audit on every rule firing.
+audit on every rule firing.  `reg_projection` projects an outcome set
+onto chosen (thread, register) pairs.
 """
 
 from __future__ import annotations
@@ -145,6 +147,11 @@ def explore_audited(model: WmmModel, limits: Optional[ExploreLimits] = None, *ar
         del model.expand
 
 
+def reg_projection(outcomes, *keys) -> set[tuple]:
+    """Project outcome sets onto selected (thread, reg) pairs."""
+    return {tuple(o.reg(t, r) for t, r in keys) for o in outcomes}
+
+
 def check_invariants(model: WmmModel, state) -> None:
     """Raise AssertionError if state breaks a structural invariant of model
     (see the module docstring)."""
@@ -183,8 +190,7 @@ def unreduced(model: WmmModel) -> WmmModel:
     kept (the paper's DeqSb), on `wmm-d` the timestamped machine, and on
     `wmm-s` with the paper's Copy, into every processor,
     guarded by `no_cycle` and with no load fused to it, and store buffers
-    appended to, tagged by `paper_store_entry` and keyed in their global
-    age order."""
+    appended to and tagged by `paper_store_entry`."""
     if isinstance(model, WmmDModel):
         model = TimestampedWmmDModel(model.bound)
     model.stale_live = tuple((ANY_ADDRESS,) * (len(instrs) + 1) for instrs in model.programs)
@@ -195,7 +201,6 @@ def unreduced(model: WmmModel) -> WmmModel:
         model._enqueue = isa.sb_enq
         model._store_entry = paper_store_entry
         model._copy_keeps_order = no_cycle
-        model.canonical_key = age_ordered_key
     return model
 
 
@@ -304,19 +309,6 @@ def address_ordered(state):
     entries still in their age order."""
     return state._replace(procs=tuple(
         proc._replace(sb=tuple(sorted(proc.sb, key=lambda e: e[0]))) for proc in state.procs))
-
-
-def age_ordered_key(state) -> tuple:
-    """A WMM-S state key that keeps each store buffer's global age order."""
-    rename: dict[tuple, int] = {}
-    procs = []
-    for proc in state.procs:
-        sb = []
-        for a, v, tag in proc.sb:
-            n = rename.setdefault(tag, len(rename))
-            sb.append((a, v, n))
-        procs.append((proc.regs, proc.pc, tuple(sb), proc.ib))
-    return (state.m, tuple(procs))
 
 
 def wmm_s_per_holder_expansion(model: WmmSModel, state) -> list:

@@ -183,6 +183,18 @@ class TestExitCodes:
         assert main([str(path), "--models", "sc", *BUDGET]) == 0
         assert "[sc] ok" in capsys.readouterr().out
 
+    def test_init_values_and_condition_literals_wrap_like_expressions(self, tmp_path, capsys):
+        """An init value and a condition literal keep the 64-bit wrapped
+        value an expression literal gets: 2**64 + 5 is 5, -(2**64 + 5) is -5."""
+        path = tmp_path / "wrap.litmus"
+        path.write_text("i2e-litmus v1\ninit:\n  a = 18446744073709551621\n"
+                        "  b = -18446744073709551621\nthread P1:\n  r1 = Ld a\n"
+                        "  r2 = 18446744073709551621\n  r3 = Ld b\n"
+                        "check allowed: r1 = 5 & r2 = 18446744073709551621 & r3 = -5\n"
+                        "check allowed: r2 = -18446744073709551611\n")
+        assert main([str(path), "--models", "sc", *BUDGET]) == 0
+        assert "[sc] ok" in capsys.readouterr().out
+
 
 class TestJson:
     def test_schema(self, dekker_nofence_file, capsys):

@@ -277,6 +277,14 @@ class TestRoundTrip:
         test = parse(text)
         assert parse(format_test(test)) == test
 
+    @pytest.mark.parametrize("store", ["St a (-1)", "St (-r1) (0 - 2)"])
+    def test_negative_store_operands_survive(self, store):
+        # printed bare, -1 would read as the address a - 1
+        test = parse(minimal(f"  {store}"))
+        printed = format_test(test)
+        assert store in printed
+        assert parse(printed) == test
+
 
 class TestBind:
     def test_resolves_threads_and_symbols(self):

@@ -8,8 +8,8 @@ load, and `wmm-d` leaves its clocks out where every load address is
 constant.  Every check here compares them with the unreduced reference
 in `oracle.unreduced`, which on `wmm-d` is the timestamped machine, and
 on `wmm-s` also copies into every processor, with no load fused to the
-copy, and keys store buffers in their age order, so the `wmm-d` and
-`wmm-s` checks cover every reduction of those models.
+copy, and appends to store buffers, keeping their global age order, so
+the `wmm-d` and `wmm-s` checks cover every reduction of those models.
 """
 
 import pytest

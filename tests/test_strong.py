@@ -11,7 +11,7 @@ from i2e_litmus.explorer import replay
 from i2e_litmus.litmus import bind, parse
 from i2e_litmus.models import RuleInstance, build_model
 from oracle import (buffered_outcomes, every_step, explore_audited, explore_complete,
-                    interleaving_outcomes)
+                    interleaving_outcomes, reg_projection)
 from test_stale_liveness import small_programs
 
 
@@ -20,11 +20,6 @@ def explore_outcomes(text_or_test, model_id):
     result = explore_complete(build_model(model_id, test))
     assert result.complete
     return result.outcomes
-
-
-def reg_projection(outcomes, *keys):
-    """Project outcome sets onto selected (thread, reg) pairs."""
-    return {tuple(o.reg(t, r) for t, r in keys) for o in outcomes}
 
 
 SINGLE = """

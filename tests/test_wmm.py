@@ -4,11 +4,7 @@ import pytest
 
 from i2e_litmus.litmus import parse
 from i2e_litmus.models import RuleInstance, build_model
-from oracle import check_invariants, every_step, explore_audited
-
-
-def reg_projection(outcomes, *keys):
-    return {tuple(o.reg(t, r) for t, r in keys) for o in outcomes}
+from oracle import check_invariants, every_step, explore_audited, reg_projection
 
 
 LD_TEST = """

@@ -14,12 +14,8 @@ from i2e_litmus.models import RuleInstance, build_model
 from i2e_litmus.models.wmm import mem_get, mem_set
 from i2e_litmus.models.wmm_d import TimestampedWmmDModel, WmmDModel, load_value_timestamp
 from oracle import (check_invariants, every_step, explore_audited, explore_complete,
-                    timestamped, unreduced)
+                    reg_projection, timestamped, unreduced)
 from test_stale_liveness import small_programs
-
-
-def reg_projection(outcomes, *keys):
-    return {tuple(o.reg(t, r) for t, r in keys) for o in outcomes}
 
 
 def reg_ts(model, state, proc, name):
